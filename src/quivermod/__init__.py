@@ -14,8 +14,8 @@ from .rep import (GroupElement, Representation, RepresentationError, act,
                   representation, representation_from_json, zero_representation)
 from .stability import (BudgetExceededError, RationalVerdict,
                         SemistabilityVerdict, StabilityVerdict, SubrepWitness,
-                        check_over_rationals, enumerate_subreps, is_semistable,
-                        is_stable, verify_witness)
+                        WitnessCheckError, check_over_rationals, enumerate_subreps,
+                        is_semistable, is_stable, verify_witness)
 from .moduli import (GenericExtTable, LocalQuiverData, NotStableError,
                      generic_ext, generic_subdimvectors, local_model_dimension,
                      local_quiver, moduli_dimension, semistable_nonempty,

@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--beta", type=_int_list, required=True)
         if budgets:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-            sp.add_argument("--jobs", type=int, default=1)
         return sp
 
     sp = add("paths", "enumerate oriented paths")
@@ -223,7 +222,7 @@ def _run(args) -> int:
                 raise RepresentationError(
                     "rational representation: supply --primes")
             rv = check_over_rationals(m, args.theta, args.primes,
-                                      budget=args.budget, jobs=args.jobs)
+                                      budget=args.budget)
             payload = {
                 "verdict": rv.verdict, "certainty": rv.certainty,
                 "theta_of_M": rv.theta_of_m,
@@ -243,7 +242,7 @@ def _run(args) -> int:
             _emit(args, payload, lines)
             return 0 if rv.verdict == "semistable" else 1
         if cmd == "check-ss":
-            v = is_semistable(m, args.theta, budget=args.budget, jobs=args.jobs)
+            v = is_semistable(m, args.theta, budget=args.budget)
             payload = {"verdict": "semistable" if v.semistable else "unstable",
                        "theta_of_M": v.theta_of_m,
                        "witness": _witness_json(v.witness),
@@ -253,7 +252,7 @@ def _run(args) -> int:
                   ([f"witness beta={list(v.witness.beta)} theta={v.witness.theta_value}"]
                    if v.witness else []))
             return 0 if v.semistable else 1
-        v = is_stable(m, args.theta, budget=args.budget, jobs=args.jobs)
+        v = is_stable(m, args.theta, budget=args.budget)
         payload = {"verdict": "stable" if v.stable else "not stable",
                    "semistable": v.semistable,
                    "theta_of_M": v.theta_of_m,
@@ -334,7 +333,7 @@ def _run(args) -> int:
             raise QuiverError("--mults length must match the number of summands")
         data = local_quiver(list(zip(reps, mults)), args.theta,
                             assert_stable=args.assert_stable,
-                            budget=args.budget, jobs=args.jobs)
+                            budget=args.budget)
         payload = {"local_quiver": data.to_json(),
                    "model_dimension": local_model_dimension(data)}
         _emit(args, payload,

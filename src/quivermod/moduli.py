@@ -163,8 +163,8 @@ class NotStableError(ValueError):
 
 
 def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[int],
-                 *, assert_stable: bool = False, budget: int = DEFAULT_BUDGET,
-                 jobs: int = 1) -> LocalQuiverData:
+                 *, assert_stable: bool = False,
+                 budget: int = DEFAULT_BUDGET) -> LocalQuiverData:
     """Local quiver data at the semisimple point sum of M_i with multiplicity e_i.
 
     Summands over F_p are verified theta-stable by the exhaustive oracle unless
@@ -185,7 +185,7 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
         if isinstance(r.field, Rationals):
             raise NotStableError(
                 "rational summands cannot be oracle-verified; pass assert_stable=True")
-        v = is_stable(r, theta, budget=budget, jobs=jobs)
+        v = is_stable(r, theta, budget=budget)
         if not v.stable:
             raise NotStableError(f"summand of dimension {r.dim} is not theta-stable")
     l = len(reps)

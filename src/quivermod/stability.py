@@ -1,10 +1,16 @@
 """Ground-truth theta-stability decisions over finite fields.
 
-Semistability of a concrete representation over F_p is decided by exhaustive
-enumeration of subrepresentations: all tuples of per-vertex subspaces (each
-given by its reduced row echelon basis) that are stable under every arrow.
-Rational inputs are handled by multi-prime reduction; instability can be
-certified exactly by lifting a witness, semistability stays heuristic.
+Semistability of a concrete representation over F_p is decided by King's
+criterion over every subrepresentation. Subrepresentations are tuples of
+per-vertex subspaces (each given by its reduced row echelon basis) that are
+stable under every arrow; a depth-first search over the vertices in numbering
+order finds them, offering at each vertex only the superspaces of the span of
+the images of the lower vertices' subspaces, and checking the remaining arrows
+(into lower vertices, loops) as soon as both ends are chosen. It reports them
+in the order of the Cartesian product of the per-vertex subspace lists, so
+witnesses do not depend on the pruning. Rational inputs are handled by
+multi-prime reduction; instability can be certified exactly by lifting a
+witness, semistability stays heuristic.
 """
 from __future__ import annotations
 
@@ -97,6 +103,11 @@ def _in_span(vectors: np.ndarray, basis: np.ndarray, pivots: tuple[int, ...], p:
     return not w.any()
 
 
+def _image(mat: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """Rows spanning the image of the row span of `basis` under `mat`."""
+    return (mat @ basis.T).T % p
+
+
 def _arrow_stable(m: Representation, subs) -> bool:
     p = m.field.p
     for a in m.quiver.arrows:
@@ -104,8 +115,7 @@ def _arrow_stable(m: Representation, subs) -> bool:
         u_tgt, piv_tgt = subs[a.tgt - 1]
         if u_src.shape[0] == 0:
             continue
-        images = (m.matrix(a.id) @ u_src.T).T % p
-        if not _in_span(images, u_tgt, piv_tgt, p):
+        if not _in_span(_image(m.matrix(a.id), u_src, p), u_tgt, piv_tgt, p):
             return False
     return True
 
@@ -129,88 +139,150 @@ def _require_prime_field(m: Representation) -> PrimeField:
     return m.field
 
 
-def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET,
-                      jobs: int = 1) -> list[SubrepWitness]:
-    """All subrepresentations of m, as per-vertex rref subspace tuples."""
+class _SubrepSearch:
+    """Depth-first search for the subrepresentations of m, vertex 1 first.
+
+    At vertex i only the superspaces of S, the span of the images of the
+    subspaces chosen at lower vertices under arrows j -> i, are candidates;
+    they are visited in their `_all_subspaces` order. Arrows i -> j with
+    j <= i (loops included) are checked once U_i is chosen. Results therefore
+    come in the order of the product scan over `_all_subspaces` lists.
+    """
+
+    def __init__(self, m: Representation):
+        self.fld = m.field
+        self.dim = m.dim
+        k = len(m.dim)
+        self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, matrix)
+        self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, matrix)
+        for a in m.quiver.arrows:
+            if a.src < a.tgt:
+                self.into[a.tgt - 1].append((a.src - 1, m.matrix(a.id)))
+            else:
+                self.back[a.src - 1].append((a.tgt - 1, m.matrix(a.id)))
+        self.lists: dict[int, list] = {}       # n -> _all_subspaces(p, n)
+        self.positions: dict[int, dict] = {}   # n -> rref bytes -> position in that list
+        self.candidates: dict[tuple[int, bytes], list[int]] = {}
+        self.found: list[SubrepWitness] = []
+
+    def subspaces(self, n: int) -> list:
+        if n not in self.lists:
+            self.lists[n] = _all_subspaces(self.fld.p, n)
+        return self.lists[n]
+
+    def superspaces(self, i: int, chosen: list) -> Sequence[int]:
+        """Positions, in increasing order, of the subspaces of F_p^{d_i} containing S."""
+        p, n = self.fld.p, self.dim[i]
+        images = [_image(mat, chosen[j][0], p) for j, mat in self.into[i]
+                  if chosen[j][0].shape[0]]
+        if not images:
+            return range(len(self.subspaces(n)))
+        span, pivots = linalg.rref(self.fld, np.concatenate(images))
+        span = span[:len(pivots)]
+        key = (i, span.tobytes())
+        if key not in self.candidates:
+            if n not in self.positions:
+                self.positions[n] = {b.tobytes(): pos
+                                     for pos, (b, _) in enumerate(self.subspaces(n))}
+            # each superspace is S + W, W a subspace of the non-pivot coordinates
+            free = [c for c in range(n) if c not in pivots]
+            out = []
+            for w, _ in self.subspaces(len(free)):
+                lifted = np.zeros((w.shape[0], n), dtype=np.int64)
+                lifted[:, free] = w
+                t, piv = linalg.rref(self.fld, np.concatenate([span, lifted]))
+                out.append(self.positions[n][t[:len(piv)].tobytes()])
+            self.candidates[key] = sorted(out)
+        return self.candidates[key]
+
+    def run(self, i: int, chosen: list) -> None:
+        """Extend the subspaces chosen at vertices 1..i in every arrow-stable way."""
+        if i == len(self.dim):
+            self.found.append(SubrepWitness({v + 1: b for v, (b, _) in enumerate(chosen)},
+                                            tuple(b.shape[0] for b, _ in chosen)))
+            return
+        p = self.fld.p
+        subs = self.subspaces(self.dim[i])
+        for pos in self.superspaces(i, chosen):
+            u, piv = subs[pos]
+            chosen.append((u, piv))
+            if not u.shape[0] or all(_in_span(_image(mat, u, p), *chosen[j], p)
+                                     for j, mat in self.back[i]):
+                self.run(i + 1, chosen)
+            chosen.pop()
+
+
+def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[SubrepWitness]:
+    """All subrepresentations of m, as per-vertex rref subspace tuples.
+
+    The budget bounds the number of subspace tuples, the product over vertices
+    of `subspace_count(p, d_i)`, whatever the search then visits.
+    """
     fld = _require_prime_field(m)
-    per_vertex = [_all_subspaces(fld.p, d) for d in m.dim]
     total = 1
-    for lst in per_vertex:
-        total *= len(lst)
+    for d in m.dim:
+        total *= subspace_count(fld.p, d)
     if total > budget:
         raise BudgetExceededError("subspace_tuples", budget, total)
-    chunks = _split_chunks(per_vertex[0], jobs) if len(per_vertex) > 1 else None
-    if jobs > 1 and chunks is not None and len(chunks) > 1:
-        import concurrent.futures
-
-        args = [(m, chunk, per_vertex[1:]) for chunk in chunks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_chunk, args))
-        found = [w for part in parts for w in part]
-    else:
-        found = _scan_chunk((m, per_vertex[0], per_vertex[1:]))
-    return found
-
-
-def _split_chunks(items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [items]
-    size = (len(items) + jobs - 1) // jobs
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _scan_chunk(args) -> list[SubrepWitness]:
-    m, first, rest = args
-    out = []
-    for combo in product(first, *rest):
-        if _arrow_stable(m, combo):
-            beta = tuple(basis.shape[0] for basis, _ in combo)
-            bases = {i + 1: basis for i, (basis, _) in enumerate(combo)}
-            out.append(SubrepWitness(bases, beta))
-    return out
+    search = _SubrepSearch(m)
+    search.run(0, [])
+    return search.found
 
 
 def _witness_key(theta: Weight, w: SubrepWitness):
     return (theta_pairing(theta, w.beta), total_dim(w.beta), w.beta)
 
 
-def is_semistable(m: Representation, theta: Sequence[int],
-                  budget: int = DEFAULT_BUDGET, jobs: int = 1) -> SemistabilityVerdict:
+class WitnessCheckError(RuntimeError):
+    """A witness failed its independent re-check: the oracle itself is at fault."""
+
+
+def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWitness:
+    w.theta_value = theta_value
+    if not verify_witness(m, w):
+        raise WitnessCheckError(f"witness of dimension {w.beta} is not a subrepresentation")
+    return w
+
+
+def _search(m: Representation, theta: Sequence[int], budget: int):
+    """theta, theta(M), and when theta(M) = 0 the subrepresentations and the
+    minimal one by `_witness_key` (otherwise None, None)."""
     theta = tuple(int(t) for t in theta)
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
+        return theta, theta_m, None, None
+    subreps = enumerate_subreps(m, budget=budget)
+    return theta, theta_m, subreps, min(subreps, key=lambda w: _witness_key(theta, w))
+
+
+def is_semistable(m: Representation, theta: Sequence[int],
+                  budget: int = DEFAULT_BUDGET) -> SemistabilityVerdict:
+    theta, theta_m, subreps, best = _search(m, theta, budget)
+    if subreps is None:
         return SemistabilityVerdict(False, theta_m, None, None, 0,
                                     reason="theta(M) != 0")
-    subreps = enumerate_subreps(m, budget=budget, jobs=jobs)
-    best = min(subreps, key=lambda w: _witness_key(theta, w))
     min_theta = theta_pairing(theta, best.beta)
     if min_theta >= 0:
         return SemistabilityVerdict(True, theta_m, None, min_theta, len(subreps))
-    best.theta_value = min_theta
-    assert verify_witness(m, best)
-    return SemistabilityVerdict(False, theta_m, best, min_theta, len(subreps))
+    return SemistabilityVerdict(False, theta_m, _checked(m, best, min_theta), min_theta,
+                                len(subreps))
 
 
 def is_stable(m: Representation, theta: Sequence[int],
-              budget: int = DEFAULT_BUDGET, jobs: int = 1) -> StabilityVerdict:
-    theta = tuple(int(t) for t in theta)
-    theta_m = theta_pairing(theta, m.dim)
-    if theta_m != 0:
+              budget: int = DEFAULT_BUDGET) -> StabilityVerdict:
+    theta, theta_m, subreps, best = _search(m, theta, budget)
+    if subreps is None:
         return StabilityVerdict(False, False, theta_m, None, 0, reason="theta(M) != 0")
-    subreps = enumerate_subreps(m, budget=budget, jobs=jobs)
-    best = min(subreps, key=lambda w: _witness_key(theta, w))
     min_theta = theta_pairing(theta, best.beta)
     if min_theta < 0:
-        best.theta_value = min_theta
-        return StabilityVerdict(False, False, theta_m, best, len(subreps),
-                                reason="destabilizing subrepresentation")
+        return StabilityVerdict(False, False, theta_m, _checked(m, best, min_theta),
+                                len(subreps), reason="destabilizing subrepresentation")
     zero = tuple(0 for _ in m.dim)
     for w in subreps:
         if w.beta == zero or w.beta == m.dim:
             continue
         if theta_pairing(theta, w.beta) == 0:
-            w.theta_value = 0
-            return StabilityVerdict(False, True, theta_m, w, len(subreps),
+            return StabilityVerdict(False, True, theta_m, _checked(m, w, 0), len(subreps),
                                     reason="proper subrepresentation with theta = 0")
     return StabilityVerdict(True, True, theta_m, None, len(subreps))
 
@@ -267,7 +339,7 @@ def _lift_witness(m: Representation, w: SubrepWitness) -> bool:
 
 
 def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequence[int],
-                         budget: int = DEFAULT_BUDGET, jobs: int = 1) -> RationalVerdict:
+                         budget: int = DEFAULT_BUDGET) -> RationalVerdict:
     """Reduce a rational representation mod each prime and run the oracle.
 
     A "semistable" answer is heuristic; "unstable" is a proof exactly when the
@@ -290,7 +362,7 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
             skipped.append((p, str(exc)))
             continue
         tested.append(p)
-        verdict = is_semistable(red, theta, budget=budget, jobs=jobs)
+        verdict = is_semistable(red, theta, budget=budget)
         if verdict.semistable:
             continue
         w = verdict.witness

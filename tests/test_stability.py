@@ -3,11 +3,12 @@ from itertools import product
 
 import pytest
 
-from quivermod import (QQ, BudgetExceededError, PrimeField, act,
+from quivermod import (QQ, BudgetExceededError, PrimeField, WitnessCheckError, act,
                        check_over_rationals, direct_sum, enumerate_subreps,
-                       is_semistable, is_stable, random_group_element,
-                       representation, verify_witness, zero_representation)
-from quivermod.stability import subspace_count, _all_subspaces
+                       is_semistable, is_stable, quiver, random_group_element,
+                       random_representation, representation, stability,
+                       verify_witness, zero_representation)
+from quivermod.stability import _all_subspaces, _arrow_stable, subspace_count
 
 
 def rep_k3(k3, field, m):
@@ -133,10 +134,52 @@ def test_rational_prime_skipped(k3):
     assert r.primes_tested == [5] and r.verdict == "semistable"
 
 
-def test_parallel_enumeration_matches_sequential(k3):
+def reference_subreps(m):
+    """The plain product scan over all per-vertex subspace tuples."""
+    per_vertex = [_all_subspaces(m.field.p, d) for d in m.dim]
+    return [(tuple(b.shape[0] for b, _ in combo), tuple(b.tobytes() for b, _ in combo))
+            for combo in product(*per_vertex) if _arrow_stable(m, combo)]
+
+
+SEARCH_QUIVERS = {
+    "K3": (2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]),
+    "path with shortcut": (3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)]),
+    "2-cycle": (2, [("a", 1, 2), ("b", 2, 1)]),
+    "Jordan": (1, [("l", 1, 1)]),
+    "back arrow and loop": (2, [("a", 2, 1), ("l", 1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_QUIVERS))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_search_matches_product_scan(name, p):
+    k, arrows = SEARCH_QUIVERS[name]
+    q = quiver(k, arrows)
+    fld = PrimeField(p)
+    rng = random.Random(f"{name}/{p}")
+    top = 3 if p == 2 else 2
+    dims = [tuple([0] * k), tuple([top] * k)]
+    dims += [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(3)]
+    if k > 1:
+        dims.append(tuple([0] + [top] * (k - 1)))
+    for dim in dims:
+        for m in (zero_representation(q, fld, dim), random_representation(q, fld, dim, rng)):
+            got = [(w.beta, tuple(w.bases[v + 1].tobytes() for v in range(k)))
+                   for w in enumerate_subreps(m)]
+            assert got == reference_subreps(m), dim
+
+
+def test_returned_witnesses_are_rechecked(k3, monkeypatch):
     f2 = PrimeField(2)
-    m = direct_sum(rep_k3(k3, f2, (1, 0, 0)), rep_k3(k3, f2, (0, 1, 0)))
-    seq = enumerate_subreps(m, jobs=1)
-    par = enumerate_subreps(m, jobs=2)
-    assert [w.beta for w in seq] == [w.beta for w in par]
-    assert all((a.bases[1] == b.bases[1]).all() for a, b in zip(seq, par))
+    unstable = rep_k3(k3, f2, (0, 0, 0))
+    polystable = direct_sum(rep_k3(k3, f2, (1, 0, 0)), rep_k3(k3, f2, (0, 1, 0)))
+    assert is_semistable(unstable, (-1, 1)).witness is not None
+    assert is_stable(polystable, (-1, 1)).witness.theta_value == 0
+    monkeypatch.setattr(stability, "verify_witness", lambda m, w: False)
+    with pytest.raises(WitnessCheckError):
+        is_semistable(unstable, (-1, 1))
+    with pytest.raises(WitnessCheckError):
+        is_stable(unstable, (-1, 1))
+    with pytest.raises(WitnessCheckError):
+        is_stable(polystable, (-1, 1))
+    assert is_semistable(polystable, (-1, 1)).semistable
