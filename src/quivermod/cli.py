@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 affirmative/success, 1 negative verdict, 2 usage/validation
-error, 3 budget exceeded. Machine output is one JSON record per line with
-sorted keys, so identical inputs and seed give byte-identical output.
+error, 3 budget exceeded, 4 internal error (an oracle self-check failed).
+Machine output is one JSON record per line with sorted keys, so identical
+inputs and seed give byte-identical output.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .localization import (NonSquareError, SigmaError, check_localized_point,
 from .quiver import (QuiverError, enumerate_dimvectors, enumerate_paths,
                      euler_form, theta_pairing, validate_quiver)
 from .rep import RepresentationError, representation_from_json
-from .stability import (DEFAULT_BUDGET, BudgetExceededError,
+from .stability import (DEFAULT_BUDGET, BudgetExceededError, WitnessCheckError,
                         check_over_rationals, is_semistable, is_stable)
 
 
@@ -377,6 +378,9 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {exc.name} (bound {exc.bound}, required {exc.required})",
               file=sys.stderr)
         return 3
+    except WitnessCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (QuiverError, FieldError, RepresentationError, SigmaError,
             NonSquareError, NotStableError, ValueError, KeyError,
             OSError, json.JSONDecodeError) as exc:

@@ -6,11 +6,17 @@ The recursion used is ext(alpha, beta) = max over generic subvectors
 beta' of beta of -<alpha, beta - beta'>, where beta' is a generic subvector
 iff ext(beta', beta - beta') = 0. The maximum runs over generic *quotients*
 of the second argument; cross-checked against finite-field sampling.
+
+A `GenericExtTable` keeps two memos, ext per pair of dimension vectors and
+the generic subvectors per dimension vector, so each is computed once per
+table. Inputs are validated at its public methods (`ext`,
+`generic_subdimvectors`); the recursion behind them takes valid tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -40,45 +46,59 @@ def _check_dimvec(q: Quiver, alpha: Sequence[int]) -> DimVector:
 
 
 class GenericExtTable:
-    """Memoized generic Ext^1 dimensions for one acyclic quiver."""
+    """Memoized generic Ext^1 dimensions for one acyclic quiver: `_memo`
+    maps a pair of dimension vectors to ext, `_subs` a dimension vector to
+    its generic subvectors."""
 
     def __init__(self, quiver: Quiver):
         _check_acyclic(quiver)
         self.quiver = quiver
+        self._arrows = tuple((a.src - 1, a.tgt - 1) for a in quiver.arrows)
         self._memo: dict[tuple[DimVector, DimVector], int] = {}
+        self._subs: dict[DimVector, list[DimVector]] = {}
         self._in_progress: set[tuple[DimVector, DimVector]] = set()
 
     def ext(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        alpha = _check_dimvec(self.quiver, alpha)
-        beta = _check_dimvec(self.quiver, beta)
-        if total_dim(alpha) == 0 or total_dim(beta) == 0:
+        return self._ext(_check_dimvec(self.quiver, alpha),
+                         _check_dimvec(self.quiver, beta))
+
+    def generic_subdimvectors(self, alpha: Sequence[int]) -> list[DimVector]:
+        """All beta <= alpha such that every general representation of
+        dimension alpha contains a subrepresentation of dimension beta."""
+        return list(self._generic_subs(_check_dimvec(self.quiver, alpha)))
+
+    def _ext(self, alpha: DimVector, beta: DimVector) -> int:
+        if not any(alpha) or not any(beta):
             return 0
         key = (alpha, beta)
-        if key in self._memo:
-            return self._memo[key]
+        best = self._memo.get(key)
+        if best is not None:
+            return best
         if key in self._in_progress:
             raise RuntimeError(f"generic ext recursion cycled at {key}")
         self._in_progress.add(key)
         try:
-            best = 0
-            for sub in self.generic_subdimvectors(beta):
-                quotient = tuple(b - s for b, s in zip(beta, sub))
-                best = max(best, -euler_form(self.quiver, alpha, quotient))
+            # <alpha, -> is linear, form[j] = alpha_j - sum over arrows i -> j
+            # of alpha_i, so -<alpha, beta - sub> = <alpha, sub> - <alpha, beta>
+            form = list(alpha)
+            for s, t in self._arrows:
+                form[t] -= alpha[s]
+            whole = sum(map(mul, form, beta))
+            best = max(0, max(sum(map(mul, form, sub))
+                              for sub in self._generic_subs(beta)) - whole)
         finally:
             self._in_progress.discard(key)
         self._memo[key] = best
         return best
 
-    def generic_subdimvectors(self, alpha: Sequence[int]) -> list[DimVector]:
-        """All beta <= alpha such that every general representation of
-        dimension alpha contains a subrepresentation of dimension beta."""
-        alpha = _check_dimvec(self.quiver, alpha)
-        out = []
-        for beta in product(*(range(a + 1) for a in alpha)):
-            quotient = tuple(a - b for a, b in zip(alpha, beta))
-            if self.ext(beta, quotient) == 0:
-                out.append(beta)
-        return sorted(out)
+    def _generic_subs(self, alpha: DimVector) -> list[DimVector]:
+        subs = self._subs.get(alpha)
+        if subs is None:
+            # product order is lexicographic, so the list comes out sorted
+            subs = [beta for beta in product(*(range(a + 1) for a in alpha))
+                    if self._ext(beta, tuple(a - b for a, b in zip(alpha, beta))) == 0]
+            self._subs[alpha] = subs
+        return subs
 
 
 def generic_ext(q: Quiver, alpha: Sequence[int], beta: Sequence[int],

@@ -71,6 +71,14 @@ def test_check_ss(tmp_path, k3_file, capsys):
     assert "witness beta=[1, 0]" in out
 
 
+def test_failed_self_check_exit_code(tmp_path, k3_file, capsys, monkeypatch):
+    import quivermod.stability
+    monkeypatch.setattr(quivermod.stability, "verify_witness", lambda m, w: False)
+    bad = write_rep(tmp_path, "bad.json", {"p": 2}, [0, 0, 0])
+    assert main(["check-ss", "-q", k3_file, "-r", bad, "--theta", "-1,1"]) == 4
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
 def test_check_st(tmp_path, k3_file, capsys):
     good = write_rep(tmp_path, "good.json", {"p": 2}, [1, 0, 0])
     assert main(["check-st", "-q", k3_file, "-r", good, "--theta", "-1,1"]) == 0

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from quivermod import (GenericExtTable, NotStableError, PrimeField, QQ,
-                       QuiverError, ext_space, generic_ext,
+                       QuiverError, euler_form, ext_space, generic_ext,
                        generic_subdimvectors, is_semistable, is_stable,
                        local_model_dimension, local_quiver, moduli_dimension,
                        quiver, random_representation, representation,
@@ -37,6 +37,70 @@ def test_generic_ext_cyclic_rejected():
     loop = quiver(1, [("l", 1, 1)])
     with pytest.raises(CyclicQuiverError):
         GenericExtTable(loop)
+
+
+class ReferenceTable:
+    """The Schofield recursion with ext memoized per pair only: generic
+    subvectors are recomputed on every call and the Euler form comes from
+    `euler_form`."""
+
+    def __init__(self, q):
+        self.quiver = q
+        self.memo = {}
+
+    def ext(self, alpha, beta):
+        if sum(alpha) == 0 or sum(beta) == 0:
+            return 0
+        key = (alpha, beta)
+        if key not in self.memo:
+            best = 0
+            for sub in self.generic_subdimvectors(beta):
+                quotient = tuple(b - s for b, s in zip(beta, sub))
+                best = max(best, -euler_form(self.quiver, alpha, quotient))
+            self.memo[key] = best
+        return self.memo[key]
+
+    def generic_subdimvectors(self, alpha):
+        return sorted(beta for beta in product(*(range(a + 1) for a in alpha))
+                      if self.ext(beta, tuple(a - b for a, b in zip(alpha, beta))) == 0)
+
+
+@pytest.mark.parametrize("arrows, top", [
+    ([("x", 1, 2), ("y", 1, 2), ("z", 1, 2)], (4, 4)),
+    ([("a", 1, 2), ("b", 2, 3), ("c", 1, 3)], (2, 2, 2)),
+    ([("x", 1, 2), ("y", 1, 2)], (3, 3)),
+    ([("a", 1, 2), ("b", 2, 3)], (2, 2, 2)),
+    ([], (3, 2)),
+    ([("a", 1, 4), ("b", 2, 4), ("c", 3, 4)], (1, 1, 1, 2)),
+], ids=["K3", "Q3", "K2", "A3", "arrowless", "star"])
+def test_table_matches_reference_recursion(arrows, top):
+    q = quiver(len(top), arrows)
+    table, ref = GenericExtTable(q), ReferenceTable(q)
+    for total in product(*(range(a + 1) for a in top)):
+        assert table.generic_subdimvectors(total) == ref.generic_subdimvectors(total)
+        for beta in product(*(range(a + 1) for a in total)):
+            gamma = tuple(a - b for a, b in zip(total, beta))
+            assert table.ext(beta, gamma) == ref.ext(beta, gamma), (beta, gamma)
+    assert table._memo == ref.memo
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 1, 1), (1, -1), (-1, 0)])
+def test_table_validates_public_arguments(k3, bad):
+    t = GenericExtTable(k3)
+    with pytest.raises(QuiverError):
+        t.ext(bad, (1, 1))
+    with pytest.raises(QuiverError):
+        t.ext((1, 1), bad)
+    with pytest.raises(QuiverError):
+        t.generic_subdimvectors(bad)
+
+
+def test_generic_subs_returns_a_copy(k3):
+    t = GenericExtTable(k3)
+    subs = t.generic_subdimvectors((1, 1))
+    subs.clear()
+    assert t.generic_subdimvectors((1, 1)) == [(0, 0), (0, 1), (1, 1)]
+    assert t.ext((1, 0), (1, 1)) == 2
 
 
 def test_generic_subs_examples(k3, arrowfree2):
