@@ -95,6 +95,9 @@ class Rationals:
     def scalar_neg(self, x):
         return -_parse_rational(x)
 
+    def mul(self, x, y):
+        return _parse_rational(x) * _parse_rational(y)
+
     def format_scalar(self, x) -> str:
         return str(_parse_rational(x))
 
@@ -160,6 +163,9 @@ class PrimeField:
 
     def scalar_neg(self, x):
         return (-int(x)) % self.p
+
+    def mul(self, x, y):
+        return int(x) * int(y) % self.p
 
     def format_scalar(self, x) -> str:
         return str(int(x) % self.p)

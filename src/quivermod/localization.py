@@ -204,7 +204,7 @@ def chi_theta(g: GroupElement, theta: Sequence[int]):
             d = fld.scalar_inv(d)
             t = -t
         for _ in range(t):
-            out = fld.normalize(np.array([[out * d]]))[0, 0]
+            out = fld.mul(out, d)
     return out
 
 

@@ -103,19 +103,26 @@ def _in_span(vectors: np.ndarray, basis: np.ndarray, pivots: tuple[int, ...], p:
     return not w.any()
 
 
-def _image(mat: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+def _product(m: Representation):
+    """m's product mod p for arrow matrices and subspace bases, exact for its
+    largest dimension (`linalg.product_mod`), chosen once per representation."""
+    return linalg.product_mod(m.field.p, max(m.dim, default=0))
+
+
+def _image(dot, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Rows spanning the image of the row span of `basis` under `mat`."""
-    return (mat @ basis.T).T % p
+    return dot(mat, basis.T).T
 
 
 def _arrow_stable(m: Representation, subs) -> bool:
     p = m.field.p
+    dot = _product(m)
     for a in m.quiver.arrows:
         u_src, _ = subs[a.src - 1]
         u_tgt, piv_tgt = subs[a.tgt - 1]
         if u_src.shape[0] == 0:
             continue
-        if not _in_span(_image(m.matrix(a.id), u_src, p), u_tgt, piv_tgt, p):
+        if not _in_span(_image(dot, m.matrix(a.id), u_src), u_tgt, piv_tgt, p):
             return False
     return True
 
@@ -152,6 +159,7 @@ class _SubrepSearch:
     def __init__(self, m: Representation):
         self.fld = m.field
         self.dim = m.dim
+        self.dot = _product(m)
         k = len(m.dim)
         self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, matrix)
         self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, matrix)
@@ -172,8 +180,8 @@ class _SubrepSearch:
 
     def superspaces(self, i: int, chosen: list) -> Sequence[int]:
         """Positions, in increasing order, of the subspaces of F_p^{d_i} containing S."""
-        p, n = self.fld.p, self.dim[i]
-        images = [_image(mat, chosen[j][0], p) for j, mat in self.into[i]
+        n = self.dim[i]
+        images = [_image(self.dot, mat, chosen[j][0]) for j, mat in self.into[i]
                   if chosen[j][0].shape[0]]
         if not images:
             return range(len(self.subspaces(n)))
@@ -206,7 +214,7 @@ class _SubrepSearch:
         for pos in self.superspaces(i, chosen):
             u, piv = subs[pos]
             chosen.append((u, piv))
-            if not u.shape[0] or all(_in_span(_image(mat, u, p), *chosen[j], p)
+            if not u.shape[0] or all(_in_span(_image(self.dot, mat, u), *chosen[j], p)
                                      for j, mat in self.back[i]):
                 self.run(i + 1, chosen)
             chosen.pop()

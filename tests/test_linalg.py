@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from quivermod import QQ, PrimeField
 from quivermod.fields import FieldError
 from quivermod import linalg
+
+BIG = 2**31 - 1  # the largest prime PrimeField accepts
 
 
 def test_prime_field_validation():
@@ -15,12 +18,15 @@ def test_prime_field_validation():
     with pytest.raises(FieldError):
         PrimeField(2**31 + 11)
     assert PrimeField(7).coerce(Fraction(1, 3)) == 5  # 3*5 = 15 = 1 mod 7
+    assert PrimeField(7).mul(5, 3) == 1
+    assert PrimeField(BIG).mul(BIG - 1, BIG - 1) == 1
 
 
 def test_rational_parsing():
     assert QQ.coerce("1/2") == Fraction(1, 2)
     a = QQ.array([["1/2", 1], ["-3", "0"]])
     assert a[0, 0] == Fraction(1, 2)
+    assert QQ.mul("1/2", a[1, 0]) == Fraction(-3, 2)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -77,6 +83,19 @@ def test_det_matches_fraction_free_crosscheck():
         assert linalg.det(f, a) == expected % 13
 
 
+def test_matmul_exact_at_largest_prime():
+    f = PrimeField(BIG)
+    p = BIG
+    # an int64 product wraps here: [2, p - 3] and [p - 1, 2]
+    a = f.array([[p - 1, p - 1, p - 1], [1, 1, 0]])
+    b = f.array([[p - 1], [p - 2], [p - 3]])
+    out = linalg.matmul(f, a, b)
+    assert out.dtype == np.int64 and out.ravel().tolist() == [6, p - 3]
+    a = f.array([[p - 1] * 3, [p - 2] * 3])
+    b = f.array([[p - 1]] * 3)
+    assert linalg.matmul(f, a, b).ravel().tolist() == [3, 6]
+
+
 def test_zero_dimensional_shapes():
     f = PrimeField(3)
     empty = f.zeros(0, 2)
@@ -94,3 +113,176 @@ def test_block_diag():
     d = linalg.block_diag(f, [a, b])
     assert d.shape == (2, 3)
     assert d[0, 0] == 1 and d[1, 1] == 2 and d[1, 2] == 3 and d[0, 1] == 0
+
+
+# --- the elimination kernel against the numpy elimination it replaced --------
+
+def ref_rref(field, a):
+    r_mat = field.normalize(np.array(a, copy=True))
+    m, n = r_mat.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = None
+        for i in range(r, m):
+            if not field.scalar_is_zero(r_mat[i, c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            r_mat[[r, pr]] = r_mat[[pr, r]]
+        r_mat[r] = field.normalize(r_mat[r] * field.scalar_inv(r_mat[r, c]))
+        col = r_mat[:, c].copy()
+        col[r] = field.zero
+        r_mat = field.normalize(r_mat - np.outer(col, r_mat[r]))
+        pivots.append(c)
+        r += 1
+    return r_mat, pivots
+
+
+def ref_det(field, a):
+    n = a.shape[0]
+    if n == 0:
+        return field.one
+    w = field.normalize(np.array(a, copy=True))
+    sign = 1
+    for k in range(n):
+        pr = None
+        for i in range(k, n):
+            if not field.scalar_is_zero(w[i, k]):
+                pr = i
+                break
+        if pr is None:
+            return field.zero
+        if pr != k:
+            w[[k, pr]] = w[[pr, k]]
+            sign = -sign
+        inv_piv = field.scalar_inv(w[k, k])
+        for i in range(k + 1, n):
+            if field.scalar_is_zero(w[i, k]):
+                continue
+            factor = field.normalize(np.array([[w[i, k] * inv_piv]]))[0, 0]
+            w[i] = field.normalize(w[i] - factor * w[k])
+    prod = field.one
+    for k in range(n):
+        prod = field.normalize(np.array([[prod * w[k, k]]]))[0, 0]
+    if sign < 0:
+        prod = field.scalar_neg(prod)
+    return prod
+
+
+def ref_inv(field, a):
+    n = a.shape[0]
+    aug = field.zeros(n, 2 * n)
+    aug[:, :n] = field.normalize(np.array(a, copy=True))
+    aug[:, n:] = field.identity(n)
+    r_mat, pivots = ref_rref(field, aug)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return r_mat[:, n:]
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row, on Fractions."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+FIELDS = [PrimeField(2), PrimeField(3), PrimeField(101), PrimeField(BIG), QQ]
+
+
+def entries(field):
+    if isinstance(field, PrimeField):
+        p = field.p
+        return st.one_of(st.integers(0, min(2, p - 1)), st.integers(max(0, p - 3), p - 1),
+                         st.integers(0, p - 1))
+    return st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def field_matrices(draw, square=False):
+    """(field, matrix): dense, dense with zeroed rows, or a product of a thin
+    pair (rank deficient); m x n with 1 <= m, n <= 6, wide, tall or square."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 6))
+    n = m if square else draw(st.integers(1, 6))
+    entry = entries(field)
+    kind = draw(st.sampled_from(["dense", "zero rows", "low rank"]))
+    if kind == "low rank":
+        k = draw(st.integers(0, min(m, n) - 1))
+        b = field.array([[draw(entry) for _ in range(k)] for _ in range(m)]) \
+            if k else field.zeros(m, 0)
+        c = field.array([[draw(entry) for _ in range(n)] for _ in range(k)]) \
+            if k else field.zeros(0, n)
+        return field, linalg.matmul(field, b, c)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if kind == "zero rows":
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m)):
+            rows[i] = [0] * n
+    return field, field.array(rows)
+
+
+KERNEL = settings(derandomize=True, deadline=None, max_examples=300)
+# zero-size inputs, which the strategy leaves out
+EDGE = [(f, f.zeros(m, n)) for f in (PrimeField(3), QQ) for m, n in ((0, 0), (0, 3), (3, 0))]
+
+
+def same_matrix(field, got, want):
+    assert got.shape == want.shape
+    if isinstance(field, PrimeField):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    else:
+        assert got.dtype == object
+        assert all(isinstance(x, Fraction) for x in got.flat)
+        assert got.tolist() == want.tolist()
+
+
+@KERNEL
+@given(field_matrices())
+@example(EDGE[1])
+@example(EDGE[2])
+@example(EDGE[4])
+@example(EDGE[5])
+def test_rref_rank_nullspace_match_reference(case):
+    field, a = case
+    r_mat, pivots = linalg.rref(field, a)
+    want, want_pivots = ref_rref(field, a)
+    assert pivots == want_pivots
+    same_matrix(field, r_mat, want)
+    assert linalg.rank(field, a) == len(want_pivots)
+    kernel = linalg.nullspace(field, a)
+    assert len(kernel) == a.shape[1] - len(want_pivots)
+    for v in kernel:
+        assert linalg.is_zero(field, linalg.matmul(field, a, v.reshape(-1, 1)))
+
+
+@KERNEL
+@given(field_matrices(square=True))
+@example(EDGE[0])
+@example(EDGE[3])
+def test_det_matches_reference(case):
+    field, a = case
+    d = linalg.det(field, a)
+    assert d == ref_det(field, a)
+    if field is QQ:
+        assert isinstance(d, Fraction) and d == cofactor_det(a.tolist())
+
+
+@KERNEL
+@given(field_matrices(square=True))
+@example(EDGE[0])
+@example(EDGE[3])
+def test_inv_matches_reference(case):
+    field, a = case
+    try:
+        want = ref_inv(field, a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inv(field, a)
+        return
+    same_matrix(field, linalg.inv(field, a), want)

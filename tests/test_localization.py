@@ -180,6 +180,19 @@ def test_check_localized_point(k3):
         check_localized_point([s], zero_representation(k3, QQ, (2, 1)))
 
 
+def test_check_localized_point_at_largest_prime(k3):
+    p = 2**31 - 1
+    fld = PrimeField(p)
+    sigma = make_sigma(k3, (-1, 1), 2, seed=3)
+    m = random_representation(k3, fld, (3, 3), random.Random(5))
+    v = check_localized_point([sigma], m)
+    assert v.invertible and v.relations_verified
+    mat = [[int(x) for x in row] for row in evaluate_sigma(sigma, m)]
+    inv = [[int(x) for x in row] for row in v.inverses[0]]
+    assert [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*inv)]
+            for row in mat] == [[int(i == j) for j in range(6)] for i in range(6)]
+
+
 def test_inverse_relations_random(k3):
     import quivermod.linalg as linalg
     rng = random.Random(77)

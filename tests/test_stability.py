@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from quivermod import (QQ, BudgetExceededError, PrimeField, WitnessCheckError, act,
@@ -8,7 +9,7 @@ from quivermod import (QQ, BudgetExceededError, PrimeField, WitnessCheckError, a
                        is_semistable, is_stable, quiver, random_group_element,
                        random_representation, representation, stability,
                        verify_witness, zero_representation)
-from quivermod.stability import _all_subspaces, _arrow_stable, subspace_count
+from quivermod.stability import SubrepWitness, _all_subspaces, _arrow_stable, subspace_count
 
 
 def rep_k3(k3, field, m):
@@ -48,6 +49,23 @@ def test_witnesses_verify_independently(k3):
     m = rep_k3(k3, PrimeField(3), (1, 2, 0))
     for w in enumerate_subreps(m):
         assert verify_witness(m, w)
+
+
+def test_verify_witness_exact_at_largest_prime(k3):
+    p = 2**31 - 1
+    x = [[p - 1] * 4, [p - 2, p - 5, p - 7, p - 2], [p - 4, p - 6, p - 1, p - 9],
+         [p - 1, p - 2, p - 3, p - 4]]
+    m = representation(k3, PrimeField(p), (4, 4),
+                       {"x": x, "y": [[2 * v for v in r] for r in x],
+                        "z": [[3 * v for v in r] for r in x]})
+    u = [1, p - 1, p - 2, p - 3]
+    xu = [sum(a * b for a, b in zip(row, u)) % p for row in x]
+    sub = SubrepWitness({1: np.array([u], dtype=np.int64), 2: np.array([xu], dtype=np.int64)},
+                        (1, 1))
+    assert verify_witness(m, sub)
+    not_sub = SubrepWitness({1: np.array([[2] + u[1:]], dtype=np.int64),
+                             2: np.array([xu], dtype=np.int64)}, (1, 1))
+    assert not verify_witness(m, not_sub)
 
 
 def test_budget_exceeded(k3):
