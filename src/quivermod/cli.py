@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 affirmative/success, 1 negative verdict, 2 usage/validation
-error, 3 budget exceeded, 4 internal error (an oracle self-check failed).
+error (malformed input files included), 3 budget exceeded, 4 internal error
+(an oracle self-check failed).
 Machine output is one JSON record per line with sorted keys, so identical
 inputs and seed give byte-identical output.
 """
@@ -16,17 +17,17 @@ import sys
 _NEGATIVE_LIST = re.compile(r"^-\d+(,-?\d+)*$")
 
 from . import __version__
-from .fields import FieldError, PrimeField, Rationals
-from .moduli import (GenericExtTable, NotStableError, local_model_dimension,
+from .fields import Rationals
+from .moduli import (GenericExtTable, local_model_dimension,
                      local_quiver, moduli_dimension, semistable_nonempty,
                      stable_nonempty)
-from .localization import (NonSquareError, SigmaError, check_localized_point,
+from .localization import (SigmaError, check_localized_point,
                            evaluate_sigma, extended_quiver,
                            localization_presentation, make_sigma,
                            numerical_condition, root_presentation,
-                           semi_invariant, sigma_from_json, tau_morphism)
+                           semi_invariant, sigma_from_json)
 from .quiver import (QuiverError, enumerate_dimvectors, enumerate_paths,
-                     euler_form, theta_pairing, validate_quiver)
+                     euler_form, validate_quiver)
 from .rep import RepresentationError, representation_from_json
 from .stability import (DEFAULT_BUDGET, BudgetExceededError, WitnessCheckError,
                         check_over_rationals, is_semistable, is_stable)
@@ -44,15 +45,11 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_quiver(args):
-    return validate_quiver(_load_json(args.quiver))
-
-
-def _load_rep(args, q):
-    data = _load_json(args.rep)
-    if "quiver" in data:
-        return representation_from_json(data)
-    return representation_from_json({**data, "quiver": q.to_json()})
+def _load_rep(path: str, q):
+    """A representation file; one without a "quiver" key lives over q."""
+    data = _load_json(path)
+    own_quiver = isinstance(data, dict) and "quiver" in data
+    return representation_from_json(data, None if own_quiver else q)
 
 
 def _load_sigmas(args, q):
@@ -76,13 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, quiver=True, rep=False, sigma=False, theta=False,
+    def add(name, help_text, *, rep=False, sigma=False, theta=False,
             alpha=False, beta=False, budgets=False):
         sp = sub.add_parser(name, help=help_text)
         sp._negative_number_matcher = _NEGATIVE_LIST
         sp.add_argument("--format", choices=["text", "machine"], default="text")
-        if quiver:
-            sp.add_argument("-q", "--quiver", required=True, help="quiver JSON file")
+        sp.add_argument("-q", "--quiver", required=True, help="quiver JSON file")
         if rep:
             sp.add_argument("-r", "--rep", required=True, help="representation JSON file")
         if sigma:
@@ -167,29 +163,26 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 def _run(args) -> int:
     cmd = args.command
+    q = validate_quiver(_load_json(args.quiver))
 
     if cmd == "paths":
-        q = _load_quiver(args)
         paths = enumerate_paths(q, args.max_len)
         _emit(args, {"paths": [str(p) for p in paths], "count": len(paths)},
               [f"{len(paths)} paths:"] + [f"  {p}" for p in paths])
         return 0
 
     if cmd == "euler":
-        q = _load_quiver(args)
         val = euler_form(q, args.alpha, args.beta)
         _emit(args, {"value": val}, [str(val)])
         return 0
 
     if cmd == "dimvecs":
-        q = _load_quiver(args)
         vecs = enumerate_dimvectors(q, args.n, args.theta)
         _emit(args, {"dimvectors": [list(v) for v in vecs]},
               [",".join(map(str, v)) for v in vecs])
         return 0
 
     if cmd in ("ssne", "stne", "dim"):
-        q = _load_quiver(args)
         table = GenericExtTable(q)
         subs = table.generic_subdimvectors(args.alpha)
         if cmd == "ssne":
@@ -213,8 +206,7 @@ def _run(args) -> int:
         return 0
 
     if cmd in ("check-ss", "check-st"):
-        q = _load_quiver(args)
-        m = _load_rep(args, q)
+        m = _load_rep(args.rep, q)
         if isinstance(m.field, Rationals):
             if cmd == "check-st":
                 raise RepresentationError(
@@ -265,7 +257,6 @@ def _run(args) -> int:
         return 0 if v.stable else 1
 
     if cmd == "sigma-gen":
-        q = _load_quiver(args)
         sigma = make_sigma(q, args.theta, args.z, args.max_path_len, args.seed)
         doc = sigma.to_json()
         if args.output:
@@ -278,8 +269,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "sigma-eval":
-        q = _load_quiver(args)
-        m = _load_rep(args, q)
+        m = _load_rep(args.rep, q)
         if len(args.sigma) != 1:
             raise SigmaError("sigma-eval needs exactly one -s file")
         sigma = _load_sigmas(args, q)[0]
@@ -295,15 +285,13 @@ def _run(args) -> int:
         return 0
 
     if cmd == "localize":
-        q = _load_quiver(args)
         sigmas = _load_sigmas(args, q)
         pres = localization_presentation(q, sigmas)
         _emit(args, {"presentation": pres.to_json()}, [pres.to_text()])
         return 0
 
     if cmd == "check-point":
-        q = _load_quiver(args)
-        m = _load_rep(args, q)
+        m = _load_rep(args.rep, q)
         sigmas = _load_sigmas(args, q)
         verdict = check_localized_point(sigmas, m)
         payload = {
@@ -322,13 +310,7 @@ def _run(args) -> int:
         return 0 if verdict.invertible else 1
 
     if cmd == "local-quiver":
-        q = _load_quiver(args)
-        reps = []
-        for path in args.rep:
-            data = _load_json(path)
-            if "quiver" not in data:
-                data = {**data, "quiver": q.to_json()}
-            reps.append(representation_from_json(data))
+        reps = [_load_rep(path, q) for path in args.rep]
         mults = args.mults if args.mults else tuple([1] * len(reps))
         if len(mults) != len(reps):
             raise QuiverError("--mults length must match the number of summands")
@@ -346,14 +328,12 @@ def _run(args) -> int:
         return 0
 
     if cmd == "extend":
-        q = _load_quiver(args)
         ext = extended_quiver(q, args.n)
         _emit(args, {"quiver": ext.to_json()},
               [json.dumps(ext.to_json(), sort_keys=True, indent=2)])
         return 0
 
     if cmd == "root":
-        q = _load_quiver(args)
         sigmas = _load_sigmas(args, q)
         pres, loops = root_presentation(q, sigmas, args.n, args.loop_bound)
         payload = {"presentation": pres.to_json(),
@@ -381,9 +361,7 @@ def main(argv=None) -> int:
     except WitnessCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (QuiverError, FieldError, RepresentationError, SigmaError,
-            NonSquareError, NotStableError, ValueError, KeyError,
-            OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # package errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,12 @@ Matrices over the rationals are numpy object arrays of `fractions.Fraction`;
 matrices over F_p are numpy int64 arrays with entries reduced to 0..p-1.
 Both field tags expose the same small API so the linear algebra in
 :mod:`quivermod.linalg` is written once.
+
+`array` is the one place where outside values become field elements. It takes
+nested lists and 2-d ndarrays of any dtype, keeps an ndarray's shape (also
+(0, n)), and coerces every entry with the field's `coerce`: ints, `Fraction`s
+and strings such as "-3/4" are accepted, anything else (floats included)
+raises `FieldError`. Over F_p an int64 ndarray is reduced mod p in one step.
 """
 from __future__ import annotations
 
@@ -36,8 +42,29 @@ def _parse_rational(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FieldError(f"cannot interpret {x!r} as a rational number: {exc}") from exc
     raise FieldError(f"cannot interpret {x!r} as a rational number")
+
+
+def _matrix(coerce, data, dtype) -> np.ndarray:
+    """`data`, nested lists or a 2-d ndarray, as a `dtype` array of coerced entries."""
+    shape = None
+    if isinstance(data, np.ndarray):
+        if data.ndim != 2:
+            raise FieldError(f"matrix data must be 2-dimensional, not of shape {data.shape}")
+        shape, data = data.shape, data.tolist()
+    try:
+        rows = [[coerce(x) for x in row] for row in data]
+    except TypeError as exc:
+        raise FieldError(f"matrix data must be a list of rows, not {data!r}") from exc
+    if shape is None:
+        shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(row) != shape[1] for row in rows):
+            raise FieldError("ragged matrix data")
+    return np.array(rows, dtype=dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -69,16 +96,7 @@ class Rationals:
         return out
 
     def array(self, rows) -> np.ndarray:
-        data = [[self.coerce(x) for x in row] for row in rows]
-        r = len(data)
-        c = len(data[0]) if r else 0
-        out = np.empty((r, c), dtype=object)
-        for i in range(r):
-            if len(data[i]) != c:
-                raise FieldError("ragged matrix data")
-            for j in range(c):
-                out[i, j] = data[i][j]
-        return out
+        return _matrix(self.coerce, rows, object)
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -142,12 +160,9 @@ class PrimeField:
         return np.eye(n, dtype=np.int64)
 
     def array(self, rows) -> np.ndarray:
-        data = [[self.coerce(x) for x in row] for row in rows]
-        r = len(data)
-        c = len(data[0]) if r else 0
-        if any(len(row) != c for row in data):
-            raise FieldError("ragged matrix data")
-        return np.array(data, dtype=np.int64).reshape(r, c)
+        if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2:
+            return rows % self.p
+        return _matrix(self.coerce, rows, np.int64)
 
     def normalize(self, a: np.ndarray) -> np.ndarray:
         return a % self.p
@@ -183,5 +198,8 @@ def field_from_json(spec) -> Field:
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"p"}:
-        return PrimeField(int(spec["p"]))
+        try:
+            return PrimeField(int(spec["p"]))
+        except TypeError as exc:
+            raise FieldError(f"unrecognized field spec {spec!r}") from exc
     raise FieldError(f"unrecognized field spec {spec!r}")

@@ -19,11 +19,10 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from . import linalg
-from .fields import PrimeField, Rationals
+from .fields import Rationals
 from .quiver import (DimVector, Quiver, QuiverError, euler_form, theta_pairing,
-                     total_dim)
-from .rep import Representation, RepresentationError, ext_space, hom_space
+                     total_dim, validate_quiver)
+from .rep import Representation, ext_space, hom_space
 from .stability import DEFAULT_BUDGET, is_stable
 
 
@@ -222,10 +221,9 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
 
 
 def local_model_dimension(data: LocalQuiverData) -> int:
-    """Dimension of the local model: sum a_ij e_i e_j - sum e_i^2 + 1."""
+    """Dimension of the local model: 1 - <e, e> on the local quiver, e the
+    multiplicity vector."""
     if data.num_classes == 0:
         raise ValueError("empty local quiver data")
     e = data.multiplicities
-    total = sum(data.arrow_counts[i][j] * e[i] * e[j]
-                for i in range(len(e)) for j in range(len(e)))
-    return total - sum(x * x for x in e) + 1
+    return 1 - euler_form(validate_quiver(data.to_json()), e, e)

@@ -87,8 +87,12 @@ def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
     if labels is None:
         labels = tuple(f"v{i}" for i in range(1, vertex_count + 1))
     else:
-        labels = tuple(labels)
-        if len(labels) != vertex_count or len(set(labels)) != vertex_count:
+        try:
+            labels = tuple(labels)
+            distinct = len(set(labels)) == vertex_count
+        except TypeError as exc:
+            raise QuiverError(f"malformed labels: {exc}") from exc
+        if len(labels) != vertex_count or not distinct:
             raise QuiverError("labels must be distinct, one per vertex")
     return Quiver(vertex_count, tuple(arr), labels, _is_acyclic(vertex_count, arr))
 

@@ -1,18 +1,23 @@
 """Concrete quiver representations over exact fields and their homological
 linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
+
+Every matrix handed to `representation` or `group_element`, as nested lists or
+as an ndarray of any dtype, goes through the field's `array`, so it always
+holds elements of the field it claims. Hom and Ext^1 come from one two-term
+system; path algebras of quivers are hereditary, so this gives Ext^1 on every
+quiver, loops and oriented cycles included.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .fields import Field, FieldError, PrimeField, QQ, field_from_json
-from .quiver import DimVector, Path, Quiver, QuiverError, euler_form, validate_quiver
+from .fields import Field, PrimeField, field_from_json
+from .quiver import DimVector, Path, Quiver, validate_quiver
 
 
 class RepresentationError(ValueError):
@@ -44,7 +49,14 @@ class Representation:
 
 def representation(quiver: Quiver, field: Field, dim: Sequence[int],
                    matrices: Mapping[str, object]) -> Representation:
-    dim = tuple(int(d) for d in dim)
+    """The representation with the given matrices (lists or ndarrays, coerced
+    into `field`); arrows without a matrix get the zero map."""
+    try:
+        dim = tuple(int(d) for d in dim)
+    except (TypeError, ValueError) as exc:
+        raise RepresentationError(f"malformed dimension vector {dim!r}") from exc
+    if not isinstance(matrices, Mapping):
+        raise RepresentationError("matrices must map arrow ids to matrices")
     if len(dim) != quiver.vertex_count:
         raise RepresentationError(
             f"dimension vector length {len(dim)} != vertex count {quiver.vertex_count}")
@@ -54,11 +66,9 @@ def representation(quiver: Quiver, field: Field, dim: Sequence[int],
     for a in quiver.arrows:
         shape = (dim[a.tgt - 1], dim[a.src - 1])
         raw = matrices.get(a.id)
-        if raw is None:
-            mats[a.id] = field.zeros(*shape)
-            continue
-        m = raw if isinstance(raw, np.ndarray) else field.array(raw)
-        m = field.normalize(m)
+        m = field.zeros(*shape) if raw is None else field.array(raw)
+        if m.shape == (0, 0) and shape[0] == 0:  # `to_json` writes a matrix without rows as []
+            m = m.reshape(shape)
         if m.shape != shape:
             raise RepresentationError(
                 f"arrow {a.id!r}: matrix has shape {m.shape}, expected {shape}")
@@ -73,20 +83,25 @@ def zero_representation(quiver: Quiver, field: Field, dim: Sequence[int]) -> Rep
     return representation(quiver, field, dim, {})
 
 
+def _random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Entries drawn row by row from rng: uniform over F_p, integers in [-5, 5] over Q."""
+    if isinstance(field, PrimeField):
+        return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+
+
 def random_representation(quiver: Quiver, field: Field, dim: Sequence[int],
                           rng: random.Random) -> Representation:
-    mats = {}
-    for a in quiver.arrows:
-        rows, cols = int(dim[a.tgt - 1]), int(dim[a.src - 1])
-        if isinstance(field, PrimeField):
-            data = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
-        else:
-            data = [[Fraction(rng.randint(-5, 5)) for _ in range(cols)] for _ in range(rows)]
-        mats[a.id] = field.array(data) if rows and cols else field.zeros(rows, cols)
+    mats = {a.id: _random_matrix(field, rng, int(dim[a.tgt - 1]), int(dim[a.src - 1]))
+            for a in quiver.arrows}
     return representation(quiver, field, dim, mats)
 
 
 def representation_from_json(data: dict, quiver: Quiver | None = None) -> Representation:
+    """The representation a `Representation.to_json` document describes; `quiver`,
+    when given, replaces the document's own."""
+    if not isinstance(data, Mapping):
+        raise RepresentationError("representation description must be a mapping")
     q = quiver if quiver is not None else validate_quiver(data["quiver"])
     fld = field_from_json(data["field"])
     return representation(q, fld, data["dim"], data.get("matrices", {}))
@@ -134,8 +149,7 @@ class GroupElement:
 def group_element(field: Field, mats: Sequence[object]) -> GroupElement:
     out = []
     for g in mats:
-        g = g if isinstance(g, np.ndarray) else field.array(g)
-        g = field.normalize(g)
+        g = field.array(g)
         if g.shape[0] != g.shape[1]:
             raise RepresentationError("group element blocks must be square")
         if g.shape[0] and field.scalar_is_zero(linalg.det(field, g)):
@@ -148,11 +162,7 @@ def random_group_element(field: Field, dim: Sequence[int], rng: random.Random) -
     mats = []
     for d in dim:
         while True:
-            if isinstance(field, PrimeField):
-                g = field.array([[rng.randrange(field.p) for _ in range(d)] for _ in range(d)])
-            else:
-                g = field.array([[Fraction(rng.randint(-5, 5)) for _ in range(d)]
-                                 for _ in range(d)])
+            g = field.array(_random_matrix(field, rng, d, d))
             if d == 0 or not field.scalar_is_zero(linalg.det(field, g)):
                 mats.append(g)
                 break
@@ -249,10 +259,8 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
 
 def ext_space(m: Representation, n: Representation) -> ExtSpace:
-    """Ext^1 as the cokernel of (f_i) |-> (N_a f_i - f_j M_a); needs acyclicity."""
+    """Ext^1 as the cokernel of (f_i) |-> (N_a f_i - f_j M_a), on any quiver."""
     _check_pair(m, n)
-    if not m.quiver.acyclic:
-        raise RepresentationError("Ext^1 via cokernel requires an acyclic quiver")
     d, labels = _hom_system(m, n)
     if d.shape[1] == 0:
         pivot_rows: set[int] = set()
@@ -262,8 +270,3 @@ def ext_space(m: Representation, n: Representation) -> ExtSpace:
     coker = tuple(labels[t] for t in range(len(labels)) if t not in pivot_rows)
     return ExtSpace(len(coker), coker)
 
-
-def euler_pairing_check(m: Representation, n: Representation) -> bool:
-    """hom - ext = <dim M, dim N> (exact identity for acyclic quivers)."""
-    return (hom_space(m, n).dim - ext_space(m, n).dim
-            == euler_form(m.quiver, m.dim, n.dim))

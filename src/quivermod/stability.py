@@ -10,19 +10,20 @@ the images of the lower vertices' subspaces, and checking the remaining arrows
 in the order of the Cartesian product of the per-vertex subspace lists, so
 witnesses do not depend on the pruning. Rational inputs are handled by
 multi-prime reduction; instability can be certified exactly by lifting a
-witness, semistability stays heuristic.
+witness, semistability stays heuristic. `verify_witness` re-checks a witness
+over any field with `linalg.rank` and `linalg.matmul`, independently of the
+search; it also decides whether a lifted witness is exact over Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .fields import PrimeField, QQ, Rationals
+from .fields import PrimeField, Rationals
 from .quiver import DimVector, Weight, theta_pairing, total_dim
 from .rep import Representation, RepresentationError, representation
 
@@ -114,30 +115,24 @@ def _image(dot, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return dot(mat, basis.T).T
 
 
-def _arrow_stable(m: Representation, subs) -> bool:
-    p = m.field.p
-    dot = _product(m)
+def verify_witness(m: Representation, w: SubrepWitness) -> bool:
+    """Independent re-check over m's field: each basis, coerced into the field,
+    has beta_i linearly independent rows of length d_i, and every arrow maps
+    the span at its source into the span at its target."""
+    fld = m.field
+    bases = {}
+    for v, beta_v, d_v in zip(m.quiver.vertices(), w.beta, m.dim):
+        basis = bases[v] = fld.array(w.bases[v])
+        if basis.shape != (beta_v, d_v) or linalg.rank(fld, basis) != beta_v:
+            return False
     for a in m.quiver.arrows:
-        u_src, _ = subs[a.src - 1]
-        u_tgt, piv_tgt = subs[a.tgt - 1]
-        if u_src.shape[0] == 0:
+        u_src, u_tgt = bases[a.src], bases[a.tgt]
+        if not u_src.shape[0]:
             continue
-        if not _in_span(_image(dot, m.matrix(a.id), u_src), u_tgt, piv_tgt, p):
+        images = linalg.matmul(fld, m.matrix(a.id), u_src.T).T
+        if linalg.rank(fld, np.concatenate([u_tgt, images])) != u_tgt.shape[0]:
             return False
     return True
-
-
-def verify_witness(m: Representation, w: SubrepWitness) -> bool:
-    """Independent re-check: bases have the stated ranks and are arrow-stable."""
-    p = m.field.p
-    subs = []
-    for i in range(m.quiver.vertex_count):
-        basis = w.bases[i + 1] % p
-        r_mat, piv = linalg.rref(m.field, basis)
-        if len(piv) != w.beta[i] or len(piv) != basis.shape[0]:
-            return False
-        subs.append((r_mat, tuple(piv)))
-    return _arrow_stable(m, subs)
 
 
 def _require_prime_field(m: Representation) -> PrimeField:
@@ -310,40 +305,9 @@ class RationalVerdict:
 
 def _reduce_mod(m: Representation, p: int) -> Representation:
     fld = PrimeField(p)
-    mats = {}
-    for a in m.quiver.arrows:
-        src = m.matrix(a.id)
-        red = fld.zeros(*src.shape)
-        for (i, j), x in np.ndenumerate(src):
-            x = Fraction(x)
-            if x.denominator % p == 0:
-                raise ZeroDivisionError(f"prime {p} divides a denominator")
-            red[i, j] = fld.coerce(x)
-        mats[a.id] = red
-    return representation(m.quiver, fld, m.dim, mats)
-
-
-def _lift_witness(m: Representation, w: SubrepWitness) -> bool:
-    """Does the F_p witness, read as small integers, give an exact Q-subrep?"""
-    qq = QQ
-    lifted = {}
-    for i in range(m.quiver.vertex_count):
-        raw = w.bases[i + 1]
-        basis = qq.array([[int(x) for x in row] for row in raw]) \
-            if raw.size else qq.zeros(*raw.shape)
-        if linalg.rank(qq, basis) != w.beta[i]:
-            return False
-        lifted[i + 1] = basis
-    for a in m.quiver.arrows:
-        u_src = lifted[a.src]
-        u_tgt = lifted[a.tgt]
-        if u_src.shape[0] == 0:
-            continue
-        images = linalg.matmul(qq, m.matrix(a.id), u_src.T).T
-        stacked = np.concatenate([u_tgt, images], axis=0)
-        if linalg.rank(qq, stacked) != linalg.rank(qq, u_tgt):
-            return False
-    return True
+    if any(x.denominator % p == 0 for mat in m.matrices.values() for x in mat.flat):
+        raise ZeroDivisionError(f"prime {p} divides a denominator")
+    return representation(m.quiver, fld, m.dim, m.matrices)
 
 
 def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequence[int],
@@ -374,7 +338,7 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
         if verdict.semistable:
             continue
         w = verdict.witness
-        lifted = _lift_witness(m, w)
+        lifted = verify_witness(m, w)  # over Q: the residues 0..p-1 read as integers
         out = RationalVerdict("unstable", "PROOF" if lifted else "HEURISTIC",
                               theta_m, tested, skipped, w.beta, w.theta_value, p, lifted)
         if lifted:

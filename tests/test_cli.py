@@ -195,3 +195,29 @@ def test_usage_errors(tmp_path, k3_file, capsys):
                  "--alpha", "1,1", "--beta", "1,1"]) == 2
     assert main(["ssne", "-q", k3_file, "--alpha", "1,1,1",
                  "--theta", "-1,1"]) == 2
+
+
+MALFORMED_REPS = {
+    "zero denominator": {"field": "Q", "dim": [1, 1],
+                         "matrices": {"x": [["1/0"]], "y": [["0"]], "z": [["0"]]}},
+    "dim not a list": {"field": "Q", "dim": 2, "matrices": {}},
+    "prime not a number": {"field": {"p": None}, "dim": [1, 1], "matrices": {}},
+    "matrices not a mapping": {"field": "Q", "dim": [1, 1], "matrices": [[1]]},
+    "matrix not a list of rows": {"field": "Q", "dim": [1, 1], "matrices": {"x": 3}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPS))
+def test_malformed_rep_file_exit_code(name, tmp_path, k3_file, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_REPS[name]))
+    assert main(["check-ss", "-q", k3_file, "-r", str(path),
+                 "--theta", "-1,1", "-p", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_quiver_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({**K3, "labels": 5}))
+    assert main(["euler", "-q", str(path), "--alpha", "1,1", "--beta", "1,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from quivermod import (QQ, PrimeField, RepresentationError, act, direct_sum,
+from quivermod import (QQ, FieldError, PrimeField, RepresentationError, act, direct_sum,
                        euler_form, evaluate_path, ext_space, group_element,
                        hom_space, quiver, random_group_element,
                        random_representation, representation,
@@ -145,11 +146,36 @@ def test_ext_rigid_case(a2):
     assert ext_space(m, m).dim == 0
 
 
-def test_ext_requires_acyclic():
-    loop = quiver(1, [("l", 1, 1)])
-    m = zero_representation(loop, QQ, (1,))
-    with pytest.raises(RepresentationError):
-        ext_space(m, m)
+CYCLIC_QUIVERS = {
+    "Jordan": (1, [("l", 1, 1)]),
+    "2-cycle": (2, [("a", 1, 2), ("b", 2, 1)]),
+    "loop and arrow": (2, [("l", 1, 1), ("a", 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_QUIVERS))
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_euler_identity_cyclic(name, field):
+    # path algebras are hereditary, so hom - ext = <alpha, beta> with cycles too
+    k, arrows = CYCLIC_QUIVERS[name]
+    q = quiver(k, arrows)
+    rng = random.Random(f"{name}/{field.name}")
+    for _ in range(8):
+        dm = tuple(rng.randint(0, 3) for _ in range(k))
+        dn = tuple(rng.randint(0, 3) for _ in range(k))
+        for m, n in ((random_representation(q, field, dm, rng),
+                      random_representation(q, field, dn, rng)),
+                     (zero_representation(q, field, dm), zero_representation(q, field, dn))):
+            assert hom_space(m, n).dim - ext_space(m, n).dim == euler_form(q, dm, dn)
+
+
+def test_ext_jordan_examples():
+    jordan = quiver(1, [("l", 1, 1)])
+    nilpotent = representation(jordan, QQ, (2,), {"l": [[0, 1], [0, 0]]})
+    assert hom_space(nilpotent, nilpotent).dim == ext_space(nilpotent, nilpotent).dim == 2
+    s0 = representation(jordan, QQ, (1,), {"l": [[0]]})
+    s1 = representation(jordan, QQ, (1,), {"l": [[1]]})
+    assert ext_space(s0, s0).dim == 1 and ext_space(s0, s1).dim == 0
 
 
 def test_euler_identity_random(k3, a3):
@@ -199,6 +225,48 @@ def test_serialization_round_trip(k3):
     n = representation(k3, f3, (1, 1), {"x": [[2]], "y": [[0]], "z": [[1]]})
     back = representation_from_json(n.to_json())
     assert back.field == f3 and back.matrix("x")[0, 0] == 2
+
+
+def test_int64_arrays_over_rationals_are_coerced(a2):
+    # int64 arrays over Q become Fractions, so the products cannot wrap
+    g = group_element(QQ, [np.array([[1]]), np.array([[2**62]])])
+    m = representation(a2, QQ, (1, 1), {"a": np.array([[4]])})
+    assert isinstance(m.matrix("a")[0, 0], Fraction)
+    assert act(g, m).matrix("a")[0, 0] == 2**64
+
+
+def test_object_and_float_arrays_are_coerced(a2):
+    f5 = PrimeField(5)
+    half = representation(a2, f5, (1, 1), {"a": np.array([[Fraction(1, 2)]], dtype=object)})
+    assert half.matrix("a").dtype == np.int64 and half.matrix("a")[0, 0] == 3
+    assert representation(a2, f5, (1, 1), {"a": np.array([[-7]])}).matrix("a")[0, 0] == 3
+    with pytest.raises(FieldError):
+        representation(a2, QQ, (1, 1), {"a": np.array([[0.5]])})
+    with pytest.raises(FieldError):
+        group_element(f5, [np.array([[1.0]]), [[1]]])
+
+
+def test_field_array_shapes():
+    for field in (QQ, PrimeField(7)):
+        assert field.array(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+        assert field.array(np.zeros((2, 0), dtype=object)).shape == (2, 0)
+        assert field.array([[], []]).shape == (2, 0)
+        assert field.array([]).shape == (0, 0)
+        for bad in ([[1], [1, 2]], np.array([1, 2]), 3, [3], [["1/0"]]):
+            with pytest.raises(FieldError):
+                field.array(bad)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)],
+                         ids=["Q", "F5", "F2^31-1"])
+def test_zero_row_round_trip(field, k3):
+    two_cycle = quiver(2, [("a", 1, 2), ("b", 2, 1)])
+    for q, dim in ((k3, (2, 0)), (two_cycle, (0, 2)), (two_cycle, (2, 0))):
+        m = random_representation(q, field, dim, random.Random(1))
+        back = representation_from_json(m.to_json())
+        assert back.dim == dim and back.field == field
+        assert all(back.matrix(a).shape == m.matrix(a).shape for a in m.matrices)
+        assert back.to_json() == m.to_json()
 
 
 def test_bad_shape_rejected(k3):

@@ -4,12 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quivermod import (QQ, BudgetExceededError, PrimeField, WitnessCheckError, act,
-                       check_over_rationals, direct_sum, enumerate_subreps,
-                       is_semistable, is_stable, quiver, random_group_element,
+from quivermod import (QQ, BudgetExceededError, FieldError, PrimeField,
+                       WitnessCheckError, act, check_over_rationals, direct_sum,
+                       enumerate_subreps, is_semistable, is_stable, quiver,
+                       random_group_element,
                        random_representation, representation, stability,
                        verify_witness, zero_representation)
-from quivermod.stability import SubrepWitness, _all_subspaces, _arrow_stable, subspace_count
+from quivermod.stability import SubrepWitness, _all_subspaces, subspace_count
 
 
 def rep_k3(k3, field, m):
@@ -143,20 +144,50 @@ def test_rational_instability_proof(k3):
     assert r.witness_beta == (1, 0) and r.witness_lifted
 
 
+def test_rational_instability_heuristic(k3):
+    # x = 3 vanishes mod 3, so (1, 0) destabilizes there, but not over Q
+    m = rep_k3(k3, QQ, (3, 0, 0))
+    r = check_over_rationals(m, (-1, 1), [3])
+    assert r.verdict == "unstable" and r.certainty == "HEURISTIC"
+    assert r.witness_beta == (1, 0) and r.witness_prime == 3
+    assert not r.witness_lifted
+
+
+def test_verify_witness_over_rationals(a2):
+    m = representation(a2, QQ, (2, 1), {"a": [["1/2", "-1"]]})
+    kernel = SubrepWitness({1: np.array([[2, 1]]), 2: np.zeros((0, 1), dtype=np.int64)},
+                           (1, 0))
+    assert verify_witness(m, kernel)
+    line = SubrepWitness({1: np.array([[1, 0]]), 2: np.zeros((0, 1), dtype=np.int64)},
+                         (1, 0))
+    assert not verify_witness(m, line)
+    dependent = SubrepWitness({1: [[2, 1], [4, 2]], 2: [[1]]}, (2, 1))
+    assert not verify_witness(m, dependent)
+    wrong_length = SubrepWitness({1: [[1, 0, 0]], 2: [[1]]}, (1, 1))
+    assert not verify_witness(m, wrong_length)
+
+
 def test_rational_prime_skipped(k3):
     m = rep_k3(k3, QQ, ("1/3", 0, 0))
     r = check_over_rationals(m, (-1, 1), [3])
-    assert r.skipped and r.skipped[0][0] == 3
+    assert r.skipped == [(3, "prime 3 divides a denominator")]
     assert r.primes_tested == []
+    with pytest.raises(FieldError):
+        check_over_rationals(m, (-1, 1), [4])
     r = check_over_rationals(m, (-1, 1), [3, 5])
     assert r.primes_tested == [5] and r.verdict == "semistable"
 
 
 def reference_subreps(m):
-    """The plain product scan over all per-vertex subspace tuples."""
+    """The plain product scan over all per-vertex subspace tuples, each checked
+    by `verify_witness`."""
     per_vertex = [_all_subspaces(m.field.p, d) for d in m.dim]
-    return [(tuple(b.shape[0] for b, _ in combo), tuple(b.tobytes() for b, _ in combo))
-            for combo in product(*per_vertex) if _arrow_stable(m, combo)]
+    out = []
+    for combo in product(*per_vertex):
+        beta = tuple(b.shape[0] for b, _ in combo)
+        if verify_witness(m, SubrepWitness({v + 1: b for v, (b, _) in enumerate(combo)}, beta)):
+            out.append((beta, tuple(b.tobytes() for b, _ in combo)))
+    return out
 
 
 SEARCH_QUIVERS = {
