@@ -198,8 +198,7 @@ def field_from_json(spec) -> Field:
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"p"}:
-        try:
-            return PrimeField(int(spec["p"]))
-        except TypeError as exc:
-            raise FieldError(f"unrecognized field spec {spec!r}") from exc
+        p = spec["p"]
+        if isinstance(p, int) and not isinstance(p, bool):
+            return PrimeField(p)
     raise FieldError(f"unrecognized field spec {spec!r}")

@@ -5,7 +5,10 @@ produced by the field's constructors: int64 arrays with entries in 0..p-1
 over F_p, object arrays of `Fraction` over Q.
 
 `rref`, `rank`, `nullspace`, `det` and `inv` derive from one Gauss-Jordan
-elimination, `_eliminate`, on lists of Python ints, which cannot wrap. Over
+elimination, `_eliminate`, on lists of Python ints, which cannot wrap. Its
+entry is a matrix as a list of rows of field elements and a width: the array
+routines pass `a.tolist()`, and `rep` passes the Hom/Ext^1 system it builds as
+rows, with no array in between; `_kernel` reads a kernel basis off it. Over
 F_p it works mod p, scaling each pivot row to a leading 1. Over Q it first
 scales each row by the lcm of its denominators and then runs fraction-free
 Gauss-Jordan (Bareiss 1968): each step divides exactly by the previous pivot,
@@ -45,6 +48,8 @@ def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product. The package itself no longer calls it; it stays because
+    bench/tracing.py wraps every linalg name it lists, this one included."""
     out = np.kron(a, b)
     return field.normalize(out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
@@ -62,25 +67,27 @@ def block_diag(field: Field, blocks) -> np.ndarray:
     return out
 
 
-def _eliminate(field: Field, a: np.ndarray):
-    """Gauss-Jordan elimination of `a` on Python ints.
+def _eliminate(field: Field, rows, n: int):
+    """Gauss-Jordan elimination of the m x n matrix given as m rows of n entries:
+    over F_p ints in 0..p-1, over Q `Fraction`s (or ints). `rows` is not modified.
 
-    Returns (rows, d, pivots, det): the rref of `a` is rows / d (d = 1 over
-    F_p), pivots are its pivot columns, and det is the determinant of `a` when
-    it is square (None otherwise).
+    Returns (rows, d, pivots, det): the rref of the matrix is rows / d (d = 1
+    over F_p), pivots are its pivot columns, and det is its determinant when it
+    is square (None otherwise).
     """
-    m, n = a.shape
+    m = len(rows)
     modular = isinstance(field, PrimeField)
     if modular:
         p = field.p
-        rows = (a % p).tolist()
+        rows = list(rows)
         scale = 1
     else:
-        rows, scale = [], 1
-        for row in a.tolist():
+        scaled, scale = [], 1
+        for row in rows:
             s = lcm(*(x.denominator for x in row))
-            rows.append([x.numerator * (s // x.denominator) for x in row])
+            scaled.append([x.numerator * (s // x.denominator) for x in row])
             scale *= s
+        rows = scaled
     sign = prev = 1   # prev: over F_p the product of the pivots, over Q the last pivot
     pivots: list[int] = []
     for c in range(n):
@@ -124,7 +131,12 @@ def _eliminate(field: Field, a: np.ndarray):
     return rows, 1 if modular else prev, pivots, det
 
 
-def _to_array(field: Field, rows: list[list[int]], d: int, shape) -> np.ndarray:
+def _rows(field: Field, a: np.ndarray) -> list[list]:
+    """The matrix `a` as lists of field elements, the entry format of `_eliminate`."""
+    return field.normalize(a).tolist()
+
+
+def _to_array(field: Field, rows, d: int, shape) -> np.ndarray:
     """The matrix rows / d as an array of the field."""
     if isinstance(field, PrimeField):
         return np.array(rows, dtype=np.int64).reshape(shape)
@@ -135,45 +147,56 @@ def _to_array(field: Field, rows: list[list[int]], d: int, shape) -> np.ndarray:
     return out
 
 
+def _kernel(field: Field, rows, n: int) -> np.ndarray:
+    """Basis of the right kernel of the matrix given as rows (the entry format of
+    `_eliminate`), as the rows of a (dim, n) array of the field: one vector per
+    free column f of the rref R, with 1 at f and -R[i, f] at the i-th pivot."""
+    red, d, pivots, _ = _eliminate(field, rows, n)
+    pivot_cols = set(pivots)
+    free = [c for c in range(n) if c not in pivot_cols]
+    p = field.p if isinstance(field, PrimeField) else 0
+    zero, one = field.zero, field.one
+    basis = []
+    for f in free:
+        v = [zero] * n
+        v[f] = one
+        for i, c in enumerate(pivots):
+            x = red[i][f]
+            if x:
+                v[c] = -x % p if p else Fraction(-x, d)
+        basis.append(v)
+    return np.array(basis, dtype=np.int64 if p else object).reshape(len(free), n)
+
+
 def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    rows, d, pivots, _ = _eliminate(field, a)
+    rows, d, pivots, _ = _eliminate(field, _rows(field, a), a.shape[1])
     return _to_array(field, rows, d, a.shape), pivots
 
 
 def rank(field: Field, a: np.ndarray) -> int:
-    return len(_eliminate(field, a)[2])
+    return len(_eliminate(field, _rows(field, a), a.shape[1])[2])
 
 
 def nullspace(field: Field, a: np.ndarray) -> list[np.ndarray]:
     """Basis vectors (1-d arrays) of the right kernel of `a`."""
-    n = a.shape[1]
-    r_mat, pivots = rref(field, a)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = field.zeros(1, n)[0]
-        v[f] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.scalar_neg(r_mat[i, f])
-        basis.append(v)
-    return basis
+    return list(_kernel(field, _rows(field, a), a.shape[1]))
 
 
 def det(field: Field, a: np.ndarray):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"determinant of non-square {a.shape} matrix")
-    return _eliminate(field, a)[3]
+    return _eliminate(field, _rows(field, a), a.shape[1])[3]
 
 
 def inv(field: Field, a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
-    aug = field.zeros(n, 2 * n)
-    aug[:, :n] = a
-    aug[:, n:] = field.identity(n)
-    rows, d, pivots, _ = _eliminate(field, aug)
+    zero, one = field.zero, field.one
+    aug = [row + [zero] * i + [one] + [zero] * (n - 1 - i)
+           for i, row in enumerate(_rows(field, a))]
+    rows, d, pivots, _ = _eliminate(field, aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return _to_array(field, [row[n:] for row in rows], d, (n, n))

@@ -10,15 +10,16 @@ vertex, so morphisms over the original quiver lift verbatim.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import linalg
-from .fields import Field, QQ
+from .fields import QQ, Field, _parse_rational
 from .quiver import (Path, Quiver, QuiverError, paths_between, quiver,
                      theta_pairing, trivial_path)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
@@ -92,19 +93,44 @@ class SigmaMorphism:
         }
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SigmaError(f"{what} must be a list, not {value!r}")
+    return value
+
+
+def _vertex_list(data: Mapping, key: str) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(i) for i in _json_list(data.get(key), key))
+    except TypeError as exc:
+        raise SigmaError(f"{key} must list vertex numbers") from exc
+
+
 def sigma_from_json(data: dict, q: Quiver) -> SigmaMorphism:
-    domain = tuple(int(i) for i in data["domain"])
-    codomain = tuple(int(j) for j in data["codomain"])
+    """The morphism a `SigmaMorphism.to_json` document describes; a malformed
+    document raises `SigmaError` (or `FieldError` for a bad coefficient)."""
+    if not isinstance(data, Mapping):
+        raise SigmaError("sigma description must be a mapping")
+    domain = _vertex_list(data, "domain")
+    codomain = _vertex_list(data, "codomain")
+    rows = _json_list(data.get("entries"), "entries")
+    if len(rows) != len(domain) or any(
+            len(_json_list(row, "an entries row")) != len(codomain) for row in rows):
+        raise SigmaError("entry matrix shape must be len(domain) x len(codomain)")
     entries = []
-    for p, row in enumerate(data["entries"]):
+    for p, row in enumerate(rows):
         out_row = []
         for qq, terms in enumerate(row):
             src, tgt = codomain[qq], domain[p]
             combs = []
-            for t in terms:
-                arrows = tuple(t["path"])
-                path = _path_from_arrows(q, src, tgt, arrows)
-                combs.append((Fraction(t["coeff"]), path))
+            for t in _json_list(terms, "an entry's terms"):
+                if not isinstance(t, Mapping) or "coeff" not in t or "path" not in t:
+                    raise SigmaError(f"term {t!r} needs a coeff and a path")
+                arrows = _json_list(t["path"], "a term's path")
+                if not all(isinstance(aid, str) for aid in arrows):
+                    raise SigmaError(f"path {arrows!r} must list arrow ids")
+                path = _path_from_arrows(q, src, tgt, tuple(arrows))
+                combs.append((_parse_rational(t["coeff"]), path))
             out_row.append(path_combination(src, tgt, combs))
         entries.append(tuple(out_row))
     return SigmaMorphism(q, domain, codomain, tuple(entries),

@@ -3,12 +3,22 @@ linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
 
 Every matrix handed to `representation` or `group_element`, as nested lists or
 as an ndarray of any dtype, goes through the field's `array`, so it always
-holds elements of the field it claims. Hom and Ext^1 come from one two-term
-system; path algebras of quivers are hereditary, so this gives Ext^1 on every
-quiver, loops and oriented cycles included.
+holds elements of the field it claims.
+
+Hom and Ext^1 come from the two-term intertwiner complex
+(f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
+the sum over arrows a: i -> j of Hom(M_i, N_j); path algebras of quivers are
+hereditary, so this gives Ext^1 on every quiver, loops and oriented cycles
+included. `_hom_system` writes the system straight from the matrices' lists
+of entries as rows of field elements, one row per arrow a and entry (r, c),
+with the unknown f_i vectorized row-major in the block of columns of vertex i.
+Each `hom_space` or `ext_space` call then runs one elimination: of the rows
+for Hom, the kernel; of their transpose for Ext^1, whose cokernel
+representatives are the labels (a, r, c) of the rows that are not pivots there.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -52,8 +62,10 @@ def representation(quiver: Quiver, field: Field, dim: Sequence[int],
     """The representation with the given matrices (lists or ndarrays, coerced
     into `field`); arrows without a matrix get the zero map."""
     try:
-        dim = tuple(int(d) for d in dim)
-    except (TypeError, ValueError) as exc:
+        if isinstance(dim, (str, bytes)):
+            raise TypeError
+        dim = tuple(operator.index(d) for d in dim)
+    except TypeError as exc:
         raise RepresentationError(f"malformed dimension vector {dim!r}") from exc
     if not isinstance(matrices, Mapping):
         raise RepresentationError("matrices must map arrow ids to matrices")
@@ -192,40 +204,45 @@ def act(g: GroupElement, m: Representation) -> Representation:
     return representation(m.quiver, m.field, m.dim, mats)
 
 
-def _hom_system(m: Representation, n: Representation) -> tuple[np.ndarray, list[tuple[str, int, int]]]:
-    """Coefficient matrix of f_j M_a - N_a f_i = 0 over all arrows.
+def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[tuple[str, int, int]], int]:
+    """The equations f_j M_a - N_a f_i = 0, one row per arrow a: i -> j and
+    entry (r, c) of the n_j x m_i matrix on the left, in arrow order.
 
-    Unknowns are row-major vectorizations of the f_i, blocked by vertex.
-    Returns the matrix and the (arrow_id, row, col) label of each equation row.
+    The unknown f_i is an n_i x m_i matrix, vectorized row-major at column
+    offset off_i (vertices in order). Row (a, r, c) holds M_a[t][c] at column
+    off_j + r*m_j + t and -N_a[r][s] at column off_i + s*m_i + c; on a loop the
+    two terms meet at t = c, s = r and are added. Entries are ints in 0..p-1
+    over F_p and `Fraction`s over Q, the entry format of `linalg._eliminate`.
+    Returns the rows, the (arrow_id, r, c) label of each row and the width.
     """
     fld = m.field
-    q = m.quiver
-    k = q.vertex_count
-    col_sizes = [n.dim[i] * m.dim[i] for i in range(k)]
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
-    row_labels: list[tuple[str, int, int]] = []
-    for a in q.arrows:
-        for r in range(n.dim[a.tgt - 1]):
-            for c in range(m.dim[a.src - 1]):
-                row_labels.append((a.id, r, c))
-    d = fld.zeros(len(row_labels), col_off[-1])
-    r0 = 0
-    for a in q.arrows:
+    p = fld.p if isinstance(fld, PrimeField) else 0
+    zero = fld.zero
+    off = [0]
+    for mi, ni in zip(m.dim, n.dim):
+        off.append(off[-1] + ni * mi)
+    width = off[-1]
+    rows: list[list] = []
+    labels: list[tuple[str, int, int]] = []
+    for a in m.quiver.arrows:
         i, j = a.src - 1, a.tgt - 1
-        nrows = n.dim[j] * m.dim[i]
-        if nrows:
-            # vec(f_j M_a) = (I_{n_j} kron M_a^T) vec(f_j)
-            if col_sizes[j]:
-                blk = linalg.kron(fld, fld.identity(n.dim[j]), m.matrix(a.id).T)
-                d[r0:r0 + nrows, col_off[j]:col_off[j + 1]] += blk
-            # vec(N_a f_i) = (N_a kron I_{m_i}) vec(f_i)
-            if col_sizes[i]:
-                blk = linalg.kron(fld, n.matrix(a.id), fld.identity(m.dim[i]))
-                d[r0:r0 + nrows, col_off[i]:col_off[i + 1]] -= blk
-        r0 += nrows
-    return fld.normalize(d), row_labels
+        mi, mj = m.dim[i], m.dim[j]
+        oi, oj = off[i], off[j]
+        m_cols = m.matrix(a.id).T.tolist()    # m_cols[c][t] = M_a[t][c]
+        for r, n_row in enumerate(n.matrix(a.id).tolist()):
+            base = oj + r * mj
+            for c, m_col in enumerate(m_cols):
+                row = [zero] * width
+                for t, x in enumerate(m_col):
+                    if x:
+                        row[base + t] = x
+                for s, x in enumerate(n_row):
+                    if x:
+                        k = oi + s * mi + c
+                        row[k] = (row[k] - x) % p if p else row[k] - x
+                rows.append(row)
+                labels.append((a.id, r, c))
+    return rows, labels, width
 
 
 @dataclass(frozen=True)
@@ -243,8 +260,8 @@ class ExtSpace:
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Solve f_j M_a = N_a f_i for all arrows; intertwiner basis by vertex."""
     _check_pair(m, n)
-    d, _ = _hom_system(m, n)
-    kernel = linalg.nullspace(m.field, d)
+    rows, _, width = _hom_system(m, n)
+    kernel = linalg._kernel(m.field, rows, width)
     basis = []
     for v in kernel:
         maps = {}
@@ -259,14 +276,10 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 
 
 def ext_space(m: Representation, n: Representation) -> ExtSpace:
-    """Ext^1 as the cokernel of (f_i) |-> (N_a f_i - f_j M_a), on any quiver."""
+    """Ext^1 as the cokernel of (f_i) |-> (N_a f_i - f_j M_a), on any quiver: the
+    labels of the rows that are not pivots of the transposed system's rref."""
     _check_pair(m, n)
-    d, labels = _hom_system(m, n)
-    if d.shape[1] == 0:
-        pivot_rows: set[int] = set()
-    else:
-        _, pivot_rows_list = linalg.rref(m.field, d.T)
-        pivot_rows = set(pivot_rows_list)
-    coker = tuple(labels[t] for t in range(len(labels)) if t not in pivot_rows)
+    rows, labels, _ = _hom_system(m, n)
+    pivot_rows = set(linalg._eliminate(m.field, list(zip(*rows)), len(rows))[2])
+    coker = tuple(lab for t, lab in enumerate(labels) if t not in pivot_rows)
     return ExtSpace(len(coker), coker)
-

@@ -204,6 +204,8 @@ MALFORMED_REPS = {
     "prime not a number": {"field": {"p": None}, "dim": [1, 1], "matrices": {}},
     "matrices not a mapping": {"field": "Q", "dim": [1, 1], "matrices": [[1]]},
     "matrix not a list of rows": {"field": "Q", "dim": [1, 1], "matrices": {"x": 3}},
+    "prime a float": {"field": {"p": 5.5}, "dim": [1, 1], "matrices": {}},
+    "dim a string": {"field": "Q", "dim": "11", "matrices": {}},
 }
 
 
@@ -221,3 +223,27 @@ def test_malformed_quiver_file_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({**K3, "labels": 5}))
     assert main(["euler", "-q", str(path), "--alpha", "1,1", "--beta", "1,1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SIGMA = {"domain": [2], "codomain": [1], "entries": [[[{"coeff": "1", "path": ["x"]}]]]}
+MALFORMED_SIGMAS = {
+    "top-level list": [SIGMA],
+    "domain not a list": {**SIGMA, "domain": 2},
+    "entries not a list": {**SIGMA, "entries": 5},
+    "null coeff": {**SIGMA, "entries": [[[{"coeff": None, "path": ["x"]}]]]},
+    "zero denominator": {**SIGMA, "entries": [[[{"coeff": "1/0", "path": ["x"]}]]]},
+    "integer term": {**SIGMA, "entries": [[[5]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SIGMAS))
+def test_malformed_sigma_file_exit_code(name, tmp_path, k3_file, capsys):
+    rep = write_rep(tmp_path, "m.json", "Q", ["1", "0", "0"])
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(SIGMA))
+    bad.write_text(json.dumps(MALFORMED_SIGMAS[name]))
+    assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -274,3 +274,90 @@ def test_bad_shape_rejected(k3):
         representation(k3, QQ, (1, 1), {"x": [[1, 2]]})
     with pytest.raises(RepresentationError):
         representation(k3, QQ, (1,), {})
+
+
+# --- the Hom/Ext^1 system against the kron-built reference ---------------------
+
+def _kron_reference(m, n):
+    """Hom and Ext^1 from the system assembled of kron blocks: (dim, basis, cokernel)."""
+    import quivermod.linalg as linalg
+    fld = m.field
+
+    def kron(a, b):
+        out = np.kron(a, b)
+        return fld.normalize(out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
+
+    k = m.quiver.vertex_count
+    sizes = [n.dim[i] * m.dim[i] for i in range(k)]
+    off = [0]
+    for s in sizes:
+        off.append(off[-1] + s)
+    labels = [(a.id, r, c) for a in m.quiver.arrows
+              for r in range(n.dim[a.tgt - 1]) for c in range(m.dim[a.src - 1])]
+    d = fld.zeros(len(labels), off[-1])
+    r0 = 0
+    for a in m.quiver.arrows:
+        i, j = a.src - 1, a.tgt - 1
+        rows = n.dim[j] * m.dim[i]
+        if rows:
+            if sizes[j]:  # vec(f_j M_a) = (I_{n_j} kron M_a^T) vec(f_j)
+                d[r0:r0 + rows, off[j]:off[j + 1]] += kron(fld.identity(n.dim[j]),
+                                                           m.matrix(a.id).T)
+            if sizes[i]:  # vec(N_a f_i) = (N_a kron I_{m_i}) vec(f_i)
+                d[r0:r0 + rows, off[i]:off[i + 1]] -= kron(n.matrix(a.id),
+                                                           fld.identity(m.dim[i]))
+        r0 += rows
+    d = fld.normalize(d)
+    basis = [{i + 1: v[off[i]:off[i + 1]].reshape(n.dim[i], m.dim[i]) for i in range(k)}
+             for v in linalg.nullspace(fld, d)]
+    pivots = set(linalg.rref(fld, d.T)[1]) if d.shape[1] else set()
+    coker = tuple(lab for t, lab in enumerate(labels) if t not in pivots)
+    return len(basis), basis, coker
+
+
+REFERENCE_QUIVERS = {
+    "K3": (2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]),
+    "Jordan": (1, [("l", 1, 1)]),
+    "2-cycle": (2, [("a", 1, 2), ("b", 2, 1)]),
+    "back arrow and loop": (2, [("a", 1, 2), ("b", 2, 1), ("l", 2, 2)]),
+    "arrowless": (2, []),
+}
+
+
+def _random_rep(q, field, dim, rng):
+    """Random matrices; over Q with proper fractions among the entries."""
+    if field is QQ:
+        mats = {a.id: [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                        for _ in range(dim[a.src - 1])] for _ in range(dim[a.tgt - 1])]
+                for a in q.arrows}
+        return representation(q, field, dim, mats)
+    return random_representation(q, field, dim, rng)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_QUIVERS))
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), PrimeField(2**31 - 1), QQ],
+                         ids=["F2", "F5", "F2^31-1", "Q"])
+def test_hom_ext_match_kron_reference(name, field):
+    k, arrows = REFERENCE_QUIVERS[name]
+    q = quiver(k, arrows)
+    rng = random.Random(f"{name}/{field.name}")
+    dims = [(0,) * k, (1,) * k, (2,) + (0,) * (k - 1), (0,) * (k - 1) + (3,)]
+    dims += [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(4)]
+    pairs = []
+    for dm, dn in zip(dims, dims[1:] + dims[:1]):
+        pairs.append((_random_rep(q, field, dm, rng), _random_rep(q, field, dn, rng)))
+        pairs.append((zero_representation(q, field, dm), _random_rep(q, field, dn, rng)))
+        pairs.append((_random_rep(q, field, dm, rng), _random_rep(q, field, dm, rng)))
+    m = _random_rep(q, field, dims[-1], rng)
+    pairs.append((m, m))
+    for m, n in pairs:
+        dim, basis, coker = _kron_reference(m, n)
+        hom, ext = hom_space(m, n), ext_space(m, n)
+        assert hom.dim == dim == len(hom.basis)
+        for got, want in zip(hom.basis, basis):
+            assert sorted(got) == sorted(want)
+            for v in want:
+                assert got[v].dtype == want[v].dtype and got[v].shape == want[v].shape
+                assert got[v].tolist() == want[v].tolist()
+                assert [type(x) for x in got[v].flat] == [type(x) for x in want[v].flat]
+        assert ext.cokernel == coker and ext.dim == len(coker)
