@@ -1,22 +1,23 @@
-"""Dimension-vector level algorithms: generic Ext via the Schofield
-recursion, nonemptiness of the (semi)stable loci, moduli dimensions and the
+"""Dimension-vector level algorithms: generic Ext via Schofield's generic
+subvectors, nonemptiness of the (semi)stable loci, moduli dimensions and the
 local-quiver data at semisimple points.
 
-The recursion used is ext(alpha, beta) = max over generic subvectors
-beta' of beta of -<alpha, beta - beta'>, where beta' is a generic subvector
-iff ext(beta', beta - beta') = 0. The maximum runs over generic *quotients*
-of the second argument; cross-checked against finite-field sampling.
+ext(alpha, beta) is the maximum of 0 and of -<alpha, q> over the generic
+quotients q = beta - beta' of beta, beta' a generic subvector; beta' <= beta
+is a generic subvector iff ext(beta', beta - beta') = 0, that is iff
+<beta', q> >= 0 for every nonzero generic quotient q of beta - beta'.
+Cross-checked against finite-field sampling.
 
-A `GenericExtTable` keeps two memos, ext per pair of dimension vectors and
-the generic subvectors per dimension vector, so each is computed once per
-table. Inputs are validated at its public methods (`ext`,
-`generic_subdimvectors`); the recursion behind them takes valid tuples.
+A `GenericExtTable` fills these lists bottom-up, every dimension vector below
+the one asked for in lexicographic order, so each list is computed once per
+table and nothing recurses. Inputs are validated at its public methods (`ext`,
+`generic_subdimvectors`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from .fields import Rationals
@@ -45,59 +46,52 @@ def _check_dimvec(q: Quiver, alpha: Sequence[int]) -> DimVector:
 
 
 class GenericExtTable:
-    """Memoized generic Ext^1 dimensions for one acyclic quiver: `_memo`
-    maps a pair of dimension vectors to ext, `_subs` a dimension vector to
-    its generic subvectors."""
+    """Generic Ext^1 dimensions for one acyclic quiver, from a table filled
+    bottom-up: `_subs` maps a dimension vector to its generic subvectors,
+    `_duals` to one vector w per nonzero generic quotient q, where
+    w_i = q_i - sum over arrows i -> j of q_j, so that <beta, q> = beta . w."""
 
     def __init__(self, quiver: Quiver):
         _check_acyclic(quiver)
         self.quiver = quiver
         self._arrows = tuple((a.src - 1, a.tgt - 1) for a in quiver.arrows)
-        self._memo: dict[tuple[DimVector, DimVector], int] = {}
         self._subs: dict[DimVector, list[DimVector]] = {}
-        self._in_progress: set[tuple[DimVector, DimVector]] = set()
+        self._duals: dict[DimVector, list[DimVector]] = {}
 
     def ext(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
-        return self._ext(_check_dimvec(self.quiver, alpha),
-                         _check_dimvec(self.quiver, beta))
+        alpha = _check_dimvec(self.quiver, alpha)
+        beta = _check_dimvec(self.quiver, beta)
+        self._fill(beta)
+        return max(0, -min((sum(map(mul, alpha, w)) for w in self._duals[beta]), default=0))
 
     def generic_subdimvectors(self, alpha: Sequence[int]) -> list[DimVector]:
         """All beta <= alpha such that every general representation of
         dimension alpha contains a subrepresentation of dimension beta."""
-        return list(self._generic_subs(_check_dimvec(self.quiver, alpha)))
+        alpha = _check_dimvec(self.quiver, alpha)
+        self._fill(alpha)
+        return list(self._subs[alpha])
 
-    def _ext(self, alpha: DimVector, beta: DimVector) -> int:
-        if not any(alpha) or not any(beta):
-            return 0
-        key = (alpha, beta)
-        best = self._memo.get(key)
-        if best is not None:
-            return best
-        if key in self._in_progress:
-            raise RuntimeError(f"generic ext recursion cycled at {key}")
-        self._in_progress.add(key)
-        try:
-            # <alpha, -> is linear, form[j] = alpha_j - sum over arrows i -> j
-            # of alpha_i, so -<alpha, beta - sub> = <alpha, sub> - <alpha, beta>
-            form = list(alpha)
-            for s, t in self._arrows:
-                form[t] -= alpha[s]
-            whole = sum(map(mul, form, beta))
-            best = max(0, max(sum(map(mul, form, sub))
-                              for sub in self._generic_subs(beta)) - whole)
-        finally:
-            self._in_progress.discard(key)
-        self._memo[key] = best
-        return best
-
-    def _generic_subs(self, alpha: DimVector) -> list[DimVector]:
-        subs = self._subs.get(alpha)
-        if subs is None:
-            # product order is lexicographic, so the list comes out sorted
-            subs = [beta for beta in product(*(range(a + 1) for a in alpha))
-                    if self._ext(beta, tuple(a - b for a, b in zip(alpha, beta))) == 0]
-            self._subs[alpha] = subs
-        return subs
+    def _fill(self, top: DimVector):
+        """Fill the table at every gamma <= top."""
+        if top in self._subs:
+            return
+        # product order is lexicographic: every gamma - beta with beta != 0
+        # comes before gamma, and each list of subvectors comes out sorted
+        subs_of, duals_of = self._subs, self._duals
+        for gamma in product(*(range(t + 1) for t in top)):
+            if gamma in subs_of:
+                continue
+            subs = [beta for beta in product(*(range(g + 1) for g in gamma))
+                    if not any(beta) or all(sum(map(mul, beta, w)) >= 0
+                                            for w in duals_of[tuple(map(sub, gamma, beta))])]
+            duals = []
+            for s in subs[:-1]:  # the last generic subvector is gamma itself
+                q = tuple(map(sub, gamma, s))
+                w = list(q)
+                for i, j in self._arrows:
+                    w[i] -= q[j]
+                duals.append(tuple(w))
+            subs_of[gamma], duals_of[gamma] = subs, duals
 
 
 def generic_ext(q: Quiver, alpha: Sequence[int], beta: Sequence[int],

@@ -96,6 +96,8 @@ def test_check_ss_rational(tmp_path, k3_file, capsys):
                  "-p", "3,5"]) == 0
     out = capsys.readouterr().out
     assert "HEURISTIC" in out and "prime 3 skipped" in out
+    assert main(["check-ss", "-q", k3_file, "-r", r, "--theta", "-1,1",
+                 "-p", str(2**61 - 1)]) == 2
 
 
 def test_budget_exit_code(tmp_path, k3_file):
@@ -205,6 +207,7 @@ MALFORMED_REPS = {
     "matrices not a mapping": {"field": "Q", "dim": [1, 1], "matrices": [[1]]},
     "matrix not a list of rows": {"field": "Q", "dim": [1, 1], "matrices": {"x": 3}},
     "prime a float": {"field": {"p": 5.5}, "dim": [1, 1], "matrices": {}},
+    "prime above 2^31": {"field": {"p": 2**61 - 1}, "dim": [1, 1], "matrices": {}},
     "dim a string": {"field": "Q", "dim": "11", "matrices": {}},
 }
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quivermod import QQ, PrimeField
-from quivermod.fields import FieldError
+from quivermod.fields import FieldError, _is_prime
 from quivermod import linalg
 
 BIG = 2**31 - 1  # the largest prime PrimeField accepts
@@ -20,6 +21,25 @@ def test_prime_field_validation():
     assert PrimeField(7).coerce(Fraction(1, 3)) == 5  # 3*5 = 15 = 1 mod 7
     assert PrimeField(7).mul(5, 3) == 1
     assert PrimeField(BIG).mul(BIG - 1, BIG - 1) == 1
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == trial_division_is_prime(n) for n in range(10**5))
+    assert _is_prime(BIG) and _is_prime(2147483629)
+    # strong pseudoprimes to base 2, one to bases 2, 3 and 5, Carmichael numbers
+    for n in (2047, 3277, 4033, 561, 1105, 1729, 25326001):
+        assert not _is_prime(n)
+
+
+def test_prime_field_rejects_large_primes_at_once():
+    start = time.perf_counter()
+    with pytest.raises(FieldError):
+        PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_rational_parsing():

@@ -30,7 +30,10 @@ def test_generic_ext_examples(k3):
 def test_generic_ext_memoized(k3):
     t = GenericExtTable(k3)
     t.ext((2, 2), (2, 2))
-    assert ((2, 2), (2, 2)) in t._memo
+    assert set(t._subs) == set(product(range(3), repeat=2))
+    filled = dict(t._subs)
+    assert t.ext((2, 2), (2, 2)) == 4
+    assert t._subs == filled
 
 
 def test_generic_ext_cyclic_rejected():
@@ -72,7 +75,9 @@ class ReferenceTable:
     ([("a", 1, 2), ("b", 2, 3)], (2, 2, 2)),
     ([], (3, 2)),
     ([("a", 1, 4), ("b", 2, 4), ("c", 3, 4)], (1, 1, 1, 2)),
-], ids=["K3", "Q3", "K2", "A3", "arrowless", "star"])
+    ([("a", 1, 2), ("b", 2, 3)], (3, 3, 3)),
+    ([("a", 1, 4), ("b", 2, 4), ("c", 3, 4)], (2, 2, 2, 3)),
+], ids=["K3", "Q3", "K2", "A3", "arrowless", "star", "A3-333", "star-2223"])
 def test_table_matches_reference_recursion(arrows, top):
     q = quiver(len(top), arrows)
     table, ref = GenericExtTable(q), ReferenceTable(q)
@@ -81,7 +86,30 @@ def test_table_matches_reference_recursion(arrows, top):
         for beta in product(*(range(a + 1) for a in total)):
             gamma = tuple(a - b for a, b in zip(total, beta))
             assert table.ext(beta, gamma) == ref.ext(beta, gamma), (beta, gamma)
-    assert table._memo == ref.memo
+    assert table._subs == {gamma: ref.generic_subdimvectors(gamma)
+                           for gamma in product(*(range(a + 1) for a in top))}
+
+
+@pytest.mark.parametrize("arrows, top", [
+    ([("x", 1, 2), ("y", 1, 2), ("z", 1, 2)], (4, 4)),
+    ([("a", 1, 2), ("b", 2, 3)], (3, 3, 3)),
+], ids=["K3", "A3"])
+def test_fill_order_does_not_matter(arrows, top):
+    q = quiver(len(top), arrows)
+    half = tuple(a // 2 for a in top)
+    boxes = list(product(*(range(a + 1) for a in top)))
+    small_first, large_first, ext_first = (GenericExtTable(q) for _ in range(3))
+    small_first.generic_subdimvectors(half)
+    small_first.generic_subdimvectors(top)
+    large_first.generic_subdimvectors(top)
+    large_first.generic_subdimvectors(half)
+    for beta in boxes:
+        ext_first.ext(beta, beta)
+    assert small_first._subs == large_first._subs == ext_first._subs
+    for alpha in boxes:
+        for beta in boxes:
+            answers = {t.ext(alpha, beta) for t in (small_first, large_first, ext_first)}
+            assert len(answers) == 1, (alpha, beta)
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 1, 1), (1, -1), (-1, 0)])
