@@ -62,8 +62,7 @@ def _witness_json(w):
     return {
         "beta": list(w.beta),
         "theta_value": w.theta_value,
-        "bases": {str(v): [[int(x) for x in row] for row in b]
-                  for v, b in sorted(w.bases.items())},
+        "bases": {str(v): b.tolist() for v, b in sorted(w.bases.items())},
     }
 
 

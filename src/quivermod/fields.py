@@ -1,22 +1,23 @@
-"""Exact coefficient fields: the rationals and prime fields F_p.
+"""Exact coefficient fields, the rationals and prime fields F_p, and the one
+matrix type of the package.
 
-Matrices over the rationals are numpy object arrays of `fractions.Fraction`;
-matrices over F_p are numpy int64 arrays with entries reduced to 0..p-1.
-Both field tags expose the same small API so the linear algebra in
-:mod:`quivermod.linalg` is written once.
+A `Matrix` is immutable: its rows are tuples of field elements, `Fraction`s
+over Q and ints in 0..p-1 over F_p, and it records its `shape`, so a matrix
+without rows keeps its column count. Both field tags expose the same small
+API so the linear algebra in :mod:`quivermod.linalg` is written once.
 
 `array` is the one place where outside values become field elements. It takes
-nested lists and 2-d ndarrays of any dtype, keeps an ndarray's shape (also
-(0, n)), and coerces every entry with the field's `coerce`: ints, `Fraction`s
-and strings such as "-3/4" are accepted, anything else (floats included)
-raises `FieldError`. Over F_p an int64 ndarray is reduced mod p in one step.
+nested lists, and any 2-d object with `shape` and `tolist()` (a `Matrix`, an
+ndarray), whose shape it keeps (also (0, n)). It coerces every entry with
+the field's `coerce`: integers (anything with `__index__`), `Fraction`s and
+strings such as "-3/4" are accepted, anything else (floats included) raises
+`FieldError`.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 class FieldError(ValueError):
@@ -50,36 +51,68 @@ def _is_prime(n: int) -> bool:
 def _parse_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
     if isinstance(x, str):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"cannot interpret {x!r} as a rational number: {exc}") from exc
-    raise FieldError(f"cannot interpret {x!r} as a rational number")
-
-
-def _matrix(coerce, data, dtype) -> np.ndarray:
-    """`data`, nested lists or a 2-d ndarray, as a `dtype` array of coerced entries."""
-    shape = None
-    if isinstance(data, np.ndarray):
-        if data.ndim != 2:
-            raise FieldError(f"matrix data must be 2-dimensional, not of shape {data.shape}")
-        shape, data = data.shape, data.tolist()
     try:
-        rows = [[coerce(x) for x in row] for row in data]
+        return Fraction(operator.index(x))
+    except TypeError:
+        raise FieldError(f"cannot interpret {x!r} as a rational number") from None
+
+
+@dataclass(frozen=True, slots=True)
+class Matrix:
+    """An immutable matrix: `rows`, a tuple of `shape[0]` tuples of `shape[1]`
+    field elements. Iterating over it yields the rows."""
+
+    rows: tuple[tuple, ...]
+    shape: tuple[int, int]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def tolist(self) -> list[list]:
+        return [list(row) for row in self.rows]
+
+
+def _matrix(coerce, data) -> Matrix:
+    """`data`, nested lists or a 2-d object with `shape` and `tolist()`, as a
+    `Matrix` of coerced entries."""
+    cols = None
+    shape = getattr(data, "shape", None)
+    if shape is not None:
+        if len(shape) != 2:
+            raise FieldError(f"matrix data must be 2-dimensional, not of shape {shape}")
+        cols = shape[1]
+        data = data if isinstance(data, Matrix) else data.tolist()
+    try:
+        rows = tuple([tuple([coerce(x) for x in row]) for row in data])
     except TypeError as exc:
         raise FieldError(f"matrix data must be a list of rows, not {data!r}") from exc
-    if shape is None:
-        shape = (len(rows), len(rows[0]) if rows else 0)
-        if any(len(row) != shape[1] for row in rows):
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
             raise FieldError("ragged matrix data")
-    return np.array(rows, dtype=dtype).reshape(shape)
+    return Matrix(rows, (len(rows), cols))
+
+
+class _Constructors:
+    """`zeros` and `identity`, shared by both field tags through their `zero`
+    and `one`."""
+
+    def zeros(self, rows: int, cols: int) -> Matrix:
+        return Matrix(((self.zero,) * cols,) * rows, (rows, cols))
+
+    def identity(self, n: int) -> Matrix:
+        zero, one = self.zero, self.one
+        return Matrix(tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)),
+                      (n, n))
 
 
 @dataclass(frozen=True)
-class Rationals:
+class Rationals(_Constructors):
     """Tag for exact rational arithmetic."""
 
     name = "Q"
@@ -95,22 +128,8 @@ class Rationals:
     def coerce(self, x) -> Fraction:
         return _parse_rational(x)
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty((rows, cols), dtype=object)
-        out[...] = Fraction(0)
-        return out
-
-    def identity(self, n: int) -> np.ndarray:
-        out = self.zeros(n, n)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
-
-    def array(self, rows) -> np.ndarray:
-        return _matrix(self.coerce, rows, object)
-
-    def normalize(self, a: np.ndarray) -> np.ndarray:
-        return a
+    def array(self, rows) -> Matrix:
+        return _matrix(self.coerce, rows)
 
     def scalar_is_zero(self, x) -> bool:
         return x == 0
@@ -135,8 +154,8 @@ class Rationals:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    """Tag for arithmetic in F_p, p an odd-sized prime below 2^31."""
+class PrimeField(_Constructors):
+    """Tag for arithmetic in F_p, p any prime below 2^31 (2 included)."""
 
     p: int
 
@@ -157,26 +176,15 @@ class PrimeField:
         return 1
 
     def coerce(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            return int(x) % self.p
+        if isinstance(x, int):
+            return x % self.p
         q = _parse_rational(x)
         if q.denominator % self.p == 0:
             raise FieldError(f"denominator of {q} not invertible mod {self.p}")
         return (q.numerator % self.p) * pow(q.denominator % self.p, self.p - 2, self.p) % self.p
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    def identity(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.int64)
-
-    def array(self, rows) -> np.ndarray:
-        if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.ndim == 2:
-            return rows % self.p
-        return _matrix(self.coerce, rows, np.int64)
-
-    def normalize(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p
+    def array(self, rows) -> Matrix:
+        return _matrix(self.coerce, rows)
 
     def scalar_is_zero(self, x) -> bool:
         return int(x) % self.p == 0

@@ -1,70 +1,70 @@
 """Exact dense linear algebra over a field tag.
 
-All routines take the field as first argument and work on numpy arrays
-produced by the field's constructors: int64 arrays with entries in 0..p-1
-over F_p, object arrays of `Fraction` over Q.
+All routines take the field as first argument and work on `Matrix` values
+produced by the field's constructors: rows of ints in 0..p-1 over F_p, rows of
+`Fraction`s over Q. Every result is a new `Matrix`; nothing is modified.
 
 `rref`, `rank`, `nullspace`, `det` and `inv` derive from one Gauss-Jordan
-elimination, `_eliminate`, on lists of Python ints, which cannot wrap. Its
-entry is a matrix as a list of rows of field elements and a width: the array
-routines pass `a.tolist()`, and `rep` passes the Hom/Ext^1 system it builds as
-rows, with no array in between; `_kernel` reads a kernel basis off it. Over
-F_p it works mod p, scaling each pivot row to a leading 1. Over Q it first
-scales each row by the lcm of its denominators and then runs fraction-free
-Gauss-Jordan (Bareiss 1968): each step divides exactly by the previous pivot,
-so every entry stays an integer minor of the scaled matrix, and the rref is
-the result divided by the last pivot. Elimination uses the first nonzero pivot
-in each column, so every result is deterministic. `matmul` over F_p uses
-numpy's int64 product while no sum of products can reach 2^63 and Python ints
-beyond, so every result is exact for every prime below 2^31.
+elimination, `_eliminate`, on Python ints, which cannot wrap. Its entry is a
+matrix as rows of field elements and a width: the routines here pass a
+matrix's rows, and `rep` passes the Hom/Ext^1 system it builds as rows;
+`_kernel` reads a kernel basis off it. Over F_p it works mod p, scaling each
+pivot row to a leading 1. Over Q it first scales each row by the lcm of its
+denominators and then runs fraction-free Gauss-Jordan (Bareiss 1968): each
+step divides exactly by the previous pivot, so every entry stays an integer
+minor of the scaled matrix, and the rref is the result divided by the last
+pivot. Elimination uses the first nonzero pivot in each column, so every
+result is deterministic. `matmul` forms each entry as one sum of Python-int or
+`Fraction` products, reduced mod p over F_p, so it is exact for every prime
+below 2^31.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-import numpy as np
-
-from .fields import Field, PrimeField
-
-
-def product_mod(p: int, length: int):
-    """(a, b) -> a @ b mod p for int64 matrices with entries in 0..p-1 and inner
-    dimension at most `length`: numpy's int64 product while length * (p-1)^2 is
-    below 2^63, Python ints (object dtype) beyond."""
-    if length * (p - 1) ** 2 < 2**63:
-        return lambda a, b: np.dot(a, b) % p
-    return lambda a, b: (np.dot(a.astype(object), b.astype(object)) % p).astype(np.int64)
+from .fields import Field, Matrix, PrimeField
 
 
-def matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+    if a.shape[1] == 0:
         return field.zeros(a.shape[0], b.shape[1])
+    cols = list(zip(*b.rows))
     if isinstance(field, PrimeField):
-        return product_mod(field.p, a.shape[1])(a, b)
-    return np.dot(a, b)
+        p = field.p
+        rows = [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a.rows]
+    else:
+        rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.rows]
+    return Matrix(tuple(rows), (a.shape[0], b.shape[1]))
 
 
-def kron(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def transpose(field: Field, a: Matrix) -> Matrix:
+    rows = tuple(zip(*a.rows)) if a.shape[0] else ((),) * a.shape[1]
+    return Matrix(rows, (a.shape[1], a.shape[0]))
+
+
+def kron(field: Field, a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product. The package itself no longer calls it; it stays because
     bench/tracing.py wraps every linalg name it lists, this one included."""
-    out = np.kron(a, b)
-    return field.normalize(out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
+    rows = tuple(tuple(field.mul(x, y) for x in ra for y in rb)
+                 for ra in a.rows for rb in b.rows)
+    return Matrix(rows, (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
 
-def block_diag(field: Field, blocks) -> np.ndarray:
+def block_diag(field: Field, blocks) -> Matrix:
     blocks = list(blocks)
-    rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)
-    out = field.zeros(rows, cols)
-    r = c = 0
+    zero = field.zero
+    rows = []
+    c = 0
     for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
+        left, right = (zero,) * c, (zero,) * (cols - c - b.shape[1])
+        rows.extend(left + row + right for row in b.rows)
         c += b.shape[1]
-    return out
+    return Matrix(tuple(rows), (len(rows), cols))
 
 
 def _eliminate(field: Field, rows, n: int):
@@ -131,26 +131,19 @@ def _eliminate(field: Field, rows, n: int):
     return rows, 1 if modular else prev, pivots, det
 
 
-def _rows(field: Field, a: np.ndarray) -> list[list]:
-    """The matrix `a` as lists of field elements, the entry format of `_eliminate`."""
-    return field.normalize(a).tolist()
-
-
-def _to_array(field: Field, rows, d: int, shape) -> np.ndarray:
-    """The matrix rows / d as an array of the field."""
+def _divided(field: Field, rows, d: int, cols: int) -> Matrix:
+    """The matrix rows / d, rows as `_eliminate` returns them, as a `Matrix`."""
     if isinstance(field, PrimeField):
-        return np.array(rows, dtype=np.int64).reshape(shape)
-    out = np.empty(shape, dtype=object)
+        return Matrix(tuple(map(tuple, rows)), (len(rows), cols))
     zero = Fraction(0)
-    for i, row in enumerate(rows):
-        out[i] = [Fraction(x, d) if x else zero for x in row]
-    return out
+    return Matrix(tuple(tuple([Fraction(x, d) if x else zero for x in row]) for row in rows),
+                  (len(rows), cols))
 
 
-def _kernel(field: Field, rows, n: int) -> np.ndarray:
+def _kernel(field: Field, rows, n: int) -> Matrix:
     """Basis of the right kernel of the matrix given as rows (the entry format of
-    `_eliminate`), as the rows of a (dim, n) array of the field: one vector per
-    free column f of the rref R, with 1 at f and -R[i, f] at the i-th pivot."""
+    `_eliminate`), as the rows of a (dim, n) `Matrix`: one vector per free
+    column f of the rref R, with 1 at f and -R[i, f] at the i-th pivot."""
     red, d, pivots, _ = _eliminate(field, rows, n)
     pivot_cols = set(pivots)
     free = [c for c in range(n) if c not in pivot_cols]
@@ -164,47 +157,47 @@ def _kernel(field: Field, rows, n: int) -> np.ndarray:
             x = red[i][f]
             if x:
                 v[c] = -x % p if p else Fraction(-x, d)
-        basis.append(v)
-    return np.array(basis, dtype=np.int64 if p else object).reshape(len(free), n)
+        basis.append(tuple(v))
+    return Matrix(tuple(basis), (len(basis), n))
 
 
-def rref(field: Field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list."""
-    rows, d, pivots, _ = _eliminate(field, _rows(field, a), a.shape[1])
-    return _to_array(field, rows, d, a.shape), pivots
+    rows, d, pivots, _ = _eliminate(field, a.rows, a.shape[1])
+    return _divided(field, rows, d, a.shape[1]), pivots
 
 
-def rank(field: Field, a: np.ndarray) -> int:
-    return len(_eliminate(field, _rows(field, a), a.shape[1])[2])
+def rank(field: Field, a: Matrix) -> int:
+    return len(_eliminate(field, a.rows, a.shape[1])[2])
 
 
-def nullspace(field: Field, a: np.ndarray) -> list[np.ndarray]:
-    """Basis vectors (1-d arrays) of the right kernel of `a`."""
-    return list(_kernel(field, _rows(field, a), a.shape[1]))
+def nullspace(field: Field, a: Matrix) -> list[tuple]:
+    """Basis vectors (tuples of field elements) of the right kernel of `a`."""
+    return list(_kernel(field, a.rows, a.shape[1]))
 
 
-def det(field: Field, a: np.ndarray):
+def det(field: Field, a: Matrix):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"determinant of non-square {a.shape} matrix")
-    return _eliminate(field, _rows(field, a), a.shape[1])[3]
+    return _eliminate(field, a.rows, a.shape[1])[3]
 
 
-def inv(field: Field, a: np.ndarray) -> np.ndarray:
+def inv(field: Field, a: Matrix) -> Matrix:
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
     zero, one = field.zero, field.one
-    aug = [row + [zero] * i + [one] + [zero] * (n - 1 - i)
-           for i, row in enumerate(_rows(field, a))]
+    aug = [row + (zero,) * i + (one,) + (zero,) * (n - 1 - i)
+           for i, row in enumerate(a.rows)]
     rows, d, pivots, _ = _eliminate(field, aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return _to_array(field, [row[n:] for row in rows], d, (n, n))
+    return _divided(field, [row[n:] for row in rows], d, n)
 
 
-def is_zero(field: Field, a: np.ndarray) -> bool:
-    return all(field.scalar_is_zero(x) for x in a.flat)
+def is_zero(field: Field, a: Matrix) -> bool:
+    return not any(map(any, a.rows))
 
 
-def equal(field: Field, a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and is_zero(field, field.normalize(a - b))
+def equal(field: Field, a: Matrix, b: Matrix) -> bool:
+    return a.shape == b.shape and a.rows == b.rows

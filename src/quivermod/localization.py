@@ -16,10 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
-from .fields import QQ, Field, _parse_rational
+from .fields import QQ, Field, Matrix, PrimeField, _parse_rational
 from .quiver import (Path, Quiver, QuiverError, paths_between, quiver,
                      theta_pairing, trivial_path)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
@@ -190,25 +188,27 @@ def numerical_condition(sigma: SigmaMorphism, alpha: Sequence[int]) -> bool:
     return rows == cols
 
 
-def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> np.ndarray:
-    """Block matrix with arrows replaced by the representation's matrices."""
+def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
+    """Block matrix with arrows replaced by the representation's matrices,
+    assembled one block row at a time."""
     if sigma.quiver != m.quiver:
         raise RepresentationError("sigma and representation live over different quivers")
     fld = m.field
-    row_dims = [m.dim[i - 1] for i in sigma.domain]
+    p = fld.p if isinstance(fld, PrimeField) else 0
     col_dims = [m.dim[j - 1] for j in sigma.codomain]
-    out = fld.zeros(sum(row_dims), sum(col_dims))
-    r0 = 0
-    for p, rd in enumerate(row_dims):
-        c0 = 0
-        for q, cd in enumerate(col_dims):
-            block = fld.zeros(rd, cd)
-            for coeff, path in sigma.entries[p][q].terms:
-                block = fld.normalize(block + fld.coerce(coeff) * evaluate_path(m, path))
-            out[r0:r0 + rd, c0:c0 + cd] = block
-            c0 += cd
-        r0 += rd
-    return out
+    rows = []
+    for i, entry_row in zip(sigma.domain, sigma.entries):
+        lines = [[] for _ in range(m.dim[i - 1])]
+        for cd, comb in zip(col_dims, entry_row):
+            block = [[fld.zero] * cd for _ in lines]
+            for coeff, path in comb.terms:
+                c = fld.coerce(coeff)
+                for line, path_row in zip(block, evaluate_path(m, path).rows):
+                    line[:] = [x + c * y for x, y in zip(line, path_row)]
+            for line, block_line in zip(lines, block):
+                line.extend([x % p for x in block_line] if p else block_line)
+        rows.extend(map(tuple, lines))
+    return Matrix(tuple(rows), (len(rows), sum(col_dims)))
 
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
@@ -361,7 +361,7 @@ def localization_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism]) -> Pre
 class LocalizedPointVerdict:
     invertible: bool
     determinants: list
-    inverses: list[np.ndarray] | None
+    inverses: list[Matrix] | None
     failing_sigma: int | None = None
     relations_verified: bool = False
 

@@ -1,16 +1,18 @@
 """Concrete quiver representations over exact fields and their homological
 linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
 
-Every matrix handed to `representation` or `group_element`, as nested lists or
-as an ndarray of any dtype, goes through the field's `array`, so it always
-holds elements of the field it claims.
+Every matrix handed to `representation` or `group_element`, as nested lists,
+a `Matrix` or, at this boundary only, an ndarray of any dtype, goes through the
+field's `array`, so it always holds elements of the field it claims. Matrices,
+group elements and Hom bases are immutable `Matrix` values, so a path of one
+arrow evaluates to the arrow's own matrix.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
 the sum over arrows a: i -> j of Hom(M_i, N_j); path algebras of quivers are
 hereditary, so this gives Ext^1 on every quiver, loops and oriented cycles
-included. `_hom_system` writes the system straight from the matrices' lists
-of entries as rows of field elements, one row per arrow a and entry (r, c),
+included. `_hom_system` writes the system straight from the matrices' rows
+and columns as rows of field elements, one row per arrow a and entry (r, c),
 with the unknown f_i vectorized row-major in the block of columns of vertex i.
 Each `hom_space` or `ext_space` call then runs one elimination: of the rows
 for Hom, the kernel; of their transpose for Ext^1, whose cokernel
@@ -23,10 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
-from .fields import Field, PrimeField, field_from_json
+from .fields import Field, Matrix, PrimeField, field_from_json
 from .quiver import DimVector, Path, Quiver, validate_quiver
 
 
@@ -39,9 +39,9 @@ class Representation:
     quiver: Quiver
     field: Field
     dim: DimVector
-    matrices: Mapping[str, np.ndarray]
+    matrices: Mapping[str, Matrix]
 
-    def matrix(self, arrow_id: str) -> np.ndarray:
+    def matrix(self, arrow_id: str) -> Matrix:
         return self.matrices[arrow_id]
 
     def to_json(self) -> dict:
@@ -59,8 +59,8 @@ class Representation:
 
 def representation(quiver: Quiver, field: Field, dim: Sequence[int],
                    matrices: Mapping[str, object]) -> Representation:
-    """The representation with the given matrices (lists or ndarrays, coerced
-    into `field`); arrows without a matrix get the zero map."""
+    """The representation with the given matrices (lists, `Matrix` values or
+    ndarrays, coerced into `field`); arrows without a matrix get the zero map."""
     try:
         if isinstance(dim, (str, bytes)):
             raise TypeError
@@ -74,13 +74,13 @@ def representation(quiver: Quiver, field: Field, dim: Sequence[int],
             f"dimension vector length {len(dim)} != vertex count {quiver.vertex_count}")
     if any(d < 0 for d in dim):
         raise RepresentationError("dimensions must be nonnegative")
-    mats: dict[str, np.ndarray] = {}
+    mats: dict[str, Matrix] = {}
     for a in quiver.arrows:
         shape = (dim[a.tgt - 1], dim[a.src - 1])
         raw = matrices.get(a.id)
         m = field.zeros(*shape) if raw is None else field.array(raw)
         if m.shape == (0, 0) and shape[0] == 0:  # `to_json` writes a matrix without rows as []
-            m = m.reshape(shape)
+            m = field.zeros(*shape)
         if m.shape != shape:
             raise RepresentationError(
                 f"arrow {a.id!r}: matrix has shape {m.shape}, expected {shape}")
@@ -119,22 +119,23 @@ def representation_from_json(data: dict, quiver: Quiver | None = None) -> Repres
     return representation(q, fld, data["dim"], data.get("matrices", {}))
 
 
-def evaluate_path(m: Representation, p: Path) -> np.ndarray:
-    """Matrix of the path: identity for e_i, else the ordered arrow product."""
+def evaluate_path(m: Representation, p: Path) -> Matrix:
+    """Matrix of the path: identity for e_i, else the ordered arrow product,
+    starting from the first arrow's own matrix."""
     q = m.quiver
     if not (1 <= p.source <= q.vertex_count and 1 <= p.target <= q.vertex_count):
         raise RepresentationError(f"path {p} does not live in this quiver")
-    out = m.field.identity(m.dim[p.source - 1])
+    out = None
     at = p.source
     for aid in p.arrows:
         arrow = q.arrow_map.get(aid)
         if arrow is None or arrow.src != at:
             raise RepresentationError(f"path {p} does not live in this quiver")
-        out = linalg.matmul(m.field, m.matrix(aid), out)
+        out = m.matrix(aid) if out is None else linalg.matmul(m.field, m.matrix(aid), out)
         at = arrow.tgt
     if at != p.target:
         raise RepresentationError(f"path {p} does not live in this quiver")
-    return out
+    return m.field.identity(m.dim[p.source - 1]) if out is None else out
 
 
 def _check_pair(m: Representation, n: Representation):
@@ -155,7 +156,7 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     field: Field
-    mats: tuple[np.ndarray, ...]  # mats[i-1] acts at vertex i
+    mats: tuple[Matrix, ...]  # mats[i-1] acts at vertex i
 
 
 def group_element(field: Field, mats: Sequence[object]) -> GroupElement:
@@ -228,8 +229,8 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[
         i, j = a.src - 1, a.tgt - 1
         mi, mj = m.dim[i], m.dim[j]
         oi, oj = off[i], off[j]
-        m_cols = m.matrix(a.id).T.tolist()    # m_cols[c][t] = M_a[t][c]
-        for r, n_row in enumerate(n.matrix(a.id).tolist()):
+        m_cols = linalg.transpose(fld, m.matrix(a.id)).rows    # m_cols[c][t] = M_a[t][c]
+        for r, n_row in enumerate(n.matrix(a.id).rows):
             base = oj + r * mj
             for c, m_col in enumerate(m_cols):
                 row = [zero] * width
@@ -248,7 +249,7 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[
 @dataclass(frozen=True)
 class HomSpace:
     dim: int
-    basis: tuple[dict[int, np.ndarray], ...]  # vertex -> f_i
+    basis: tuple[dict[int, Matrix], ...]  # vertex -> f_i
 
 
 @dataclass(frozen=True)
@@ -267,12 +268,13 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
         maps = {}
         off = 0
         for i in range(m.quiver.vertex_count):
-            size = n.dim[i] * m.dim[i]
-            maps[i + 1] = v[off:off + size].reshape(n.dim[i], m.dim[i])
-            off += size
+            ni, mi = n.dim[i], m.dim[i]
+            maps[i + 1] = Matrix(tuple(v[off + r * mi:off + (r + 1) * mi] for r in range(ni)),
+                                 (ni, mi))
+            off += ni * mi
         basis.append(maps)
     # dim counts kernel vectors; an arrowless system of width 0 still has hom 0
-    return HomSpace(len(kernel), tuple(basis))
+    return HomSpace(kernel.shape[0], tuple(basis))
 
 
 def ext_space(m: Representation, n: Representation) -> ExtSpace:

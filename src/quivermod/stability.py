@@ -13,17 +13,19 @@ multi-prime reduction; instability can be certified exactly by lifting a
 witness, semistability stays heuristic. `verify_witness` re-checks a witness
 over any field with `linalg.rank` and `linalg.matmul`, independently of the
 search; it also decides whether a lifted witness is exact over Q.
+
+Subspace bases are `Matrix` values, keyed by their rows of ints in 0..p-1;
+images and span tests run on such rows, exact at every prime below 2^31.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
+from operator import mul
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
-from .fields import PrimeField, Rationals
+from .fields import Matrix, PrimeField, Rationals
 from .quiver import DimVector, Weight, theta_pairing, total_dim
 from .rep import Representation, RepresentationError, representation
 
@@ -40,7 +42,7 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class SubrepWitness:
-    bases: dict[int, np.ndarray]  # vertex -> rref basis rows over F_p
+    bases: dict[int, Matrix]  # vertex -> rref basis rows over F_p
     beta: DimVector
     theta_value: int | None = None
 
@@ -65,21 +67,20 @@ class StabilityVerdict:
     reason: str | None = None
 
 
-def _all_subspaces(p: int, n: int) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+def _all_subspaces(p: int, n: int) -> list[tuple[Matrix, tuple[int, ...]]]:
     """Every subspace of F_p^n as (rref basis rows, pivot columns)."""
-    out: list[tuple[np.ndarray, tuple[int, ...]]] = [
-        (np.zeros((0, n), dtype=np.int64), ())]
+    out: list[tuple[Matrix, tuple[int, ...]]] = [(Matrix((), (0, n)), ())]
     for d in range(1, n + 1):
         for pivots in combinations(range(n), d):
             free_pos = [(i, c) for i in range(d) for c in range(n)
                         if c > pivots[i] and c not in pivots]
             for vals in product(range(p), repeat=len(free_pos)):
-                basis = np.zeros((d, n), dtype=np.int64)
+                basis = [[0] * n for _ in range(d)]
                 for i, c in enumerate(pivots):
-                    basis[i, c] = 1
+                    basis[i][c] = 1
                 for (i, c), v in zip(free_pos, vals):
-                    basis[i, c] = v
-                out.append((basis, pivots))
+                    basis[i][c] = v
+                out.append((Matrix(tuple(map(tuple, basis)), (d, n)), pivots))
     return out
 
 
@@ -94,25 +95,22 @@ def subspace_count(p: int, n: int) -> int:
     return total
 
 
-def _in_span(vectors: np.ndarray, basis: np.ndarray, pivots: tuple[int, ...], p: int) -> bool:
-    """Do all rows of `vectors` lie in the row span of the rref `basis`?"""
-    w = vectors % p
-    for i, c in enumerate(pivots):
-        col = w[:, c].copy()
-        if col.any():
-            w = (w - np.outer(col, basis[i])) % p
-    return not w.any()
+def _in_span(vectors, basis: Matrix, pivots: tuple[int, ...], p: int) -> bool:
+    """Do all `vectors`, rows of ints in 0..p-1, lie in the row span of the rref
+    `basis`?"""
+    for w in vectors:
+        for b, c in zip(basis.rows, pivots):
+            f = w[c]
+            if f:
+                w = [(x - f * y) % p for x, y in zip(w, b)]
+        if any(w):
+            return False
+    return True
 
 
-def _product(m: Representation):
-    """m's product mod p for arrow matrices and subspace bases, exact for its
-    largest dimension (`linalg.product_mod`), chosen once per representation."""
-    return linalg.product_mod(m.field.p, max(m.dim, default=0))
-
-
-def _image(dot, mat: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def _image(mat: Matrix, basis: Matrix, p: int) -> list[list[int]]:
     """Rows spanning the image of the row span of `basis` under `mat`."""
-    return dot(mat, basis.T).T
+    return [[sum(map(mul, row, u)) % p for row in mat.rows] for u in basis.rows]
 
 
 def verify_witness(m: Representation, w: SubrepWitness) -> bool:
@@ -129,8 +127,8 @@ def verify_witness(m: Representation, w: SubrepWitness) -> bool:
         u_src, u_tgt = bases[a.src], bases[a.tgt]
         if not u_src.shape[0]:
             continue
-        images = linalg.matmul(fld, m.matrix(a.id), u_src.T).T
-        if linalg.rank(fld, np.concatenate([u_tgt, images])) != u_tgt.shape[0]:
+        images = linalg.matmul(fld, u_src, linalg.transpose(fld, m.matrix(a.id)))
+        if linalg.rank(fld, fld.array(u_tgt.rows + images.rows)) != u_tgt.shape[0]:
             return False
     return True
 
@@ -154,7 +152,6 @@ class _SubrepSearch:
     def __init__(self, m: Representation):
         self.fld = m.field
         self.dim = m.dim
-        self.dot = _product(m)
         k = len(m.dim)
         self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, matrix)
         self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, matrix)
@@ -164,8 +161,8 @@ class _SubrepSearch:
             else:
                 self.back[a.src - 1].append((a.tgt - 1, m.matrix(a.id)))
         self.lists: dict[int, list] = {}       # n -> _all_subspaces(p, n)
-        self.positions: dict[int, dict] = {}   # n -> rref bytes -> position in that list
-        self.candidates: dict[tuple[int, bytes], list[int]] = {}
+        self.positions: dict[int, dict] = {}   # n -> rref rows -> position in that list
+        self.candidates: dict[tuple[int, tuple], list[int]] = {}
         self.found: list[SubrepWitness] = []
 
     def subspaces(self, n: int) -> list:
@@ -175,26 +172,26 @@ class _SubrepSearch:
 
     def superspaces(self, i: int, chosen: list) -> Sequence[int]:
         """Positions, in increasing order, of the subspaces of F_p^{d_i} containing S."""
-        n = self.dim[i]
-        images = [_image(self.dot, mat, chosen[j][0]) for j, mat in self.into[i]
-                  if chosen[j][0].shape[0]]
+        n, p = self.dim[i], self.fld.p
+        images = [v for j, mat in self.into[i] for v in _image(mat, chosen[j][0], p)]
         if not images:
             return range(len(self.subspaces(n)))
-        span, pivots = linalg.rref(self.fld, np.concatenate(images))
-        span = span[:len(pivots)]
-        key = (i, span.tobytes())
+        span, pivots = linalg.rref(self.fld, Matrix(tuple(map(tuple, images)), (len(images), n)))
+        span = span.rows[:len(pivots)]
+        key = (i, span)
         if key not in self.candidates:
             if n not in self.positions:
-                self.positions[n] = {b.tobytes(): pos
+                self.positions[n] = {b.rows: pos
                                      for pos, (b, _) in enumerate(self.subspaces(n))}
-            # each superspace is S + W, W a subspace of the non-pivot coordinates
-            free = [c for c in range(n) if c not in pivots]
+            # each superspace is S + W, W a subspace of the non-pivot coordinates;
+            # free maps each non-pivot column to its coordinate in W
+            free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivots)}
             out = []
             for w, _ in self.subspaces(len(free)):
-                lifted = np.zeros((w.shape[0], n), dtype=np.int64)
-                lifted[:, free] = w
-                t, piv = linalg.rref(self.fld, np.concatenate([span, lifted]))
-                out.append(self.positions[n][t[:len(piv)].tobytes()])
+                rows = span + tuple(tuple(u[free[c]] if c in free else 0 for c in range(n))
+                                    for u in w.rows)
+                t, piv = linalg.rref(self.fld, Matrix(rows, (len(rows), n)))
+                out.append(self.positions[n][t.rows[:len(piv)]])
             self.candidates[key] = sorted(out)
         return self.candidates[key]
 
@@ -209,7 +206,7 @@ class _SubrepSearch:
         for pos in self.superspaces(i, chosen):
             u, piv = subs[pos]
             chosen.append((u, piv))
-            if not u.shape[0] or all(_in_span(_image(self.dot, mat, u), *chosen[j], p)
+            if not u.shape[0] or all(_in_span(_image(mat, u, p), *chosen[j], p)
                                      for j, mat in self.back[i]):
                 self.run(i + 1, chosen)
             chosen.pop()
@@ -305,7 +302,7 @@ class RationalVerdict:
 
 def _reduce_mod(m: Representation, p: int) -> Representation:
     fld = PrimeField(p)
-    if any(x.denominator % p == 0 for mat in m.matrices.values() for x in mat.flat):
+    if any(x.denominator % p == 0 for mat in m.matrices.values() for row in mat for x in row):
         raise ZeroDivisionError(f"prime {p} divides a denominator")
     return representation(m.quiver, fld, m.dim, m.matrices)
 

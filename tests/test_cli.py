@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quivermod
 from quivermod.cli import main
 
 K3 = {"vertices": 2,
@@ -250,3 +255,15 @@ def test_malformed_sigma_file_exit_code(name, tmp_path, k3_file, capsys):
     assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_import_leaves_numpy_out():
+    """A fresh interpreter that imports the CLI loads no numpy module."""
+    src = str(Path(quivermod.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import quivermod.cli, sys; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -45,8 +45,13 @@ def test_prime_field_rejects_large_primes_at_once():
 def test_rational_parsing():
     assert QQ.coerce("1/2") == Fraction(1, 2)
     a = QQ.array([["1/2", 1], ["-3", "0"]])
-    assert a[0, 0] == Fraction(1, 2)
-    assert QQ.mul("1/2", a[1, 0]) == Fraction(-3, 2)
+    assert a.rows[0][0] == Fraction(1, 2)
+    assert QQ.mul("1/2", a.rows[1][0]) == Fraction(-3, 2)
+
+
+def column(field, v):
+    """The vector v as an n x 1 matrix."""
+    return field.array([[x] for x in v])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -54,7 +59,7 @@ def test_rref_rank_nullspace(field):
     a = field.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     assert linalg.rank(field, a) == 2
     for v in linalg.nullspace(field, a):
-        prod = linalg.matmul(field, a, v.reshape(-1, 1))
+        prod = linalg.matmul(field, a, column(field, v))
         assert linalg.is_zero(field, prod)
     assert len(linalg.nullspace(field, a)) == 1
 
@@ -110,10 +115,11 @@ def test_matmul_exact_at_largest_prime():
     a = f.array([[p - 1, p - 1, p - 1], [1, 1, 0]])
     b = f.array([[p - 1], [p - 2], [p - 3]])
     out = linalg.matmul(f, a, b)
-    assert out.dtype == np.int64 and out.ravel().tolist() == [6, p - 3]
+    assert out.shape == (2, 1) and out.tolist() == [[6], [p - 3]]
+    assert all(type(x) is int for row in out for x in row)
     a = f.array([[p - 1] * 3, [p - 2] * 3])
     b = f.array([[p - 1]] * 3)
-    assert linalg.matmul(f, a, b).ravel().tolist() == [3, 6]
+    assert linalg.matmul(f, a, b).tolist() == [[3], [6]]
 
 
 def test_zero_dimensional_shapes():
@@ -126,19 +132,44 @@ def test_zero_dimensional_shapes():
     assert linalg.det(f, f.zeros(0, 0)) == f.one
 
 
+def test_transpose_and_kron():
+    f = PrimeField(7)
+    a = f.array([[1, 2, 3], [4, 5, 6]])
+    assert linalg.transpose(f, a).tolist() == [[1, 4], [2, 5], [3, 6]]
+    assert linalg.transpose(f, f.zeros(0, 2)).shape == (2, 0)
+    assert linalg.transpose(f, f.zeros(2, 0)).shape == (0, 2)
+    b = f.array([[1, 6]])
+    want = np.kron(np.array(a.tolist()), np.array(b.tolist())) % 7
+    k = linalg.kron(f, a, b)
+    assert k.shape == want.shape and k.tolist() == want.tolist()
+    assert linalg.kron(f, a, f.zeros(0, 3)).shape == (0, 9)
+
+
 def test_block_diag():
     f = QQ
     a = f.array([[1]])
     b = f.array([[2, 3]])
     d = linalg.block_diag(f, [a, b])
     assert d.shape == (2, 3)
-    assert d[0, 0] == 1 and d[1, 1] == 2 and d[1, 2] == 3 and d[0, 1] == 0
+    assert d.tolist() == [[1, 0, 0], [0, 2, 3]]
+    assert all(isinstance(x, Fraction) for row in d for x in row)
 
 
 # --- the elimination kernel against the numpy elimination it replaced --------
 
+def normalize(field, a):
+    """An ndarray reduced into the field: mod p over F_p, as is over Q."""
+    return a % field.p if isinstance(field, PrimeField) else a
+
+
+def to_np(field, a):
+    """A `Matrix` as an ndarray: int64 over F_p, `Fraction` objects over Q."""
+    dtype = np.int64 if isinstance(field, PrimeField) else object
+    return np.array(a.tolist(), dtype=dtype).reshape(a.shape)
+
+
 def ref_rref(field, a):
-    r_mat = field.normalize(np.array(a, copy=True))
+    r_mat = normalize(field, to_np(field, a))
     m, n = r_mat.shape
     pivots = []
     r = 0
@@ -154,10 +185,10 @@ def ref_rref(field, a):
             continue
         if pr != r:
             r_mat[[r, pr]] = r_mat[[pr, r]]
-        r_mat[r] = field.normalize(r_mat[r] * field.scalar_inv(r_mat[r, c]))
+        r_mat[r] = normalize(field, r_mat[r] * field.scalar_inv(r_mat[r, c]))
         col = r_mat[:, c].copy()
         col[r] = field.zero
-        r_mat = field.normalize(r_mat - np.outer(col, r_mat[r]))
+        r_mat = normalize(field, r_mat - np.outer(col, r_mat[r]))
         pivots.append(c)
         r += 1
     return r_mat, pivots
@@ -167,7 +198,7 @@ def ref_det(field, a):
     n = a.shape[0]
     if n == 0:
         return field.one
-    w = field.normalize(np.array(a, copy=True))
+    w = normalize(field, to_np(field, a))
     sign = 1
     for k in range(n):
         pr = None
@@ -184,11 +215,11 @@ def ref_det(field, a):
         for i in range(k + 1, n):
             if field.scalar_is_zero(w[i, k]):
                 continue
-            factor = field.normalize(np.array([[w[i, k] * inv_piv]]))[0, 0]
-            w[i] = field.normalize(w[i] - factor * w[k])
+            factor = normalize(field, np.array([[w[i, k] * inv_piv]]))[0, 0]
+            w[i] = normalize(field, w[i] - factor * w[k])
     prod = field.one
     for k in range(n):
-        prod = field.normalize(np.array([[prod * w[k, k]]]))[0, 0]
+        prod = normalize(field, np.array([[prod * w[k, k]]]))[0, 0]
     if sign < 0:
         prod = field.scalar_neg(prod)
     return prod
@@ -196,10 +227,10 @@ def ref_det(field, a):
 
 def ref_inv(field, a):
     n = a.shape[0]
-    aug = field.zeros(n, 2 * n)
-    aug[:, :n] = field.normalize(np.array(a, copy=True))
-    aug[:, n:] = field.identity(n)
-    r_mat, pivots = ref_rref(field, aug)
+    aug = to_np(field, field.zeros(n, 2 * n))
+    aug[:, :n] = to_np(field, a)
+    aug[:, n:] = to_np(field, field.identity(n))
+    r_mat, pivots = ref_rref(field, field.array(aug))
     if pivots[:n] != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return r_mat[:, n:]
@@ -253,13 +284,12 @@ EDGE = [(f, f.zeros(m, n)) for f in (PrimeField(3), QQ) for m, n in ((0, 0), (0,
 
 
 def same_matrix(field, got, want):
+    """`got`, a `Matrix`, equals the ndarray `want` and holds plain ints over F_p,
+    `Fraction`s over Q."""
     assert got.shape == want.shape
-    if isinstance(field, PrimeField):
-        assert got.dtype == np.int64 and np.array_equal(got, want)
-    else:
-        assert got.dtype == object
-        assert all(isinstance(x, Fraction) for x in got.flat)
-        assert got.tolist() == want.tolist()
+    assert got.tolist() == want.tolist()
+    element = int if isinstance(field, PrimeField) else Fraction
+    assert all(type(x) is element for row in got for x in row)
 
 
 @KERNEL
@@ -278,7 +308,7 @@ def test_rref_rank_nullspace_match_reference(case):
     kernel = linalg.nullspace(field, a)
     assert len(kernel) == a.shape[1] - len(want_pivots)
     for v in kernel:
-        assert linalg.is_zero(field, linalg.matmul(field, a, v.reshape(-1, 1)))
+        assert linalg.is_zero(field, linalg.matmul(field, a, column(field, v)))
 
 
 @KERNEL

@@ -204,9 +204,9 @@ def test_nonemptiness_matches_exhaustive_oracle(k3, a2):
                 for vals in product(range(2), repeat=len(cells)):
                     mats = {}
                     for (aid, r, c), v in zip(cells, vals):
-                        mats.setdefault(aid, f2.zeros(
-                            alpha[q.arrow_map[aid].tgt - 1],
-                            alpha[q.arrow_map[aid].src - 1]))[r, c] = v
+                        arrow = q.arrow_map[aid]
+                        mats.setdefault(aid, [[0] * alpha[arrow.src - 1]
+                                              for _ in range(alpha[arrow.tgt - 1])])[r][c] = v
                     m = representation(q, f2, alpha, mats)
                     if is_semistable(m, theta).semistable:
                         found = True

@@ -23,20 +23,21 @@ def test_evaluate_trivial_path(k3):
     m = zero_representation(k3, QQ, (2, 1))
     out = evaluate_path(m, trivial_path(1))
     assert out.shape == (2, 2)
-    assert out[0, 0] == 1 and out[0, 1] == 0 and out[1, 1] == 1
+    assert out.tolist() == [[1, 0], [0, 1]]
 
 
 def test_evaluate_single_arrow(a2):
     m = representation(a2, QQ, (1, 1), {"a": [[3]]})
     out = evaluate_path(m, Path(1, 2, ("a",)))
-    assert out[0, 0] == 3
+    assert out.tolist() == [[3]]
+    assert out is m.matrix("a")  # a one-arrow path is the arrow's own (immutable) matrix
 
 
 def test_evaluate_composite(a3):
     m = representation(a3, QQ, (1, 2, 1), {"a": [[2], [3]], "b": [[1, 4]]})
     out = evaluate_path(m, Path(1, 3, ("a", "b")))
     assert out.shape == (1, 1)
-    assert out[0, 0] == 2 * 1 + 3 * 4
+    assert out.tolist() == [[2 * 1 + 3 * 4]]
 
 
 def test_evaluate_foreign_path(a2, k3):
@@ -82,15 +83,15 @@ def test_act_identity(k3):
     m = rep_k3(k3, QQ, (1, 2, 3))
     g = group_element(QQ, [[[1]], [[1]]])
     out = act(g, m)
-    assert all((out.matrix(a) == m.matrix(a)).all() for a in m.matrices)
+    assert all(out.matrix(a) == m.matrix(a) for a in m.matrices)
 
 
 def test_act_example(k3):
     m = rep_k3(k3, QQ, (1, 0, 0))
     g = group_element(QQ, [[[2]], [[3]]])
     out = act(g, m)
-    assert out.matrix("x")[0, 0] == Fraction(3, 2)
-    assert out.matrix("y")[0, 0] == 0
+    assert out.matrix("x").tolist() == [[Fraction(3, 2)]]
+    assert out.matrix("y").tolist() == [[0]]
 
 
 def test_act_composition(k3):
@@ -219,54 +220,114 @@ def test_serialization_round_trip(k3):
     assert doc["matrices"]["x"] == [["1/2"]]
     back = representation_from_json(doc)
     assert back.dim == m.dim
-    assert back.matrix("x")[0, 0] == Fraction(1, 2)
+    assert back.matrix("x").tolist() == [[Fraction(1, 2)]]
 
     f3 = PrimeField(3)
     n = representation(k3, f3, (1, 1), {"x": [[2]], "y": [[0]], "z": [[1]]})
     back = representation_from_json(n.to_json())
-    assert back.field == f3 and back.matrix("x")[0, 0] == 2
+    assert back.field == f3 and back.matrix("x").tolist() == [[2]]
 
 
 def test_int64_arrays_over_rationals_are_coerced(a2):
     # int64 arrays over Q become Fractions, so the products cannot wrap
     g = group_element(QQ, [np.array([[1]]), np.array([[2**62]])])
     m = representation(a2, QQ, (1, 1), {"a": np.array([[4]])})
-    assert isinstance(m.matrix("a")[0, 0], Fraction)
-    assert act(g, m).matrix("a")[0, 0] == 2**64
+    assert m.matrix("a").tolist() == [[4]] and type(m.matrix("a").rows[0][0]) is Fraction
+    assert act(g, m).matrix("a").tolist() == [[2**64]]
 
 
 def test_object_and_float_arrays_are_coerced(a2):
     f5 = PrimeField(5)
     half = representation(a2, f5, (1, 1), {"a": np.array([[Fraction(1, 2)]], dtype=object)})
-    assert half.matrix("a").dtype == np.int64 and half.matrix("a")[0, 0] == 3
-    assert representation(a2, f5, (1, 1), {"a": np.array([[-7]])}).matrix("a")[0, 0] == 3
+    assert half.matrix("a").tolist() == [[3]] and type(half.matrix("a").rows[0][0]) is int
+    assert representation(a2, f5, (1, 1), {"a": np.array([[-7]])}).matrix("a").tolist() == [[3]]
     with pytest.raises(FieldError):
         representation(a2, QQ, (1, 1), {"a": np.array([[0.5]])})
     with pytest.raises(FieldError):
         group_element(f5, [np.array([[1.0]]), [[1]]])
 
 
+def assert_elements(field, a):
+    """`a` has the rows its shape claims, of plain ints in 0..p-1 over F_p and of
+    `Fraction`s over Q."""
+    assert len(a.rows) == a.shape[0] and all(len(row) == a.shape[1] for row in a.rows)
+    for row in a.rows:
+        for x in row:
+            if isinstance(field, PrimeField):
+                assert type(x) is int and 0 <= x < field.p
+            else:
+                assert type(x) is Fraction
+
+
+FIELDS = [QQ, PrimeField(5), PrimeField(2**31 - 1)]
+FIELD_IDS = ["Q", "F5", "F2^31-1"]
+
+
 def test_field_array_shapes():
-    for field in (QQ, PrimeField(7)):
+    for field in FIELDS + [PrimeField(7)]:
         assert field.array(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
         assert field.array(np.zeros((2, 0), dtype=object)).shape == (2, 0)
         assert field.array([[], []]).shape == (2, 0)
         assert field.array([]).shape == (0, 0)
-        for bad in ([[1], [1, 2]], np.array([1, 2]), 3, [3], [["1/0"]]):
+        for bad in ([[1], [1, 2]], np.array([1, 2]), 3, [3], [["1/0"]], [[0.5]]):
             with pytest.raises(FieldError):
                 field.array(bad)
+        # entries of every integer type, fractions and strings become field elements
+        data = [[np.int64(-7), 2**40, True], [Fraction(1, 2), "-3/4", 0]]
+        for a in (field.array(data), field.array(np.array(data, dtype=object)),
+                  field.zeros(2, 3), field.zeros(0, 2), field.zeros(2, 0), field.identity(3)):
+            assert_elements(field, a)
+            assert field.array(a) == a
+        assert field.array(data).tolist() == [[field.coerce(x) for x in row] for row in data]
+        # a matrix without columns keeps its shape through tolist(); one without
+        # rows reads back as [], whose column count `representation` restores
+        assert field.array(field.zeros(3, 0).tolist()).shape == (3, 0)
+        assert field.zeros(0, 3).tolist() == []
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)],
-                         ids=["Q", "F5", "F2^31-1"])
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_zero_row_round_trip(field, k3):
     two_cycle = quiver(2, [("a", 1, 2), ("b", 2, 1)])
     for q, dim in ((k3, (2, 0)), (two_cycle, (0, 2)), (two_cycle, (2, 0))):
         m = random_representation(q, field, dim, random.Random(1))
-        back = representation_from_json(m.to_json())
-        assert back.dim == dim and back.field == field
-        assert all(back.matrix(a).shape == m.matrix(a).shape for a in m.matrices)
-        assert back.to_json() == m.to_json()
+        assert all(m.matrix(a.id).shape == (dim[a.tgt - 1], dim[a.src - 1]) for a in q.arrows)
+        lists = {a: x.tolist() for a, x in m.matrices.items()}
+        for back in (representation_from_json(m.to_json()), representation(q, field, dim, lists)):
+            assert back.dim == dim and back.field == field
+            assert all(back.matrix(a) == m.matrix(a) for a in m.matrices)
+            assert back.to_json() == m.to_json()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_operations_keep_element_types(field, k3):
+    """Results of act, inv, matmul, evaluate_sigma and hom_space bases hold the
+    field's own elements: `Fraction`s over Q (never ints), plain ints over F_p."""
+    import quivermod.linalg as linalg
+    from quivermod import check_localized_point, evaluate_sigma, make_sigma
+    rng = random.Random(3)
+    m = random_representation(k3, field, (2, 2), rng)
+    g = random_group_element(field, (2, 2), rng)
+    moved = act(g, m)
+    for a in k3.arrows:
+        assert_elements(field, m.matrix(a.id))
+        assert_elements(field, moved.matrix(a.id))
+    for gi in g.mats:
+        assert_elements(field, gi)
+        assert_elements(field, linalg.inv(field, gi))
+        assert_elements(field, linalg.matmul(field, gi, gi))
+    sigma = make_sigma(k3, (-1, 1), 2, seed=1)
+    assert_elements(field, evaluate_sigma(sigma, m))
+    for path in (Path(1, 2, ("x",)), trivial_path(1)):
+        assert_elements(field, evaluate_path(m, path))
+    point = check_localized_point([sigma], m)
+    for inverse in point.inverses or []:
+        assert_elements(field, inverse)
+    hom = hom_space(m, m)
+    assert hom.dim >= 1
+    for maps in hom.basis:
+        for f in maps.values():
+            assert f.shape == (2, 2)
+            assert_elements(field, f)
 
 
 def test_bad_shape_rejected(k3):
@@ -279,13 +340,22 @@ def test_bad_shape_rejected(k3):
 # --- the Hom/Ext^1 system against the kron-built reference ---------------------
 
 def _kron_reference(m, n):
-    """Hom and Ext^1 from the system assembled of kron blocks: (dim, basis, cokernel)."""
+    """Hom and Ext^1 from the system assembled of kron blocks in ndarrays: (dim,
+    basis, cokernel), the basis maps as ndarrays."""
     import quivermod.linalg as linalg
     fld = m.field
+    modular = isinstance(fld, PrimeField)
+    dtype = np.int64 if modular else object
+
+    def normalize(a):
+        return a % fld.p if modular else a
+
+    def np_matrix(a):
+        return np.array(a.tolist(), dtype=dtype).reshape(a.shape)
 
     def kron(a, b):
         out = np.kron(a, b)
-        return fld.normalize(out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
+        return normalize(out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
 
     k = m.quiver.vertex_count
     sizes = [n.dim[i] * m.dim[i] for i in range(k)]
@@ -294,23 +364,24 @@ def _kron_reference(m, n):
         off.append(off[-1] + s)
     labels = [(a.id, r, c) for a in m.quiver.arrows
               for r in range(n.dim[a.tgt - 1]) for c in range(m.dim[a.src - 1])]
-    d = fld.zeros(len(labels), off[-1])
+    d = np_matrix(fld.zeros(len(labels), off[-1]))
     r0 = 0
     for a in m.quiver.arrows:
         i, j = a.src - 1, a.tgt - 1
         rows = n.dim[j] * m.dim[i]
         if rows:
             if sizes[j]:  # vec(f_j M_a) = (I_{n_j} kron M_a^T) vec(f_j)
-                d[r0:r0 + rows, off[j]:off[j + 1]] += kron(fld.identity(n.dim[j]),
-                                                           m.matrix(a.id).T)
+                d[r0:r0 + rows, off[j]:off[j + 1]] += kron(np_matrix(fld.identity(n.dim[j])),
+                                                           np_matrix(m.matrix(a.id)).T)
             if sizes[i]:  # vec(N_a f_i) = (N_a kron I_{m_i}) vec(f_i)
-                d[r0:r0 + rows, off[i]:off[i + 1]] -= kron(n.matrix(a.id),
-                                                           fld.identity(m.dim[i]))
+                d[r0:r0 + rows, off[i]:off[i + 1]] -= kron(np_matrix(n.matrix(a.id)),
+                                                           np_matrix(fld.identity(m.dim[i])))
         r0 += rows
-    d = fld.normalize(d)
-    basis = [{i + 1: v[off[i]:off[i + 1]].reshape(n.dim[i], m.dim[i]) for i in range(k)}
-             for v in linalg.nullspace(fld, d)]
-    pivots = set(linalg.rref(fld, d.T)[1]) if d.shape[1] else set()
+    d = normalize(d)
+    basis = [{i + 1: np.array(v[off[i]:off[i + 1]], dtype=dtype).reshape(n.dim[i], m.dim[i])
+              for i in range(k)}
+             for v in linalg.nullspace(fld, fld.array(d))]
+    pivots = set(linalg.rref(fld, fld.array(d.T))[1]) if d.shape[1] else set()
     coker = tuple(lab for t, lab in enumerate(labels) if t not in pivots)
     return len(basis), basis, coker
 
@@ -357,7 +428,7 @@ def test_hom_ext_match_kron_reference(name, field):
         for got, want in zip(hom.basis, basis):
             assert sorted(got) == sorted(want)
             for v in want:
-                assert got[v].dtype == want[v].dtype and got[v].shape == want[v].shape
+                assert got[v].shape == want[v].shape
                 assert got[v].tolist() == want[v].tolist()
-                assert [type(x) for x in got[v].flat] == [type(x) for x in want[v].flat]
+                assert_elements(field, got[v])
         assert ext.cokernel == coker and ext.dim == len(coker)

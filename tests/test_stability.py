@@ -186,7 +186,7 @@ def reference_subreps(m):
     for combo in product(*per_vertex):
         beta = tuple(b.shape[0] for b, _ in combo)
         if verify_witness(m, SubrepWitness({v + 1: b for v, (b, _) in enumerate(combo)}, beta)):
-            out.append((beta, tuple(b.tobytes() for b, _ in combo)))
+            out.append((beta, tuple(b.rows for b, _ in combo)))
     return out
 
 
@@ -213,7 +213,7 @@ def test_search_matches_product_scan(name, p):
         dims.append(tuple([0] + [top] * (k - 1)))
     for dim in dims:
         for m in (zero_representation(q, fld, dim), random_representation(q, fld, dim, rng)):
-            got = [(w.beta, tuple(w.bases[v + 1].tobytes() for v in range(k)))
+            got = [(w.beta, tuple(w.bases[v + 1].rows for v in range(k)))
                    for w in enumerate_subreps(m)]
             assert got == reference_subreps(m), dim
 
