@@ -14,14 +14,17 @@ denominators and then runs fraction-free Gauss-Jordan (Bareiss 1968): each
 step divides exactly by the previous pivot, so every entry stays an integer
 minor of the scaled matrix, and the rref is the result divided by the last
 pivot. Elimination uses the first nonzero pivot in each column, so every
-result is deterministic. `matmul` forms each entry as one sum of Python-int or
-`Fraction` products, reduced mod p over F_p, so it is exact for every prime
-below 2^31.
+result is deterministic. `matmul` forms each entry as one sum of Python-int
+products. Over F_p the sum is reduced mod p, so it is exact for every prime
+below 2^31. Over Q each row of the left factor and each column of the right
+one is first scaled to integers by the lcm of its denominators, and the sum
+becomes one `Fraction` over the product of the two scales, so an entry costs
+one normalisation instead of a `Fraction` multiply and add per term.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .fields import Field, Matrix, PrimeField
@@ -37,8 +40,20 @@ def matmul(field: Field, a: Matrix, b: Matrix) -> Matrix:
         p = field.p
         rows = [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a.rows]
     else:
-        rows = [tuple([sum(map(mul, row, col)) for col in cols]) for row in a.rows]
+        zero = Fraction(0)
+        cols = [_scaled(col) for col in cols]
+        rows = []
+        for da, row in map(_scaled, a.rows):
+            rows.append(tuple([Fraction(s, da * db) if (s := sum(map(mul, row, col))) else zero
+                               for db, col in cols]))
     return Matrix(tuple(rows), (a.shape[0], b.shape[1]))
+
+
+def _scaled(xs) -> tuple[int, list[int]]:
+    """(d, ns) with xs = ns / d entrywise: d the lcm of the denominators of the
+    rationals xs, ns Python ints."""
+    d = lcm(*[x.denominator for x in xs])
+    return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
 def transpose(field: Field, a: Matrix) -> Matrix:
@@ -82,12 +97,9 @@ def _eliminate(field: Field, rows, n: int):
         rows = list(rows)
         scale = 1
     else:
-        scaled, scale = [], 1
-        for row in rows:
-            s = lcm(*(x.denominator for x in row))
-            scaled.append([x.numerator * (s // x.denominator) for x in row])
-            scale *= s
-        rows = scaled
+        scaled = list(map(_scaled, rows))
+        scale = prod(s for s, _ in scaled)
+        rows = [row for _, row in scaled]
     sign = prev = 1   # prev: over F_p the product of the pivots, over Q the last pivot
     pivots: list[int] = []
     for c in range(n):

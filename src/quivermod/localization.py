@@ -14,6 +14,7 @@ import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -68,6 +69,10 @@ class SigmaMorphism:
     def __post_init__(self):
         if not self.domain or not self.codomain:
             raise SigmaError("domain and codomain must be nonempty")
+        k = self.quiver.vertex_count
+        bad = [v for v in self.domain + self.codomain if not 1 <= v <= k]
+        if bad:
+            raise SigmaError(f"vertices {bad} are not among the quiver's vertices 1..{k}")
         if len(self.entries) != len(self.domain) or any(
                 len(row) != len(self.codomain) for row in self.entries):
             raise SigmaError("entry matrix shape must be len(domain) x len(codomain)")
@@ -165,6 +170,8 @@ def make_sigma(q: Quiver, theta: Sequence[int], z: int,
     """Seeded random member of Sigma_z with bounded-length path entries."""
     if not q.acyclic:
         raise QuiverError("make_sigma requires an acyclic quiver")
+    if len(theta) != q.vertex_count:
+        raise QuiverError(f"weight length {len(theta)} != vertex count {q.vertex_count}")
     domain, codomain = sigma_family_for_weight(theta, z)
     rng = random.Random(seed)
     entries = []
@@ -190,25 +197,51 @@ def numerical_condition(sigma: SigmaMorphism, alpha: Sequence[int]) -> bool:
 
 def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
     """Block matrix with arrows replaced by the representation's matrices,
-    assembled one block row at a time."""
+    assembled one block row at a time.
+
+    Each block sum_t c_t P_t (P_t the matrix of the t-th path) is accumulated on
+    Python-int numerators over one common denominator D and divided once per
+    entry at the end. Over Q, D is the lcm over the terms of the coefficient's
+    denominator times the lcm of P_t's denominators; over F_p the coefficients
+    are residues, D is 1 and each entry is reduced mod p.
+    """
     if sigma.quiver != m.quiver:
         raise RepresentationError("sigma and representation live over different quivers")
     fld = m.field
     p = fld.p if isinstance(fld, PrimeField) else 0
+    zero = fld.zero
     col_dims = [m.dim[j - 1] for j in sigma.codomain]
     rows = []
     for i, entry_row in zip(sigma.domain, sigma.entries):
         lines = [[] for _ in range(m.dim[i - 1])]
         for cd, comb in zip(col_dims, entry_row):
-            block = [[fld.zero] * cd for _ in lines]
-            for coeff, path in comb.terms:
-                c = fld.coerce(coeff)
-                for line, path_row in zip(block, evaluate_path(m, path).rows):
+            d, terms = _integer_terms(fld, m, comb)
+            block = [[0] * cd for _ in lines]
+            for c, path_rows in terms:
+                for line, path_row in zip(block, path_rows):
                     line[:] = [x + c * y for x, y in zip(line, path_row)]
             for line, block_line in zip(lines, block):
-                line.extend([x % p for x in block_line] if p else block_line)
+                line.extend([x % p for x in block_line] if p else
+                            [Fraction(x, d) if x else zero for x in block_line])
         rows.extend(map(tuple, lines))
     return Matrix(tuple(rows), (len(rows), sum(col_dims)))
+
+
+def _integer_terms(fld: Field, m: Representation, comb: PathCombination):
+    """(D, [(c, rows)]) with comb evaluated at m equal to sum c * rows / D, the
+    c and the entries of rows Python ints (residues over F_p, where D = 1)."""
+    if isinstance(fld, PrimeField):
+        return 1, [(fld.coerce(c), evaluate_path(m, path).rows)
+                   for c, path in comb.terms]
+    scaled = []
+    for c, path in comb.terms:
+        path_rows = evaluate_path(m, path).rows
+        e = lcm(*[x.denominator for row in path_rows for x in row])
+        scaled.append((c, e, path_rows))
+    d = lcm(*[c.denominator * e for c, e, _ in scaled])
+    return d, [(c.numerator * (d // (c.denominator * e)),
+                [[x.numerator * (e // x.denominator) for x in row] for row in path_rows])
+               for c, e, path_rows in scaled]
 
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
@@ -221,6 +254,8 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
     """Character value prod det(g_i)^{theta_i}."""
+    if len(theta) != len(g.mats):
+        raise QuiverError(f"weight length {len(theta)} != group element length {len(g.mats)}")
     fld = g.field
     out = fld.one
     for gi, t in zip(g.mats, theta):

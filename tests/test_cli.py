@@ -241,6 +241,8 @@ MALFORMED_SIGMAS = {
     "null coeff": {**SIGMA, "entries": [[[{"coeff": None, "path": ["x"]}]]]},
     "zero denominator": {**SIGMA, "entries": [[[{"coeff": "1/0", "path": ["x"]}]]]},
     "integer term": {**SIGMA, "entries": [[[5]]]},
+    "vertex 0": {**SIGMA, "domain": [0], "entries": [[[]]]},
+    "vertex past the last": {**SIGMA, "domain": [3], "entries": [[[]]]},
 }
 
 
@@ -255,6 +257,20 @@ def test_malformed_sigma_file_exit_code(name, tmp_path, k3_file, capsys):
     assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("domain", [0, 3])
+def test_localize_rejects_vertex_out_of_range(domain, tmp_path, k3_file, capsys):
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps({**SIGMA, "domain": [domain], "entries": [[[]]]}))
+    assert main(["localize", "-q", k3_file, "-s", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_sigma_gen_rejects_weight_length(k3_file, capsys):
+    assert main(["sigma-gen", "-q", k3_file, "--theta", "-1,0,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_import_leaves_numpy_out():

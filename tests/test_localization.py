@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from quivermod import (QQ, NonSquareError, Path, PrimeField, SigmaError,
-                       SigmaMorphism, act, check_localized_point, chi_theta,
-                       evaluate_sigma, extended_quiver, is_semistable,
+from quivermod import (QQ, NonSquareError, Path, PrimeField, QuiverError,
+                       SigmaError, SigmaMorphism, act, check_localized_point, chi_theta,
+                       evaluate_sigma, extended_quiver, group_element,
+                       is_semistable,
                        localization_presentation, make_sigma,
                        numerical_condition, path_combination, quiver,
                        random_group_element, random_representation,
@@ -61,6 +62,22 @@ def test_make_sigma_bad_weight(k3):
         make_sigma(k3, (-1, 0), 1)
 
 
+def test_make_sigma_rejects_weight_length(k3):
+    with pytest.raises(QuiverError):
+        make_sigma(k3, (-1, 0, 1), 1)
+    with pytest.raises(QuiverError):
+        make_sigma(k3, (-1,), 1)
+
+
+@pytest.mark.parametrize("vertex", [0, -1, 3])
+def test_sigma_vertices_out_of_range(k3, vertex):
+    empty = path_combination(1, vertex, [])
+    with pytest.raises(SigmaError):
+        SigmaMorphism(k3, (vertex,), (1,), ((empty,),))
+    with pytest.raises(SigmaError):
+        SigmaMorphism(k3, (2,), (vertex,), ((path_combination(vertex, 2, []),),))
+
+
 def test_numerical_condition(k3):
     s = coord_sigma(k3, "x")
     assert numerical_condition(s, (1, 1))
@@ -112,6 +129,14 @@ def test_transformation_law_example(k3):
     g = group_element(QQ, [[[2]], [[3]]])
     assert chi_theta(g, (-1, 1)) == Fraction(3, 2)
     assert semi_invariant(s, act(g, m)) == Fraction(3, 2) * semi_invariant(s, m)
+
+
+def test_chi_theta_rejects_weight_length():
+    g = group_element(QQ, [[[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[3, 0], [1, 1]]])
+    assert chi_theta(g, (-1, 1)) == Fraction(3, 2)
+    for theta in [(-1,), (-1, 1, 0)]:
+        with pytest.raises(QuiverError):
+            chi_theta(g, theta)
 
 
 def test_transformation_law_random(k3):
@@ -208,6 +233,47 @@ def test_inverse_relations_random(k3):
             ident = QQ.identity(4)
             assert linalg.equal(QQ, linalg.matmul(QQ, mat, v.inverses[0]), ident)
             assert linalg.equal(QQ, linalg.matmul(QQ, v.inverses[0], mat), ident)
+            # the same relations from naive `Fraction` products, independent of matmul
+            want = [[int(i == j) for j in range(4)] for i in range(4)]
+            assert fraction_product(mat.tolist(), v.inverses[0].tolist()) == want
+            assert fraction_product(v.inverses[0].tolist(), mat.tolist()) == want
+
+
+def fraction_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def laplace_det(rows):
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * rows[0][j] * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def test_check_localized_point_rational_entries(k3):
+    """Over Q with non-integer matrix entries: the determinant, the inverse and
+    both relations agree with naive `Fraction` arithmetic."""
+    rng = random.Random(13)
+    sigma = make_sigma(k3, (-1, 1), 2, seed=8)
+    hits = 0
+    while hits < 3:
+        mats = {a: [[Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(2)]
+                    for _ in range(2)] for a in "xyz"}
+        m = representation(k3, QQ, (2, 2), mats)
+        assert any(x.denominator > 1 for a in "xyz" for row in m.matrix(a) for x in row)
+        v = check_localized_point([sigma], m)
+        mat = evaluate_sigma(sigma, m).tolist()
+        assert v.determinants == [laplace_det(mat)]
+        if not v.invertible:
+            continue
+        hits += 1
+        assert v.relations_verified
+        inverse = v.inverses[0].tolist()
+        assert all(type(x) is Fraction for row in inverse for x in row)
+        want = [[int(i == j) for j in range(4)] for i in range(4)]
+        assert fraction_product(mat, inverse) == want
+        assert fraction_product(inverse, mat) == want
 
 
 def test_extended_quiver(a2):
