@@ -6,12 +6,14 @@ over Q and ints in 0..p-1 over F_p, and it records its `shape`, so a matrix
 without rows keeps its column count. Both field tags expose the same small
 API so the linear algebra in :mod:`quivermod.linalg` is written once.
 
-`array` is the one place where outside values become field elements. It takes
-nested lists, and any 2-d object with `shape` and `tolist()` (a `Matrix`, an
-ndarray), whose shape it keeps (also (0, n)). It coerces every entry with
-the field's `coerce`: integers (anything with `__index__`), `Fraction`s and
-strings such as "-3/4" are accepted, anything else (floats included) raises
-`FieldError`.
+`Field.coerce` is the one place where outside scalars become field elements
+(`quiver.int_vector` is the one place for outside integers): integers
+(anything with `__index__`), `Fraction`s and strings such as "-3/4" are
+accepted, anything else (floats included) raises `FieldError`. The scalar
+methods of `Field` (`scalar_is_zero`, `scalar_inv`, `scalar_neg`, `mul`,
+`format_scalar`) are written once, on `coerce`. `array` takes nested lists,
+and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray), whose
+shape it keeps (also (0, n)), and coerces every entry.
 """
 from __future__ import annotations
 
@@ -98,9 +100,13 @@ def _matrix(coerce, data) -> Matrix:
     return Matrix(rows, (len(rows), cols))
 
 
-class _Constructors:
-    """`zeros` and `identity`, shared by both field tags through their `zero`
-    and `one`."""
+class Field:
+    """What both field tags share, written on their `zero`, `one` and
+    `coerce`."""
+
+    def coerce(self, x):
+        """`x` as an element of the field, or `FieldError`."""
+        raise NotImplementedError
 
     def zeros(self, rows: int, cols: int) -> Matrix:
         return Matrix(((self.zero,) * cols,) * rows, (rows, cols))
@@ -110,9 +116,27 @@ class _Constructors:
         return Matrix(tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)),
                       (n, n))
 
+    def scalar_is_zero(self, x) -> bool:
+        return self.coerce(x) == 0
+
+    def scalar_inv(self, x):
+        x = self.coerce(x)
+        if x == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.coerce(Fraction(1, x))
+
+    def scalar_neg(self, x):
+        return self.coerce(-self.coerce(x))
+
+    def mul(self, x, y):
+        return self.coerce(self.coerce(x) * self.coerce(y))
+
+    def format_scalar(self, x) -> str:
+        return str(self.coerce(x))
+
 
 @dataclass(frozen=True)
-class Rationals(_Constructors):
+class Rationals(Field):
     """Tag for exact rational arithmetic."""
 
     name = "Q"
@@ -131,30 +155,12 @@ class Rationals(_Constructors):
     def array(self, rows) -> Matrix:
         return _matrix(self.coerce, rows)
 
-    def scalar_is_zero(self, x) -> bool:
-        return x == 0
-
-    def scalar_inv(self, x):
-        x = _parse_rational(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / x
-
-    def scalar_neg(self, x):
-        return -_parse_rational(x)
-
-    def mul(self, x, y):
-        return _parse_rational(x) * _parse_rational(y)
-
-    def format_scalar(self, x) -> str:
-        return str(_parse_rational(x))
-
     def to_json(self):
         return "Q"
 
 
 @dataclass(frozen=True)
-class PrimeField(_Constructors):
+class PrimeField(Field):
     """Tag for arithmetic in F_p, p any prime below 2^31 (2 included)."""
 
     p: int
@@ -186,29 +192,9 @@ class PrimeField(_Constructors):
     def array(self, rows) -> Matrix:
         return _matrix(self.coerce, rows)
 
-    def scalar_is_zero(self, x) -> bool:
-        return int(x) % self.p == 0
-
-    def scalar_inv(self, x):
-        v = int(x) % self.p
-        if v == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(v, self.p - 2, self.p)
-
-    def scalar_neg(self, x):
-        return (-int(x)) % self.p
-
-    def mul(self, x, y):
-        return int(x) * int(y) % self.p
-
-    def format_scalar(self, x) -> str:
-        return str(int(x) % self.p)
-
     def to_json(self):
         return {"p": self.p}
 
-
-Field = Rationals | PrimeField
 
 QQ = Rationals()
 

@@ -10,17 +10,16 @@ vertex, so morphisms over the original quiver lift verbatim.
 """
 from __future__ import annotations
 
-import operator
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
-from .fields import QQ, Field, Matrix, PrimeField, _parse_rational
-from .quiver import (Path, Quiver, QuiverError, paths_between, quiver,
-                     theta_pairing, trivial_path)
+from .fields import Field, Matrix, PrimeField, _parse_rational
+from .quiver import (Path, Quiver, QuiverError, dim_vector, int_vector, paths_between,
+                     quiver)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
 
 
@@ -49,7 +48,8 @@ class PathCombination:
 
 def path_combination(source: int, target: int, terms) -> PathCombination:
     cleaned = tuple((Fraction(c), p) for c, p in terms if Fraction(c) != 0)
-    return PathCombination(int(source), int(target), cleaned)
+    source, target = int_vector((source, target), what="path combination ends")
+    return PathCombination(source, target, cleaned)
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,7 @@ def _json_list(value, what: str) -> list:
 
 
 def _vertex_list(data: Mapping, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(operator.index(i) for i in _json_list(data.get(key), key))
-    except TypeError as exc:
-        raise SigmaError(f"{key} must list vertex numbers") from exc
+    return int_vector(_json_list(data.get(key), key), what=key, error=SigmaError)
 
 
 def sigma_from_json(data: dict, q: Quiver) -> SigmaMorphism:
@@ -155,7 +152,8 @@ def _path_from_arrows(q: Quiver, source: int, target: int,
 
 def sigma_family_for_weight(theta: Sequence[int], z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Domain/codomain vertex lists of a member of Sigma_z for the weight."""
-    theta = tuple(int(t) for t in theta)
+    theta = int_vector(theta)
+    (z,) = int_vector((z,), what="z", error=SigmaError)
     if z < 1:
         raise SigmaError("z must be a positive integer")
     domain = tuple(i + 1 for i, t in enumerate(theta) if t > 0 for _ in range(z * t))
@@ -170,9 +168,7 @@ def make_sigma(q: Quiver, theta: Sequence[int], z: int,
     """Seeded random member of Sigma_z with bounded-length path entries."""
     if not q.acyclic:
         raise QuiverError("make_sigma requires an acyclic quiver")
-    if len(theta) != q.vertex_count:
-        raise QuiverError(f"weight length {len(theta)} != vertex count {q.vertex_count}")
-    domain, codomain = sigma_family_for_weight(theta, z)
+    domain, codomain = sigma_family_for_weight(int_vector(theta, q.vertex_count), z)
     rng = random.Random(seed)
     entries = []
     for p, i_p in enumerate(domain):
@@ -189,7 +185,7 @@ def make_sigma(q: Quiver, theta: Sequence[int], z: int,
 
 def numerical_condition(sigma: SigmaMorphism, alpha: Sequence[int]) -> bool:
     """Is the evaluated block matrix square at dimension vector alpha?"""
-    alpha = tuple(int(a) for a in alpha)
+    alpha = dim_vector(alpha, sigma.quiver.vertex_count)
     rows = sum(alpha[i - 1] for i in sigma.domain)
     cols = sum(alpha[j - 1] for j in sigma.codomain)
     return rows == cols
@@ -254,13 +250,10 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
     """Character value prod det(g_i)^{theta_i}."""
-    if len(theta) != len(g.mats):
-        raise QuiverError(f"weight length {len(theta)} != group element length {len(g.mats)}")
     fld = g.field
     out = fld.one
-    for gi, t in zip(g.mats, theta):
+    for gi, t in zip(g.mats, int_vector(theta, len(g.mats))):
         d = linalg.det(fld, gi)
-        t = int(t)
         if t < 0:
             d = fld.scalar_inv(d)
             t = -t

@@ -4,9 +4,16 @@ Vertices are 1-based everywhere in the public API. A path stores its arrows
 in application order (the arrow leaving the source first); the product p*q
 means "apply q, then p", so evaluation against a representation satisfies
 M(p*q) = M(p) M(q).
+
+`int_vector` and `dim_vector` are the one place where outside integers (vertex
+counts, arrow ends, dimension vectors, weights, multiplicities) become the
+package's ints; `Field.coerce` in :mod:`quivermod.fields` is the one place for
+scalars. Entries go through `operator.index`, so a float or a numeric string
+raises instead of being truncated.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -18,6 +25,30 @@ class QuiverError(ValueError):
 
 DimVector = tuple[int, ...]
 Weight = tuple[int, ...]
+
+
+def int_vector(v, length: int | None = None, what: str = "weight",
+               error: type[ValueError] = QuiverError) -> tuple[int, ...]:
+    """`v` as a tuple of Python ints, of `length` entries when given. Anything
+    that is not a sequence of integers (`__index__`) raises `error`."""
+    try:
+        if isinstance(v, (str, bytes)):
+            raise TypeError
+        out = tuple(map(operator.index, v))
+    except TypeError:
+        raise error(f"{what}: expected integers, got {v!r}") from None
+    if length is not None and len(out) != length:
+        raise error(f"{what}: expected {length} entries, got {len(out)}")
+    return out
+
+
+def dim_vector(v, length: int | None = None, what: str = "dimension vector",
+               error: type[ValueError] = QuiverError) -> tuple[int, ...]:
+    """`int_vector` with nonnegative entries."""
+    out = int_vector(v, length, what, error)
+    if any(x < 0 for x in out):
+        raise error(f"{what}: expected nonnegative entries, got {out}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,6 +103,7 @@ def _is_acyclic(k: int, arrows: Sequence[Arrow]) -> bool:
 
 def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
            labels: Sequence[str] | None = None) -> Quiver:
+    (vertex_count,) = int_vector((vertex_count,), what="vertex count")
     if vertex_count < 1:
         raise QuiverError("vertex count must be positive")
     arr = []
@@ -81,9 +113,10 @@ def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
         if aid in seen_ids:
             raise QuiverError(f"duplicate arrow id {aid!r}")
         seen_ids.add(aid)
+        src, tgt = int_vector((src, tgt), what=f"arrow {aid!r} ends")
         if not (1 <= src <= vertex_count and 1 <= tgt <= vertex_count):
             raise QuiverError(f"arrow {aid!r}: vertex index out of range")
-        arr.append(Arrow(aid, int(src), int(tgt)))
+        arr.append(Arrow(aid, src, tgt))
     if labels is None:
         labels = tuple(f"v{i}" for i in range(1, vertex_count + 1))
     else:
@@ -104,8 +137,8 @@ def validate_quiver(raw) -> Quiver:
     if not isinstance(raw, dict):
         raise QuiverError("quiver description must be a mapping")
     try:
-        k = int(raw["vertices"])
-        arrows = [(a["id"], int(a["src"]), int(a["tgt"])) for a in raw.get("arrows", [])]
+        k = raw["vertices"]
+        arrows = [(a["id"], a["src"], a["tgt"]) for a in raw.get("arrows", [])]
     except (KeyError, TypeError) as exc:
         raise QuiverError(f"malformed quiver description: {exc}") from exc
     return quiver(k, arrows, raw.get("labels"))
@@ -143,6 +176,8 @@ def enumerate_paths(q: Quiver, max_len: int | None = None) -> list[Path]:
     sorted by (length, arrow ids, source)."""
     if max_len is None and not q.acyclic:
         raise QuiverError("cyclic quiver: a length bound is required")
+    if max_len is not None:
+        (max_len,) = int_vector((max_len,), what="path length bound")
     by_target: dict[int, list[Path]] = {}
     frontier = [trivial_path(v) for v in q.vertices()]
     paths = list(frontier)
@@ -164,17 +199,10 @@ def paths_between(q: Quiver, source: int, target: int, max_len: int | None = Non
     return [p for p in enumerate_paths(q, max_len) if p.source == source and p.target == target]
 
 
-def _check_length(q: Quiver, v: Sequence[int], what: str) -> tuple[int, ...]:
-    v = tuple(int(x) for x in v)
-    if len(v) != q.vertex_count:
-        raise QuiverError(f"{what} has length {len(v)}, expected {q.vertex_count}")
-    return v
-
-
 def euler_form(q: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
     """<alpha, beta> = sum a_i b_i - sum over arrows i->j of a_i b_j."""
-    a = _check_length(q, alpha, "alpha")
-    b = _check_length(q, beta, "beta")
+    a = int_vector(alpha, q.vertex_count, "alpha")
+    b = int_vector(beta, q.vertex_count, "beta")
     total = sum(x * y for x, y in zip(a, b))
     for arrow in q.arrows:
         total -= a[arrow.src - 1] * b[arrow.tgt - 1]
@@ -182,13 +210,12 @@ def euler_form(q: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
 
 
 def theta_pairing(theta: Sequence[int], alpha: Sequence[int]) -> int:
-    if len(theta) != len(alpha):
-        raise QuiverError(f"weight length {len(theta)} != dimension vector length {len(alpha)}")
-    return sum(int(t) * int(a) for t, a in zip(theta, alpha))
+    alpha = int_vector(alpha, what="dimension vector")
+    return sum(map(operator.mul, int_vector(theta, len(alpha)), alpha))
 
 
 def total_dim(alpha: Sequence[int]) -> int:
-    return sum(int(a) for a in alpha)
+    return sum(int_vector(alpha, what="dimension vector"))
 
 
 def _compositions(k: int, n: int):
@@ -203,7 +230,6 @@ def _compositions(k: int, n: int):
 
 def enumerate_dimvectors(q: Quiver, n: int, theta: Sequence[int]) -> list[DimVector]:
     """All alpha with d(alpha) = n and theta(alpha) = 0, lexicographically."""
-    if n < 0:
-        raise QuiverError("total dimension must be nonnegative")
-    theta = _check_length(q, theta, "theta")
-    return [a for a in _compositions(q.vertex_count, n) if theta_pairing(theta, a) == 0]
+    (n,) = dim_vector((n,), what="total dimension")
+    theta = int_vector(theta, q.vertex_count)
+    return [a for a in _compositions(q.vertex_count, n) if sum(map(operator.mul, theta, a)) == 0]

@@ -20,14 +20,13 @@ representatives are the labels (a, r, c) of the rows that are not pivots there.
 """
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import linalg
 from .fields import Field, Matrix, PrimeField, field_from_json
-from .quiver import DimVector, Path, Quiver, validate_quiver
+from .quiver import DimVector, Path, Quiver, dim_vector, validate_quiver
 
 
 class RepresentationError(ValueError):
@@ -61,19 +60,9 @@ def representation(quiver: Quiver, field: Field, dim: Sequence[int],
                    matrices: Mapping[str, object]) -> Representation:
     """The representation with the given matrices (lists, `Matrix` values or
     ndarrays, coerced into `field`); arrows without a matrix get the zero map."""
-    try:
-        if isinstance(dim, (str, bytes)):
-            raise TypeError
-        dim = tuple(operator.index(d) for d in dim)
-    except TypeError as exc:
-        raise RepresentationError(f"malformed dimension vector {dim!r}") from exc
+    dim = dim_vector(dim, quiver.vertex_count, error=RepresentationError)
     if not isinstance(matrices, Mapping):
         raise RepresentationError("matrices must map arrow ids to matrices")
-    if len(dim) != quiver.vertex_count:
-        raise RepresentationError(
-            f"dimension vector length {len(dim)} != vertex count {quiver.vertex_count}")
-    if any(d < 0 for d in dim):
-        raise RepresentationError("dimensions must be nonnegative")
     mats: dict[str, Matrix] = {}
     for a in quiver.arrows:
         shape = (dim[a.tgt - 1], dim[a.src - 1])
@@ -104,7 +93,8 @@ def _random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> li
 
 def random_representation(quiver: Quiver, field: Field, dim: Sequence[int],
                           rng: random.Random) -> Representation:
-    mats = {a.id: _random_matrix(field, rng, int(dim[a.tgt - 1]), int(dim[a.src - 1]))
+    dim = dim_vector(dim, quiver.vertex_count, error=RepresentationError)
+    mats = {a.id: _random_matrix(field, rng, dim[a.tgt - 1], dim[a.src - 1])
             for a in quiver.arrows}
     return representation(quiver, field, dim, mats)
 
@@ -173,7 +163,7 @@ def group_element(field: Field, mats: Sequence[object]) -> GroupElement:
 
 def random_group_element(field: Field, dim: Sequence[int], rng: random.Random) -> GroupElement:
     mats = []
-    for d in dim:
+    for d in dim_vector(dim, error=RepresentationError):
         while True:
             g = field.array(_random_matrix(field, rng, d, d))
             if d == 0 or not field.scalar_is_zero(linalg.det(field, g)):

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from . import linalg
 from .fields import Matrix, PrimeField, Rationals
-from .quiver import DimVector, Weight, theta_pairing, total_dim
+from .quiver import DimVector, Weight, int_vector, theta_pairing
 from .rep import Representation, RepresentationError, representation
 
 DEFAULT_BUDGET = 10**7
@@ -230,7 +230,7 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[S
 
 
 def _witness_key(theta: Weight, w: SubrepWitness):
-    return (theta_pairing(theta, w.beta), total_dim(w.beta), w.beta)
+    return (sum(map(mul, theta, w.beta)), sum(w.beta), w.beta)
 
 
 class WitnessCheckError(RuntimeError):
@@ -247,7 +247,7 @@ def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWit
 def _search(m: Representation, theta: Sequence[int], budget: int):
     """theta, theta(M), and when theta(M) = 0 the subrepresentations and the
     minimal one by `_witness_key` (otherwise None, None)."""
-    theta = tuple(int(t) for t in theta)
+    theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
         return theta, theta_m, None, None
@@ -270,6 +270,10 @@ def is_semistable(m: Representation, theta: Sequence[int],
 
 def is_stable(m: Representation, theta: Sequence[int],
               budget: int = DEFAULT_BUDGET) -> StabilityVerdict:
+    """Is m theta-stable? Stability is defined for nonzero representations
+    only, so, like `stable_nonempty`, this refuses the zero one."""
+    if not any(m.dim):
+        raise RepresentationError("is_stable needs a nonzero representation")
     theta, theta_m, subreps, best = _search(m, theta, budget)
     if subreps is None:
         return StabilityVerdict(False, False, theta_m, None, 0, reason="theta(M) != 0")
@@ -281,7 +285,7 @@ def is_stable(m: Representation, theta: Sequence[int],
     for w in subreps:
         if w.beta == zero or w.beta == m.dim:
             continue
-        if theta_pairing(theta, w.beta) == 0:
+        if sum(map(mul, theta, w.beta)) == 0:
             return StabilityVerdict(False, True, theta_m, _checked(m, w, 0), len(subreps),
                                     reason="proper subrepresentation with theta = 0")
     return StabilityVerdict(True, True, theta_m, None, len(subreps))
@@ -316,7 +320,7 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
     """
     if not isinstance(m.field, Rationals):
         raise RepresentationError("check_over_rationals needs a representation over Q")
-    theta = tuple(int(t) for t in theta)
+    theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
         return RationalVerdict("unstable", "PROOF", theta_m, [],

@@ -233,6 +233,26 @@ def test_malformed_quiver_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("change", [{"vertices": 2.0}, {"vertices": "2"},
+                                    {"arrows": [{"id": "x", "src": 1.5, "tgt": 2}]},
+                                    {"arrows": [{"id": "x", "src": 1, "tgt": "2"}]}],
+                         ids=["vertices-float", "vertices-string", "src-float", "tgt-string"])
+def test_non_integer_quiver_file_exit_code(change, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({**K3, **change}))
+    assert main(["euler", "-q", str(path), "--alpha", "1,1", "--beta", "1,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_st_zero_representation_exit_code(tmp_path, k3_file, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": {"p": 2}, "dim": [0, 0]}))
+    assert main(["check-ss", "-q", k3_file, "-r", str(path), "--theta", "-1,1"]) == 0
+    capsys.readouterr()
+    assert main(["check-st", "-q", k3_file, "-r", str(path), "--theta", "-1,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 SIGMA = {"domain": [2], "codomain": [1], "entries": [[[{"coeff": "1", "path": ["x"]}]]]}
 MALFORMED_SIGMAS = {
     "top-level list": [SIGMA],

@@ -1,11 +1,13 @@
 """The Q kernels that run on integer numerators (`linalg.matmul`,
-`evaluate_sigma`) against naive `Fraction` references, and F_p sigma
-evaluation against the reduction of the Q one."""
+`evaluate_sigma`) against naive `Fraction` references, F_p sigma
+evaluation against the reduction of the Q one, and the F_p scalar methods
+against the reduction of the Q ones."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermod import (QQ, Path, PrimeField, SigmaMorphism, evaluate_sigma,
+from quivermod import (QQ, FieldError, Path, PrimeField, SigmaMorphism, evaluate_sigma,
                        path_combination, paths_between, quiver, representation)
 from quivermod import linalg
 
@@ -146,3 +148,37 @@ def test_evaluate_sigma_mod_p_reduces_the_rational_value(case):
     assert out.shape == rational.shape
     assert out.tolist() == [[fld.coerce(x) for x in row] for row in rational.rows]
     assert all(type(x) is int and 0 <= x < p for row in out.rows for x in row)
+
+
+@st.composite
+def scalar_cases(draw):
+    """(F_p, x, y): x and y rationals whose denominators are prime to p."""
+    p = draw(st.sampled_from([2, 7, BIG]))
+    entry = rationals([d for d in range(1, 10) if d % p])
+    return PrimeField(p), draw(entry), draw(entry)
+
+
+@SETTINGS
+@given(scalar_cases())
+def test_prime_field_scalars_reduce_the_rational_ones(case):
+    fld, x, y = case
+    assert fld.scalar_is_zero(x) == (x.numerator % fld.p == 0)
+    assert fld.scalar_neg(x) == fld.coerce(QQ.scalar_neg(x))
+    assert fld.mul(x, y) == fld.coerce(QQ.mul(x, y))
+    assert fld.format_scalar(x) == str(fld.coerce(QQ.format_scalar(x)))
+    if fld.scalar_is_zero(x):
+        with pytest.raises(ZeroDivisionError):
+            fld.scalar_inv(x)
+    else:
+        assert fld.scalar_inv(x) == fld.coerce(QQ.scalar_inv(x))
+    assert all(type(v) is int and 0 <= v < fld.p for v in (fld.scalar_neg(x), fld.mul(x, y)))
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(7), PrimeField(BIG)],
+                         ids=lambda f: f.name)
+def test_field_scalars_refuse_floats(fld):
+    for method in (fld.coerce, fld.scalar_is_zero, fld.scalar_inv, fld.scalar_neg,
+                   fld.format_scalar, lambda x: fld.mul(x, 1), lambda x: fld.mul(1, x)):
+        for x in (0.5, 2.0, 0.0):
+            with pytest.raises(FieldError):
+                method(x)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quivermod import (QQ, BudgetExceededError, FieldError, PrimeField,
-                       WitnessCheckError, act, check_over_rationals, direct_sum,
+                       RepresentationError, WitnessCheckError, act, check_over_rationals, direct_sum,
                        enumerate_subreps, is_semistable, is_stable, quiver,
                        random_group_element,
                        random_representation, representation, stability,
@@ -101,6 +101,14 @@ def test_stable_examples(k3, a2):
     assert v.witness is not None and v.witness.theta_value == 0
     simple = zero_representation(a2, f2, (1, 0))
     assert is_stable(simple, (0, 0)).stable
+
+
+def test_is_stable_refuses_zero_representation(k3, a2):
+    for q in (k3, a2):
+        z = zero_representation(q, PrimeField(2), (0, 0))
+        with pytest.raises(RepresentationError):
+            is_stable(z, (0, 0))
+        assert is_semistable(z, (0, 0)).semistable  # semistability still answers
 
 
 def test_semistability_gl_invariant(k3):
