@@ -428,6 +428,7 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
 def extended_quiver(q: Quiver, n: int) -> Quiver:
     """Adjoin a fresh vertex v0 (index k+1, label "v0") with n arrows to each
     original vertex; original indices and arrow ids are unchanged."""
+    (n,) = int_vector((n,), what="n")
     if n < 1:
         raise QuiverError("n must be >= 1")
     k = q.vertex_count
@@ -446,7 +447,7 @@ def extended_quiver(q: Quiver, n: int) -> Quiver:
 
 def tau_morphism(q: Quiver, n: int) -> SigmaMorphism:
     """The k x n matrix of the fresh arrows, P_1 + ... + P_k -> n copies of P_0."""
-    ext = extended_quiver(q, n)
+    ext = extended_quiver(q, n)  # checks n
     k = q.vertex_count
     v0 = k + 1
     xs = [a for a in ext.arrows if a.src == v0]
@@ -474,6 +475,9 @@ def root_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism], n: int,
     """Presentation of the localization of the extended quiver at the given
     morphisms plus tau, together with the loop words based at v0 that generate
     the corner algebra v0*B*v0."""
+    (loop_len_bound,) = int_vector((loop_len_bound,), what="loop_len_bound")
+    if loop_len_bound < 0:
+        raise QuiverError("loop_len_bound must be >= 0")
     ext = extended_quiver(q, n)
     tau = tau_morphism(q, n)
     lifted = [_lift_sigma(s, ext) for s in sigmas]

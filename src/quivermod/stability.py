@@ -8,11 +8,13 @@ order finds them, offering at each vertex only the superspaces of the span of
 the images of the lower vertices' subspaces, and checking the remaining arrows
 (into lower vertices, loops) as soon as both ends are chosen. It reports them
 in the order of the Cartesian product of the per-vertex subspace lists, so
-witnesses do not depend on the pruning. Rational inputs are handled by
-multi-prime reduction; instability can be certified exactly by lifting a
-witness, semistability stays heuristic. `verify_witness` re-checks a witness
-over any field with `linalg.rank` and `linalg.matmul`, independently of the
-search; it also decides whether a lifted witness is exact over Q.
+witnesses do not depend on the pruning. Each search shares the subspace lattice
+of F_p^n with later ones (at most 64 lattices are kept, none above 1024
+subspaces): repeated searches gain, one CLI call does not. Rational inputs are
+handled by multi-prime reduction; instability can be certified exactly by
+lifting a witness, semistability stays heuristic. `verify_witness` re-checks a
+witness over any field with `linalg.rank` and `linalg.matmul`, independently of
+the search; it also decides whether a lifted witness is exact over Q.
 
 Subspace bases are `Matrix` values, keyed by their rows of ints in 0..p-1;
 images and span tests run on such rows, exact at every prime below 2^31.
@@ -20,9 +22,10 @@ images and span tests run on such rows, exact at every prime below 2^31.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache, lru_cache, partial
 from itertools import combinations, product
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .fields import Matrix, PrimeField, Rationals
@@ -30,6 +33,8 @@ from .quiver import DimVector, Weight, int_vector, theta_pairing
 from .rep import Representation, RepresentationError, representation
 
 DEFAULT_BUDGET = 10**7
+LATTICE_CACHE_SIZE = 64        # (p, n) lattices kept in the process
+LATTICE_MAX_SUBSPACES = 1024   # a lattice with more subspaces is not kept
 
 
 class BudgetExceededError(RuntimeError):
@@ -67,7 +72,7 @@ class StabilityVerdict:
     reason: str | None = None
 
 
-def _all_subspaces(p: int, n: int) -> list[tuple[Matrix, tuple[int, ...]]]:
+def _all_subspaces(p: int, n: int) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
     """Every subspace of F_p^n as (rref basis rows, pivot columns)."""
     out: list[tuple[Matrix, tuple[int, ...]]] = [(Matrix((), (0, n)), ())]
     for d in range(1, n + 1):
@@ -81,7 +86,7 @@ def _all_subspaces(p: int, n: int) -> list[tuple[Matrix, tuple[int, ...]]]:
                 for (i, c), v in zip(free_pos, vals):
                     basis[i][c] = v
                 out.append((Matrix(tuple(map(tuple, basis)), (d, n)), pivots))
-    return out
+    return tuple(out)
 
 
 def subspace_count(p: int, n: int) -> int:
@@ -139,6 +144,45 @@ def _require_prime_field(m: Representation) -> PrimeField:
     return m.field
 
 
+class _Lattice:
+    """The subspaces of F_p^n in `_all_subspaces` order, the position of each
+    rref basis among them, and the sorted superspace positions of each span met."""
+
+    def __init__(self, p: int, n: int):
+        self.fld, self.n, self.subspaces = PrimeField(p), n, _all_subspaces(p, n)
+        self.position = {b.rows: pos for pos, (b, _) in enumerate(self.subspaces)}
+        self.supers: dict[tuple, tuple[int, ...]] = {}
+
+    def superspaces(self, images: list, lattice: Callable[[int], _Lattice]) -> Sequence[int]:
+        """Sorted positions of the subspaces containing the span S of the rows
+        `images`; `lattice(k)` gives the lattice of F_p^k."""
+        n = self.n
+        if not images:
+            return range(len(self.subspaces))
+        span, pivots = linalg.rref(self.fld, Matrix(tuple(map(tuple, images)), (len(images), n)))
+        span = span.rows[:len(pivots)]
+        if span not in self.supers:
+            # each superspace is S + W, W a subspace of the non-pivot coordinates;
+            # free maps each non-pivot column to its coordinate in W
+            free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivots)}
+            out = []
+            for w, _ in lattice(len(free)).subspaces:
+                rows = span + tuple(tuple(u[free[c]] if c in free else 0 for c in range(n))
+                                    for u in w.rows)
+                t, piv = linalg.rref(self.fld, Matrix(rows, (len(rows), n)))
+                out.append(self.position[t.rows[:len(piv)]])
+            self.supers[span] = tuple(sorted(out))
+        return self.supers[span]
+
+
+_kept_lattice = lru_cache(maxsize=LATTICE_CACHE_SIZE)(_Lattice)
+
+
+def _lattice(p: int, n: int) -> _Lattice:
+    """The lattice of F_p^n: shared, unless above `LATTICE_MAX_SUBSPACES`."""
+    return (_kept_lattice if subspace_count(p, n) <= LATTICE_MAX_SUBSPACES else _Lattice)(p, n)
+
+
 class _SubrepSearch:
     """Depth-first search for the subrepresentations of m, vertex 1 first.
 
@@ -146,7 +190,9 @@ class _SubrepSearch:
     subspaces chosen at lower vertices under arrows j -> i, are candidates;
     they are visited in their `_all_subspaces` order. Arrows i -> j with
     j <= i (loops included) are checked once U_i is chosen. Results therefore
-    come in the order of the product scan over `_all_subspaces` lists.
+    come in the order of the product scan over `_all_subspaces` lists. Only
+    what depends on m is held here; each lattice of F_p^k comes from `_lattice`,
+    kept for later searches (at most 64, none above 1024 subspaces).
     """
 
     def __init__(self, m: Representation):
@@ -160,40 +206,8 @@ class _SubrepSearch:
                 self.into[a.tgt - 1].append((a.src - 1, m.matrix(a.id)))
             else:
                 self.back[a.src - 1].append((a.tgt - 1, m.matrix(a.id)))
-        self.lists: dict[int, list] = {}       # n -> _all_subspaces(p, n)
-        self.positions: dict[int, dict] = {}   # n -> rref rows -> position in that list
-        self.candidates: dict[tuple[int, tuple], list[int]] = {}
+        self.lattice = cache(partial(_lattice, self.fld.p))  # k -> lattice of F_p^k
         self.found: list[SubrepWitness] = []
-
-    def subspaces(self, n: int) -> list:
-        if n not in self.lists:
-            self.lists[n] = _all_subspaces(self.fld.p, n)
-        return self.lists[n]
-
-    def superspaces(self, i: int, chosen: list) -> Sequence[int]:
-        """Positions, in increasing order, of the subspaces of F_p^{d_i} containing S."""
-        n, p = self.dim[i], self.fld.p
-        images = [v for j, mat in self.into[i] for v in _image(mat, chosen[j][0], p)]
-        if not images:
-            return range(len(self.subspaces(n)))
-        span, pivots = linalg.rref(self.fld, Matrix(tuple(map(tuple, images)), (len(images), n)))
-        span = span.rows[:len(pivots)]
-        key = (i, span)
-        if key not in self.candidates:
-            if n not in self.positions:
-                self.positions[n] = {b.rows: pos
-                                     for pos, (b, _) in enumerate(self.subspaces(n))}
-            # each superspace is S + W, W a subspace of the non-pivot coordinates;
-            # free maps each non-pivot column to its coordinate in W
-            free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivots)}
-            out = []
-            for w, _ in self.subspaces(len(free)):
-                rows = span + tuple(tuple(u[free[c]] if c in free else 0 for c in range(n))
-                                    for u in w.rows)
-                t, piv = linalg.rref(self.fld, Matrix(rows, (len(rows), n)))
-                out.append(self.positions[n][t.rows[:len(piv)]])
-            self.candidates[key] = sorted(out)
-        return self.candidates[key]
 
     def run(self, i: int, chosen: list) -> None:
         """Extend the subspaces chosen at vertices 1..i in every arrow-stable way."""
@@ -202,9 +216,10 @@ class _SubrepSearch:
                                             tuple(b.shape[0] for b, _ in chosen)))
             return
         p = self.fld.p
-        subs = self.subspaces(self.dim[i])
-        for pos in self.superspaces(i, chosen):
-            u, piv = subs[pos]
+        lattice = self.lattice(self.dim[i])
+        images = [v for j, mat in self.into[i] for v in _image(mat, chosen[j][0], p)]
+        for pos in lattice.superspaces(images, self.lattice):
+            u, piv = lattice.subspaces[pos]
             chosen.append((u, piv))
             if not u.shape[0] or all(_in_span(_image(mat, u, p), *chosen[j], p)
                                      for j, mat in self.back[i]):

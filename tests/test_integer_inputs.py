@@ -11,12 +11,13 @@ import pytest
 from quivermod import (QQ, GenericExtTable, PrimeField, QuiverError,
                        RepresentationError, SigmaError, check_over_rationals,
                        chi_theta, enumerate_dimvectors, enumerate_paths, euler_form,
-                       generic_ext, generic_subdimvectors, group_element,
-                       is_semistable, is_stable, local_quiver, make_sigma,
-                       moduli_dimension, numerical_condition, path_combination,
-                       quiver, random_representation, representation,
-                       semistable_nonempty, stable_nonempty, theta_pairing,
-                       total_dim, validate_quiver)
+                       extended_quiver, generic_ext, generic_subdimvectors,
+                       group_element, is_semistable, is_stable, local_quiver,
+                       make_sigma, moduli_dimension, numerical_condition,
+                       path_combination, quiver, random_representation,
+                       representation, root_presentation, semistable_nonempty,
+                       stable_nonempty, tau_morphism, theta_pairing, total_dim,
+                       validate_quiver)
 
 K3 = quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)])
 M = representation(K3, PrimeField(2), (1, 1), {"x": [[1]]})  # stable at (-1, 1)
@@ -74,6 +75,12 @@ SCALAR_USERS = {
                                   (1.5, "1")),
     "path_combination.ends": (lambda v: path_combination(v, 2, []), QuiverError, (1.5, "1")),
     "make_sigma.z": (lambda v: make_sigma(K3, (-1, 1), v), SigmaError, (1.5, "1")),
+    "extended_quiver.n": (lambda v: extended_quiver(K3, v), QuiverError, (1.5, "1")),
+    "tau_morphism.n": (lambda v: tau_morphism(K3, v), QuiverError, (1.5, "1")),
+    "root_presentation.n": (lambda v: root_presentation(K3, [], v), QuiverError, (1.5, "1")),
+    # a negative bound used to give the trivial loop alone
+    "root_presentation.loop_len_bound": (lambda v: root_presentation(K3, [], 1, v),
+                                         QuiverError, (2.0, "2", -1)),
 }
 
 CASES = (

@@ -198,6 +198,12 @@ def reference_subreps(m):
     return out
 
 
+def searched(m):
+    """`enumerate_subreps` in the form `reference_subreps` returns."""
+    return [(w.beta, tuple(w.bases[v + 1].rows for v in range(len(m.dim))))
+            for w in enumerate_subreps(m)]
+
+
 SEARCH_QUIVERS = {
     "K3": (2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]),
     "path with shortcut": (3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)]),
@@ -221,9 +227,7 @@ def test_search_matches_product_scan(name, p):
         dims.append(tuple([0] + [top] * (k - 1)))
     for dim in dims:
         for m in (zero_representation(q, fld, dim), random_representation(q, fld, dim, rng)):
-            got = [(w.beta, tuple(w.bases[v + 1].rows for v in range(k)))
-                   for w in enumerate_subreps(m)]
-            assert got == reference_subreps(m), dim
+            assert searched(m) == reference_subreps(m), dim
 
 
 def test_returned_witnesses_are_rechecked(k3, monkeypatch):
@@ -240,3 +244,67 @@ def test_returned_witnesses_are_rechecked(k3, monkeypatch):
     with pytest.raises(WitnessCheckError):
         is_stable(polystable, (-1, 1))
     assert is_semistable(polystable, (-1, 1)).semistable
+
+
+@pytest.fixture
+def cold_lattices():
+    stability._kept_lattice.cache_clear()
+    yield
+    stability._kept_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_shared_lattice_matches_product_scan(k3, cold_lattices, order):
+    """Searches at one (p, n) share a lattice and its superspace lists; a cold
+    and a warm cache give the product scan, whichever search comes first."""
+    rng = random.Random(11)
+    f3 = PrimeField(3)
+    two_cycle = quiver(2, [("a", 1, 2), ("b", 2, 1)])
+    reps = [rep_k3(k3, f3, (1, 2, 0)), zero_representation(k3, f3, (2, 2)),
+            random_representation(two_cycle, f3, (2, 2), rng)]
+    reps += [random_representation(k3, f3, dim, rng) for dim in ((2, 2), (2, 2), (1, 2), (2, 1))]
+    reps = reps[::order]
+    expected = [reference_subreps(m) for m in reps]
+    for _ in ("cold", "warm"):
+        assert [searched(m) for m in reps] == expected
+    lattice = stability._lattice(3, 2)
+    assert lattice is stability._lattice(3, 2) and lattice.supers
+    assert type(lattice.subspaces) is tuple
+    assert all(type(s) is tuple for s in lattice.supers.values())
+
+
+def test_budget_exceeded_builds_no_lattice(k3, cold_lattices, monkeypatch):
+    def no_lattice(p, n):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(stability, "_all_subspaces", no_lattice)
+    with pytest.raises(BudgetExceededError):
+        enumerate_subreps(zero_representation(k3, PrimeField(3), (2, 2)), budget=3)
+    assert stability._kept_lattice.cache_info().currsize == 0
+
+
+def test_lattice_cache_is_bounded(cold_lattices):
+    jordan = quiver(1, [("l", 1, 1)])
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+    assert len(primes) > stability.LATTICE_CACHE_SIZE
+    for p in primes:
+        m = random_representation(jordan, PrimeField(p), (1,), random.Random(p))
+        assert searched(m) == reference_subreps(m)
+    assert stability._kept_lattice.cache_info().currsize == stability.LATTICE_CACHE_SIZE
+
+
+def test_lattice_above_size_limit_is_not_kept(k3, cold_lattices, monkeypatch):
+    """Lattices above the limit are built once for their search, then dropped."""
+    monkeypatch.setattr(stability, "LATTICE_MAX_SUBSPACES", 4)  # F_2^1 has 2, F_2^2 has 5
+    built = []
+    all_subspaces = stability._all_subspaces
+    monkeypatch.setattr(stability, "_all_subspaces",
+                        lambda p, n: built.append((p, n)) or all_subspaces(p, n))
+    x = [[1, 0], [1, 1], [0, 1]]  # x = y = z: the images of the lines span three lines
+    m = representation(k3, PrimeField(2), (2, 3), {"x": x, "y": x, "z": x})
+    assert searched(m) == reference_subreps(m)
+    assert sorted(built) == [(2, 1), (2, 2), (2, 3)]  # F_2^2: vertex 1 and each S + W
+    info = stability._kept_lattice.cache_info()
+    assert stability._lattice(2, 2) is not stability._lattice(2, 2)
+    assert stability._kept_lattice.cache_info() == info
+    assert stability._lattice(2, 1) is stability._lattice(2, 1)
