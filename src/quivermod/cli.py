@@ -5,6 +5,12 @@ error (malformed input files included), 3 budget exceeded, 4 internal error
 (an oracle self-check failed).
 Machine output is one JSON record per line with sorted keys, so identical
 inputs and seed give byte-identical output.
+
+A subcommand is one function `(args, quiver) -> (exit code, payload, text
+lines)` plus one `add` call in `_build_parser`, which declares its arguments
+and registers the function as the parser's `run` default. `_run` calls it and
+`_emit` prints the result; `run` stays out of the machine record's `config`
+because `_emit` drops callable values.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 # lets values like "-1,1" follow --theta/--alpha without being read as options
 _NEGATIVE_LIST = re.compile(r"^-\d+(,-?\d+)*$")
@@ -56,14 +63,165 @@ def _load_sigmas(args, q):
     return [sigma_from_json(_load_json(path), q) for path in args.sigma]
 
 
-def _witness_json(w):
-    if w is None:
-        return None
-    return {
-        "beta": list(w.beta),
-        "theta_value": w.theta_value,
-        "bases": {str(v): b.tolist() for v, b in sorted(w.bases.items())},
+def _verdict_json(v, verdict: str, **extra) -> dict:
+    """The payload of an exhaustive check over F_p."""
+    w = v.witness
+    witness = None if w is None else {
+        "beta": list(w.beta), "theta_value": w.theta_value,
+        "bases": {str(i): b.tolist() for i, b in sorted(w.bases.items())}}
+    return {"verdict": verdict, "theta_of_M": v.theta_of_m, "witness": witness,
+            "budget_used": v.budget_used, "reason": v.reason, **extra}
+
+
+def _paths(args, q):
+    paths = enumerate_paths(q, args.max_len)
+    return (0, {"paths": [str(p) for p in paths], "count": len(paths)},
+            [f"{len(paths)} paths:"] + [f"  {p}" for p in paths])
+
+
+def _euler(args, q):
+    val = euler_form(q, args.alpha, args.beta)
+    return 0, {"value": val}, [str(val)]
+
+
+def _dimvecs(args, q):
+    vecs = enumerate_dimvectors(q, args.n, args.theta)
+    return 0, {"dimvectors": [list(v) for v in vecs]}, [",".join(map(str, v)) for v in vecs]
+
+
+def _nonempty(key, decide, args, q):
+    """ssne and stne: the verdict of `decide`, named `key`, and the generic subvectors."""
+    table = GenericExtTable(q)
+    subs = table.generic_subdimvectors(args.alpha)
+    ok = decide(q, args.alpha, args.theta, table=table)
+    return 0 if ok else 1, {key: ok, "generic_subs": [list(s) for s in subs]}, [f"{key}: {ok}"]
+
+
+def _dim(args, q):
+    d = moduli_dimension(q, args.alpha, args.theta)
+    if d is None:
+        return (1, {"dimension": None, "reason": "stable locus empty"},
+                ["undefined: stable locus empty"])
+    return 0, {"dimension": d}, [str(d)]
+
+
+def _check_over_q(args, m):
+    """The rational branch of check-ss and check-st: check-st needs F_p, and
+    check-ss decides from the reductions of `m` modulo --primes."""
+    if args.command == "check-st":
+        raise RepresentationError("check-st needs a representation over F_p")
+    if not args.primes:
+        raise RepresentationError("rational representation: supply --primes")
+    rv = check_over_rationals(m, args.theta, args.primes, budget=args.budget)
+    payload = {
+        "verdict": rv.verdict, "certainty": rv.certainty, "theta_of_M": rv.theta_of_m,
+        "primes_tested": rv.primes_tested,
+        "skipped": [{"prime": p, "notice": msg} for p, msg in rv.skipped],
+        "witness": None if rv.witness_beta is None else {
+            "beta": list(rv.witness_beta), "theta_value": rv.witness_theta,
+            "prime": rv.witness_prime, "lifted": rv.witness_lifted},
     }
+    lines = [f"{rv.verdict} ({rv.certainty})"]
+    lines += [f"notice: prime {p} skipped: {msg}" for p, msg in rv.skipped]
+    if rv.witness_beta is not None:
+        lines.append(f"witness beta={list(rv.witness_beta)} theta={rv.witness_theta}")
+    return 0 if rv.verdict == "semistable" else 1, payload, lines
+
+
+def _check_ss(args, q):
+    m = _load_rep(args.rep, q)
+    if isinstance(m.field, Rationals):
+        return _check_over_q(args, m)
+    v = is_semistable(m, args.theta, budget=args.budget)
+    verdict, w = "semistable" if v.semistable else "unstable", v.witness
+    return (0 if v.semistable else 1, _verdict_json(v, verdict),
+            [verdict] + ([f"witness beta={list(w.beta)} theta={w.theta_value}"] if w else []))
+
+
+def _check_st(args, q):
+    m = _load_rep(args.rep, q)
+    if isinstance(m.field, Rationals):
+        return _check_over_q(args, m)
+    v = is_stable(m, args.theta, budget=args.budget)
+    verdict = "stable" if v.stable else "not stable"
+    return (0 if v.stable else 1, _verdict_json(v, verdict, semistable=v.semistable),
+            [verdict] + ([f"reason: {v.reason}"] if v.reason else []))
+
+
+def _sigma_gen(args, q):
+    doc = make_sigma(q, args.theta, args.z, args.max_path_len, args.seed).to_json()
+    if not args.output:
+        return 0, {"sigma": doc}, [json.dumps(doc, sort_keys=True, indent=2)]
+    with open(args.output, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+    return 0, {"sigma": doc, "written": args.output}, [f"wrote {args.output}"]
+
+
+def _sigma_eval(args, q):
+    m = _load_rep(args.rep, q)
+    if len(args.sigma) != 1:
+        raise SigmaError("sigma-eval needs exactly one -s file")
+    sigma = _load_sigmas(args, q)[0]
+    rows = [[m.field.format_scalar(x) for x in row] for row in evaluate_sigma(sigma, m)]
+    payload = {"matrix": rows, "square": numerical_condition(sigma, m.dim)}
+    lines = ["[" + " ".join(r) + "]" for r in rows]
+    if payload["square"]:
+        payload["det"] = m.field.format_scalar(semi_invariant(sigma, m))
+        lines.append(f"det = {payload['det']}")
+    return 0, payload, lines
+
+
+def _localize(args, q):
+    pres = localization_presentation(q, _load_sigmas(args, q))
+    return 0, {"presentation": pres.to_json()}, [pres.to_text()]
+
+
+def _check_point(args, q):
+    m = _load_rep(args.rep, q)
+    verdict = check_localized_point(_load_sigmas(args, q), m)
+    fmt = m.field.format_scalar
+    payload = {
+        "invertible": verdict.invertible,
+        "determinants": [fmt(d) for d in verdict.determinants],
+        "failing_sigma": verdict.failing_sigma,
+        "relations_verified": verdict.relations_verified,
+        "inverses": None if verdict.inverses is None else [
+            [[fmt(x) for x in row] for row in inv_mat] for inv_mat in verdict.inverses],
+    }
+    lines = [f"invertible: {verdict.invertible}"]
+    if not verdict.invertible:
+        lines.append(f"reason: det of sigma #{verdict.failing_sigma} vanishes")
+    return 0 if verdict.invertible else 1, payload, lines
+
+
+def _local_quiver(args, q):
+    reps = [_load_rep(path, q) for path in args.rep]
+    mults = args.mults if args.mults else tuple([1] * len(reps))
+    if len(mults) != len(reps):
+        raise QuiverError("--mults length must match the number of summands")
+    data = local_quiver(list(zip(reps, mults)), args.theta,
+                        assert_stable=args.assert_stable, budget=args.budget)
+    dim = local_model_dimension(data)
+    return 0, {"local_quiver": data.to_json(), "model_dimension": dim}, [
+        f"classes: {data.num_classes}", f"arrow_counts: {[list(r) for r in data.arrow_counts]}",
+        f"beta_y: {list(data.multiplicities)}", f"model_dimension: {dim}",
+        f"verified: {data.verified}"]
+
+
+def _extend(args, q):
+    doc = extended_quiver(q, args.n).to_json()
+    return 0, {"quiver": doc}, [json.dumps(doc, sort_keys=True, indent=2)]
+
+
+def _root(args, q):
+    pres, loops = root_presentation(q, _load_sigmas(args, q), args.n, args.loop_bound)
+    return (0, {"presentation": pres.to_json(), "loops": [list(w) for w in loops]},
+            [pres.to_text(), "loops at v0:"] + [f"  {'*'.join(w)}" for w in loops])
+
+
+def _arg(*flags, **kwargs):
+    """One further argument of a subcommand, as `add_argument` takes it."""
+    return flags, kwargs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,9 +230,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, rep=False, sigma=False, theta=False,
+    def add(name, help_text, run, *extra, rep=False, sigma=False, theta=False,
             alpha=False, beta=False, budgets=False):
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         sp._negative_number_matcher = _NEGATIVE_LIST
         sp.add_argument("--format", choices=["text", "machine"], default="text")
         sp.add_argument("-q", "--quiver", required=True, help="quiver JSON file")
@@ -91,56 +250,44 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--beta", type=_int_list, required=True)
         if budgets:
             sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        return sp
+        for flags, kwargs in extra:
+            sp.add_argument(*flags, **kwargs)
 
-    sp = add("paths", "enumerate oriented paths")
-    sp.add_argument("--max-len", type=int, default=None)
-
-    add("euler", "Euler form <alpha, beta>", alpha=True, beta=True)
-
-    sp = add("dimvecs", "dimension vectors with d(alpha)=n and theta(alpha)=0", theta=True)
-    sp.add_argument("-n", type=int, required=True)
-
-    add("ssne", "is the semistable locus generically nonempty?", alpha=True, theta=True)
-    add("stne", "is the stable locus generically nonempty?", alpha=True, theta=True)
-    add("dim", "moduli space dimension 1 - <alpha, alpha>", alpha=True, theta=True)
-
-    for name, help_text in (("check-ss", "exhaustive semistability check"),
-                            ("check-st", "exhaustive stability check")):
-        sp = add(name, help_text, rep=True, theta=True, budgets=True)
-        sp.add_argument("-p", "--primes", type=_int_list, default=None,
-                        help="primes for rational representations")
-
-    sp = add("sigma-gen", "generate a random member of Sigma_z", theta=True)
-    sp.add_argument("-z", type=int, default=1)
-    sp.add_argument("--max-path-len", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("-o", "--output", default=None, help="write sigma JSON here")
-
-    sp = add("sigma-eval", "evaluate a sigma morphism at a representation",
-             rep=True, sigma=True)
-
-    add("localize", "emit the universal localization presentation", sigma=True)
-
-    add("check-point", "does the representation invert every sigma?",
+    n = _arg("-n", type=int, required=True)
+    primes = _arg("-p", "--primes", type=_int_list, default=None,
+                  help="primes for rational representations")
+    add("paths", "enumerate oriented paths", _paths, _arg("--max-len", type=int, default=None))
+    add("euler", "Euler form <alpha, beta>", _euler, alpha=True, beta=True)
+    add("dimvecs", "dimension vectors with d(alpha)=n and theta(alpha)=0", _dimvecs, n,
+        theta=True)
+    add("ssne", "is the semistable locus generically nonempty?",
+        partial(_nonempty, "semistable_nonempty", semistable_nonempty), alpha=True, theta=True)
+    add("stne", "is the stable locus generically nonempty?",
+        partial(_nonempty, "stable_nonempty", stable_nonempty), alpha=True, theta=True)
+    add("dim", "moduli space dimension 1 - <alpha, alpha>", _dim, alpha=True, theta=True)
+    add("check-ss", "exhaustive semistability check", _check_ss, primes,
+        rep=True, theta=True, budgets=True)
+    add("check-st", "exhaustive stability check", _check_st, primes,
+        rep=True, theta=True, budgets=True)
+    add("sigma-gen", "generate a random member of Sigma_z", _sigma_gen,
+        _arg("-z", type=int, default=1), _arg("--max-path-len", type=int, default=None),
+        _arg("--seed", type=int, default=0),
+        _arg("-o", "--output", default=None, help="write sigma JSON here"), theta=True)
+    add("sigma-eval", "evaluate a sigma morphism at a representation", _sigma_eval,
         rep=True, sigma=True)
-
-    sp = add("local-quiver", "local quiver data at a semisimple point",
-             theta=True, budgets=True)
-    sp.add_argument("-r", "--rep", action="append", required=True,
-                    help="stable summand JSON file (repeatable)")
-    sp.add_argument("--mults", type=_int_list, default=None,
-                    help="multiplicities, default all 1")
-    sp.add_argument("--assert-stable", action="store_true",
-                    help="skip oracle verification (result flagged unverified)")
-
-    sp = add("extend", "extended quiver with fresh source vertex v0")
-    sp.add_argument("-n", type=int, required=True)
-
-    sp = add("root", "root-construction presentation and v0 loop words", sigma=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--loop-bound", type=int, default=2)
-
+    add("localize", "emit the universal localization presentation", _localize, sigma=True)
+    add("check-point", "does the representation invert every sigma?", _check_point,
+        rep=True, sigma=True)
+    add("local-quiver", "local quiver data at a semisimple point", _local_quiver,
+        _arg("-r", "--rep", action="append", required=True,
+             help="stable summand JSON file (repeatable)"),
+        _arg("--mults", type=_int_list, default=None, help="multiplicities, default all 1"),
+        _arg("--assert-stable", action="store_true",
+             help="skip oracle verification (result flagged unverified)"),
+        theta=True, budgets=True)
+    add("extend", "extended quiver with fresh source vertex v0", _extend, n)
+    add("root", "root-construction presentation and v0 loop words", _root, n,
+        _arg("--loop-bound", type=int, default=2), sigma=True)
     return parser
 
 
@@ -161,188 +308,10 @@ def _emit(args, payload: dict, text_lines: list[str]):
 
 
 def _run(args) -> int:
-    cmd = args.command
     q = validate_quiver(_load_json(args.quiver))
-
-    if cmd == "paths":
-        paths = enumerate_paths(q, args.max_len)
-        _emit(args, {"paths": [str(p) for p in paths], "count": len(paths)},
-              [f"{len(paths)} paths:"] + [f"  {p}" for p in paths])
-        return 0
-
-    if cmd == "euler":
-        val = euler_form(q, args.alpha, args.beta)
-        _emit(args, {"value": val}, [str(val)])
-        return 0
-
-    if cmd == "dimvecs":
-        vecs = enumerate_dimvectors(q, args.n, args.theta)
-        _emit(args, {"dimvectors": [list(v) for v in vecs]},
-              [",".join(map(str, v)) for v in vecs])
-        return 0
-
-    if cmd in ("ssne", "stne", "dim"):
-        table = GenericExtTable(q)
-        subs = table.generic_subdimvectors(args.alpha)
-        if cmd == "ssne":
-            ok = semistable_nonempty(q, args.alpha, args.theta, table=table)
-            _emit(args, {"semistable_nonempty": ok,
-                         "generic_subs": [list(s) for s in subs]},
-                  [f"semistable_nonempty: {ok}"])
-            return 0 if ok else 1
-        if cmd == "stne":
-            ok = stable_nonempty(q, args.alpha, args.theta, table=table)
-            _emit(args, {"stable_nonempty": ok,
-                         "generic_subs": [list(s) for s in subs]},
-                  [f"stable_nonempty: {ok}"])
-            return 0 if ok else 1
-        d = moduli_dimension(q, args.alpha, args.theta, table=table)
-        if d is None:
-            _emit(args, {"dimension": None, "reason": "stable locus empty"},
-                  ["undefined: stable locus empty"])
-            return 1
-        _emit(args, {"dimension": d}, [str(d)])
-        return 0
-
-    if cmd in ("check-ss", "check-st"):
-        m = _load_rep(args.rep, q)
-        if isinstance(m.field, Rationals):
-            if cmd == "check-st":
-                raise RepresentationError(
-                    "check-st needs a representation over F_p")
-            if not args.primes:
-                raise RepresentationError(
-                    "rational representation: supply --primes")
-            rv = check_over_rationals(m, args.theta, args.primes,
-                                      budget=args.budget)
-            payload = {
-                "verdict": rv.verdict, "certainty": rv.certainty,
-                "theta_of_M": rv.theta_of_m,
-                "primes_tested": rv.primes_tested,
-                "skipped": [{"prime": p, "notice": msg} for p, msg in rv.skipped],
-                "witness": None if rv.witness_beta is None else {
-                    "beta": list(rv.witness_beta),
-                    "theta_value": rv.witness_theta,
-                    "prime": rv.witness_prime,
-                    "lifted": rv.witness_lifted},
-            }
-            lines = [f"{rv.verdict} ({rv.certainty})"]
-            lines += [f"notice: prime {p} skipped: {msg}" for p, msg in rv.skipped]
-            if rv.witness_beta is not None:
-                lines.append(f"witness beta={list(rv.witness_beta)} "
-                             f"theta={rv.witness_theta}")
-            _emit(args, payload, lines)
-            return 0 if rv.verdict == "semistable" else 1
-        if cmd == "check-ss":
-            v = is_semistable(m, args.theta, budget=args.budget)
-            payload = {"verdict": "semistable" if v.semistable else "unstable",
-                       "theta_of_M": v.theta_of_m,
-                       "witness": _witness_json(v.witness),
-                       "budget_used": v.budget_used,
-                       "reason": v.reason}
-            _emit(args, payload, [payload["verdict"]] +
-                  ([f"witness beta={list(v.witness.beta)} theta={v.witness.theta_value}"]
-                   if v.witness else []))
-            return 0 if v.semistable else 1
-        v = is_stable(m, args.theta, budget=args.budget)
-        payload = {"verdict": "stable" if v.stable else "not stable",
-                   "semistable": v.semistable,
-                   "theta_of_M": v.theta_of_m,
-                   "witness": _witness_json(v.witness),
-                   "budget_used": v.budget_used,
-                   "reason": v.reason}
-        _emit(args, payload, [payload["verdict"]] +
-              ([f"reason: {v.reason}"] if v.reason else []))
-        return 0 if v.stable else 1
-
-    if cmd == "sigma-gen":
-        sigma = make_sigma(q, args.theta, args.z, args.max_path_len, args.seed)
-        doc = sigma.to_json()
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=2)
-            _emit(args, {"sigma": doc, "written": args.output},
-                  [f"wrote {args.output}"])
-        else:
-            _emit(args, {"sigma": doc}, [json.dumps(doc, sort_keys=True, indent=2)])
-        return 0
-
-    if cmd == "sigma-eval":
-        m = _load_rep(args.rep, q)
-        if len(args.sigma) != 1:
-            raise SigmaError("sigma-eval needs exactly one -s file")
-        sigma = _load_sigmas(args, q)[0]
-        mat = evaluate_sigma(sigma, m)
-        rows = [[m.field.format_scalar(x) for x in row] for row in mat]
-        payload = {"matrix": rows, "square": numerical_condition(sigma, m.dim)}
-        lines = ["[" + " ".join(r) + "]" for r in rows]
-        if payload["square"]:
-            d = semi_invariant(sigma, m)
-            payload["det"] = m.field.format_scalar(d)
-            lines.append(f"det = {payload['det']}")
-        _emit(args, payload, lines)
-        return 0
-
-    if cmd == "localize":
-        sigmas = _load_sigmas(args, q)
-        pres = localization_presentation(q, sigmas)
-        _emit(args, {"presentation": pres.to_json()}, [pres.to_text()])
-        return 0
-
-    if cmd == "check-point":
-        m = _load_rep(args.rep, q)
-        sigmas = _load_sigmas(args, q)
-        verdict = check_localized_point(sigmas, m)
-        payload = {
-            "invertible": verdict.invertible,
-            "determinants": [m.field.format_scalar(d) for d in verdict.determinants],
-            "failing_sigma": verdict.failing_sigma,
-            "relations_verified": verdict.relations_verified,
-            "inverses": None if verdict.inverses is None else [
-                [[m.field.format_scalar(x) for x in row] for row in inv_mat]
-                for inv_mat in verdict.inverses],
-        }
-        lines = [f"invertible: {verdict.invertible}"]
-        if not verdict.invertible:
-            lines.append(f"reason: det of sigma #{verdict.failing_sigma} vanishes")
-        _emit(args, payload, lines)
-        return 0 if verdict.invertible else 1
-
-    if cmd == "local-quiver":
-        reps = [_load_rep(path, q) for path in args.rep]
-        mults = args.mults if args.mults else tuple([1] * len(reps))
-        if len(mults) != len(reps):
-            raise QuiverError("--mults length must match the number of summands")
-        data = local_quiver(list(zip(reps, mults)), args.theta,
-                            assert_stable=args.assert_stable,
-                            budget=args.budget)
-        payload = {"local_quiver": data.to_json(),
-                   "model_dimension": local_model_dimension(data)}
-        _emit(args, payload,
-              [f"classes: {data.num_classes}",
-               f"arrow_counts: {[list(r) for r in data.arrow_counts]}",
-               f"beta_y: {list(data.multiplicities)}",
-               f"model_dimension: {payload['model_dimension']}",
-               f"verified: {data.verified}"])
-        return 0
-
-    if cmd == "extend":
-        ext = extended_quiver(q, args.n)
-        _emit(args, {"quiver": ext.to_json()},
-              [json.dumps(ext.to_json(), sort_keys=True, indent=2)])
-        return 0
-
-    if cmd == "root":
-        sigmas = _load_sigmas(args, q)
-        pres, loops = root_presentation(q, sigmas, args.n, args.loop_bound)
-        payload = {"presentation": pres.to_json(),
-                   "loops": [list(w) for w in loops]}
-        _emit(args, payload,
-              [pres.to_text(), "loops at v0:"] +
-              [f"  {'*'.join(w)}" for w in loops])
-        return 0
-
-    raise QuiverError(f"unknown subcommand {cmd!r}")
+    code, payload, text_lines = args.run(args, q)
+    _emit(args, payload, text_lines)
+    return code
 
 
 def main(argv=None) -> int:

@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .fields import Field, Matrix, PrimeField, _parse_rational
-from .quiver import (Path, Quiver, QuiverError, dim_vector, int_vector, paths_between,
-                     quiver)
+from .quiver import (Path, Quiver, QuiverError, check_path, dim_vector, int_vector,
+                     paths_between, quiver)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
 
 
@@ -83,6 +83,8 @@ class SigmaMorphism:
                     raise SigmaError(
                         f"entry ({p + 1},{q + 1}) typed ({comb.source},{comb.target}), "
                         f"expected {want}")
+                for _, path in comb.terms:
+                    check_path(self.quiver, path, SigmaError)
 
     def to_json(self) -> dict:
         return {
@@ -129,25 +131,13 @@ def sigma_from_json(data: dict, q: Quiver) -> SigmaMorphism:
                 arrows = _json_list(t["path"], "a term's path")
                 if not all(isinstance(aid, str) for aid in arrows):
                     raise SigmaError(f"path {arrows!r} must list arrow ids")
-                path = _path_from_arrows(q, src, tgt, tuple(arrows))
+                # checked here too: path_combination drops zero terms
+                path = check_path(q, Path(src, tgt, tuple(arrows)), SigmaError)
                 combs.append((_parse_rational(t["coeff"]), path))
             out_row.append(path_combination(src, tgt, combs))
         entries.append(tuple(out_row))
     return SigmaMorphism(q, domain, codomain, tuple(entries),
                          name=data.get("name", "sigma"))
-
-
-def _path_from_arrows(q: Quiver, source: int, target: int,
-                      arrows: tuple[str, ...]) -> Path:
-    at = source
-    for aid in arrows:
-        arrow = q.arrow_map.get(aid)
-        if arrow is None or arrow.src != at:
-            raise SigmaError(f"arrow sequence {arrows} is not a path from {source}")
-        at = arrow.tgt
-    if at != target:
-        raise SigmaError(f"arrow sequence {arrows} ends at {at}, expected {target}")
-    return Path(source, target, arrows)
 
 
 def sigma_family_for_weight(theta: Sequence[int], z: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -164,6 +164,22 @@ def trivial_path(vertex: int) -> Path:
     return Path(vertex, vertex)
 
 
+def check_path(q: Quiver, p: Path, error: type[ValueError] = QuiverError) -> Path:
+    """`p` when its arrows lead through `q` from `p.source` to `p.target`, two
+    vertices of `q`; otherwise raises `error`."""
+    at = p.source
+    if 1 <= at <= q.vertex_count:
+        for aid in p.arrows:
+            arrow = q.arrow_map.get(aid)
+            if arrow is None or arrow.src != at:
+                break
+            at = arrow.tgt
+        else:
+            if at == p.target:
+                return p
+    raise error(f"path {p} does not live in this quiver")
+
+
 def compose(p: Path, q: Path) -> Path:
     """The product p*q ("apply q, then p")."""
     if q.target != p.source:
@@ -177,7 +193,7 @@ def enumerate_paths(q: Quiver, max_len: int | None = None) -> list[Path]:
     if max_len is None and not q.acyclic:
         raise QuiverError("cyclic quiver: a length bound is required")
     if max_len is not None:
-        (max_len,) = int_vector((max_len,), what="path length bound")
+        (max_len,) = dim_vector((max_len,), what="path length bound")
     by_target: dict[int, list[Path]] = {}
     frontier = [trivial_path(v) for v in q.vertices()]
     paths = list(frontier)

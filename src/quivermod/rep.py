@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .fields import Field, Matrix, PrimeField, field_from_json
-from .quiver import DimVector, Path, Quiver, dim_vector, validate_quiver
+from .quiver import DimVector, Path, Quiver, check_path, dim_vector, validate_quiver
 
 
 class RepresentationError(ValueError):
@@ -112,19 +112,10 @@ def representation_from_json(data: dict, quiver: Quiver | None = None) -> Repres
 def evaluate_path(m: Representation, p: Path) -> Matrix:
     """Matrix of the path: identity for e_i, else the ordered arrow product,
     starting from the first arrow's own matrix."""
-    q = m.quiver
-    if not (1 <= p.source <= q.vertex_count and 1 <= p.target <= q.vertex_count):
-        raise RepresentationError(f"path {p} does not live in this quiver")
+    check_path(m.quiver, p, RepresentationError)
     out = None
-    at = p.source
     for aid in p.arrows:
-        arrow = q.arrow_map.get(aid)
-        if arrow is None or arrow.src != at:
-            raise RepresentationError(f"path {p} does not live in this quiver")
         out = m.matrix(aid) if out is None else linalg.matmul(m.field, m.matrix(aid), out)
-        at = arrow.tgt
-    if at != p.target:
-        raise RepresentationError(f"path {p} does not live in this quiver")
     return m.field.identity(m.dim[p.source - 1]) if out is None else out
 
 

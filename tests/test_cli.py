@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quivermod
-from quivermod.cli import main
+from quivermod.cli import _build_parser, main
 
 K3 = {"vertices": 2,
       "arrows": [{"id": "x", "src": 1, "tgt": 2},
@@ -291,6 +292,22 @@ def test_localize_rejects_vertex_out_of_range(domain, tmp_path, k3_file, capsys)
 def test_sigma_gen_rejects_weight_length(k3_file, capsys):
     assert main(["sigma-gen", "-q", k3_file, "--theta", "-1,0,1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["paths", "--max-len", "-1"],
+                                  ["sigma-gen", "--theta", "-1,1", "--max-path-len", "-1"]],
+                         ids=["paths", "sigma-gen"])
+def test_negative_path_length_bound_exit_code(argv, k3_file, capsys):
+    assert main(argv + ["-q", k3_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_subcommand_has_a_run_function():
+    (sub,) = [a for a in _build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 15
+    for name, parser in sub.choices.items():
+        assert callable(parser.get_default("run")), name
 
 
 def test_cli_import_leaves_numpy_out():

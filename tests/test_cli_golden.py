@@ -1,9 +1,9 @@
-"""Every subcommand's `--format machine` output, byte for byte.
+"""Every subcommand's output in both formats, byte for byte.
 
 The commands run from a temporary working directory on relative file names,
-so the `config` key of each record holds no absolute path. The expected
-output is `cli_machine_golden.txt` next to this file: one record per command,
-in the order of COMMANDS.
+so the `config` key of each machine record holds no absolute path. The
+expected outputs are `cli_machine_golden.txt` (one record per command) and
+`cli_text_golden.txt` next to this file, in the order of COMMANDS.
 """
 import json
 from pathlib import Path
@@ -11,6 +11,7 @@ from pathlib import Path
 from quivermod.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_machine_golden.txt")
+TEXT_GOLDEN = Path(__file__).with_name("cli_text_golden.txt")
 
 K3 = {"vertices": 2,
       "arrows": [{"id": "x", "src": 1, "tgt": 2},
@@ -77,15 +78,16 @@ COMMANDS = [
 ]
 
 
-def run_commands(workdir: Path, capsys, monkeypatch) -> str:
-    """Write FILES into `workdir`, run COMMANDS there, return their stdout."""
+def run_commands(workdir: Path, capsys, monkeypatch, fmt: str = "machine") -> str:
+    """Write FILES into `workdir`, run COMMANDS there in format `fmt`, return
+    their stdout."""
     monkeypatch.chdir(workdir)
     for name, doc in FILES.items():
         (workdir / name).write_text(json.dumps(doc))
     capsys.readouterr()
     out = []
     for argv, code in COMMANDS:
-        assert main(argv + ["--format", "machine"]) == code, argv
+        assert main(argv + ["--format", fmt]) == code, argv
         out.append(capsys.readouterr().out)
     return "".join(out)
 
@@ -93,3 +95,8 @@ def run_commands(workdir: Path, capsys, monkeypatch) -> str:
 def test_machine_output_matches_golden(tmp_path, capsys, monkeypatch):
     got = run_commands(tmp_path, capsys, monkeypatch)
     assert got == GOLDEN.read_text()
+
+
+def test_text_output_matches_golden(tmp_path, capsys, monkeypatch):
+    got = run_commands(tmp_path, capsys, monkeypatch, "text")
+    assert got == TEXT_GOLDEN.read_text()

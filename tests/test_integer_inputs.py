@@ -1,6 +1,6 @@
 """Malformed integer inputs at every public entry point: floats and numeric
 strings are refused, never truncated, and so are vectors of the wrong length
-and, for dimension vectors, negative entries. Each raises the entry point's
+and, for dimension vectors and length bounds, negative entries. Each raises the entry point's
 documented `ValueError` subclass."""
 import random
 from fractions import Fraction
@@ -14,7 +14,7 @@ from quivermod import (QQ, GenericExtTable, PrimeField, QuiverError,
                        extended_quiver, generic_ext, generic_subdimvectors,
                        group_element, is_semistable, is_stable, local_quiver,
                        make_sigma, moduli_dimension, numerical_condition,
-                       path_combination, quiver, random_representation,
+                       path_combination, paths_between, quiver, random_representation,
                        representation, root_presentation, semistable_nonempty,
                        stable_nonempty, tau_morphism, theta_pairing, total_dim,
                        validate_quiver)
@@ -68,7 +68,10 @@ SCALAR_USERS = {
         QuiverError, (1.5, "2")),
     "enumerate_dimvectors.n": (lambda v: enumerate_dimvectors(K3, v, (-1, 1)), QuiverError,
                                (2.0, "2")),
-    "enumerate_paths.max_len": (lambda v: enumerate_paths(K3, v), QuiverError, (1.5, "1")),
+    # a negative path length bound used to give the trivial paths, of length 0
+    "enumerate_paths.max_len": (lambda v: enumerate_paths(K3, v), QuiverError, (1.5, "1", -1)),
+    "paths_between.max_len": (lambda v: paths_between(K3, 1, 1, v), QuiverError, (-3,)),
+    "make_sigma.max_path_len": (lambda v: make_sigma(K3, (-1, 1), 1, v), QuiverError, (-1,)),
     "theta_pairing.alpha": (lambda v: theta_pairing((-1, 1), (v, 1)), QuiverError, (1.5, "1")),
     "total_dim": (lambda v: total_dim((v, 1)), QuiverError, (1.5, "1")),
     "local_quiver.multiplicity": (lambda v: local_quiver([(M, v)], (-1, 1)), QuiverError,

@@ -348,3 +348,15 @@ def test_sigma_from_json_rejects_bad_path(k3):
            "entries": [[[{"coeff": "1", "path": ["x", "x"]}]]]}
     with pytest.raises(SigmaError):
         sigma_from_json(doc, k3)
+    doc["entries"] = [[[{"coeff": "0", "path": ["bogus"]}]]]
+    with pytest.raises(SigmaError):
+        sigma_from_json(doc, k3)
+
+
+@pytest.mark.parametrize("arrows", [("bogus",), ("y", "x")],
+                         ids=["unknown arrow", "not composable"])
+def test_sigma_rejects_paths_outside_its_quiver(k2, arrows):
+    """Such a term used to reach the presentation, as `bogus*y.s0.1.1 = v2`."""
+    comb = path_combination(1, 2, [(1, Path(1, 2, arrows))])
+    with pytest.raises(SigmaError):
+        SigmaMorphism(k2, (2,), (1,), ((comb,),))

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from quivermod import (QuiverError, compose, enumerate_dimvectors,
+from quivermod import (Path, QuiverError, compose, enumerate_dimvectors,
                        enumerate_paths, euler_form, quiver, theta_pairing,
                        trivial_path, validate_quiver)
+from quivermod.quiver import check_path
 
 
 def test_validate_a2():
@@ -49,6 +50,15 @@ def test_paths_cyclic_needs_bound():
 def test_paths_deterministic(a3):
     assert enumerate_paths(a3) == enumerate_paths(a3)
     assert [str(p) for p in enumerate_paths(a3)] == ["e1", "e2", "e3", "a", "b", "b*a"]
+
+
+def test_check_path(a3):
+    good = Path(1, 3, ("a", "b"))
+    assert check_path(a3, good) is good and check_path(a3, trivial_path(3))
+    for bad in [Path(1, 3, ("b", "a")), Path(1, 2, ("c",)), Path(1, 3, ("a",)),
+                Path(1, 2, ()), Path(0, 0, ()), Path(4, 4, ())]:
+        with pytest.raises(QuiverError):
+            check_path(a3, bad)
 
 
 def test_path_composition(a3):
