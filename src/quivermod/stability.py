@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .fields import Matrix, PrimeField, Rationals
-from .quiver import DimVector, Weight, int_vector, theta_pairing
+from .quiver import DimVector, QuiverError, Weight, int_vector, theta_pairing
 from .rep import Representation, RepresentationError, representation
 
 DEFAULT_BUDGET = 10**7
@@ -227,12 +227,23 @@ class _SubrepSearch:
             chosen.pop()
 
 
+def check_budget(budget) -> int:
+    """`budget` as an int of at least 1; anything else raises `QuiverError`."""
+    (budget,) = int_vector((budget,), what="budget")
+    if budget < 1:
+        raise QuiverError(f"budget must be >= 1, got {budget}")
+    return budget
+
+
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[SubrepWitness]:
     """All subrepresentations of m, as per-vertex rref subspace tuples.
 
     The budget bounds the number of subspace tuples, the product over vertices
-    of `subspace_count(p, d_i)`, whatever the search then visits.
+    of `subspace_count(p, d_i)`, whatever the search then visits. It must be an
+    integer of at least 1 (`check_budget`), as in every public call that takes
+    one, which checks it before any shortcut.
     """
+    budget = check_budget(budget)
     fld = _require_prime_field(m)
     total = 1
     for d in m.dim:
@@ -262,6 +273,7 @@ def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWit
 def _search(m: Representation, theta: Sequence[int], budget: int):
     """theta, theta(M), and when theta(M) = 0 the subrepresentations and the
     minimal one by `_witness_key` (otherwise None, None)."""
+    budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
@@ -335,6 +347,7 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
     """
     if not isinstance(m.field, Rationals):
         raise RepresentationError("check_over_rationals needs a representation over Q")
+    budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:

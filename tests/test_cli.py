@@ -116,6 +116,19 @@ def test_budget_exit_code(tmp_path, k3_file):
                  "--theta", "-1,1", "--budget", "3"]) == 3
 
 
+@pytest.mark.parametrize("budget", ["-1", "0", "1.5"])
+def test_budget_not_a_positive_integer_exit_code(tmp_path, k3_file, capsys, budget):
+    rep = write_rep(tmp_path, "f3.json", {"p": 3}, [1, 0, 0])
+    mults = ["--mults", "1"]
+    for argv in (["check-ss", "-r", rep], ["check-st", "-r", rep],
+                 ["check-ss", "-r", write_rep(tmp_path, "q.json", "Q", ["1", "0", "0"]),
+                  "-p", "5"],
+                 ["local-quiver", "-r", rep] + mults,
+                 ["local-quiver", "-r", rep, "--assert-stable"] + mults):
+        assert main(argv + ["-q", k3_file, "--theta", "-1,1", "--budget", budget]) == 2, argv
+        assert "budget" in capsys.readouterr().err
+
+
 def test_machine_format_deterministic(k3_file, capsys):
     argv = ["ssne", "-q", k3_file, "--alpha", "1,1", "--theta", "-1,1",
             "--format", "machine"]

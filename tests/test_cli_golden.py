@@ -18,10 +18,16 @@ K3 = {"vertices": 2,
                  {"id": "y", "src": 1, "tgt": 2},
                  {"id": "z", "src": 1, "tgt": 2}]}
 A2 = {"vertices": 2, "arrows": [{"id": "a", "src": 1, "tgt": 2}]}
+# the acyclic triangle 1 -> 2 -> 3, 1 -> 3
+Q3 = {"vertices": 3,
+      "arrows": [{"id": "a", "src": 1, "tgt": 2},
+                 {"id": "b", "src": 2, "tgt": 3},
+                 {"id": "c", "src": 1, "tgt": 3}]}
 
 FILES = {
     "k3.json": K3,
     "a2.json": A2,
+    "q3.json": Q3,
     # F_3, dimension (2, 2): every arrow kills e_2, so (1, 0) destabilizes
     "f3.json": {"field": {"p": 3}, "dim": [2, 2],
                 "matrices": {"x": [[1, 0], [2, 0]], "y": [[0, 0], [1, 0]],
@@ -55,6 +61,13 @@ COMMANDS = [
     (["stne", "-q", "k3.json", "--alpha", "3,2", "--theta", "-2,3"], 0),
     (["dim", "-q", "k3.json", "--alpha", "2,2", "--theta", "-1,1"], 0),
     (["dim", "-q", "k3.json", "--alpha", "2,1", "--theta", "-1,1"], 1),
+    # Schofield tables with many generic subvectors and pruned duals
+    (["ssne", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
+    (["stne", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
+    (["dim", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
+    (["ssne", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-1,0,1"], 0),
+    (["stne", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-2,1,1"], 1),
+    (["dim", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-1,0,1"], 1),
     (["check-ss", "-q", "k3.json", "-r", "f3.json", "--theta", "-1,1"], 1),
     (["check-ss", "-q", "k3.json", "-r", "f2_sum.json", "--theta", "-1,1"], 0),
     (["check-ss", "-q", "k3.json", "-r", "q_third.json", "--theta", "-1,1",

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermod import (GenericExtTable, NotStableError, PrimeField, QQ,
                        QuiverError, euler_form, ext_space, generic_ext,
@@ -88,6 +89,44 @@ def test_table_matches_reference_recursion(arrows, top):
             assert table.ext(beta, gamma) == ref.ext(beta, gamma), (beta, gamma)
     assert table._subs == {gamma: ref.generic_subdimvectors(gamma)
                            for gamma in product(*(range(a + 1) for a in top))}
+
+
+@st.composite
+def acyclic_boxes(draw, max_box=40):
+    """A quiver on 2-4 vertices with arrows i -> j, i < j (parallel ones
+    allowed), a top whose box holds at most `max_box` dimension vectors, and a
+    smaller top below it."""
+    n = draw(st.integers(2, 4))
+    ends = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    arrows = draw(st.lists(st.sampled_from(ends), max_size=6))
+    room, top = max_box, []
+    for _ in range(n):
+        top.append(draw(st.integers(0, min(5, room - 1))))
+        room //= top[-1] + 1
+    top = tuple(draw(st.permutations(top)))
+    small = tuple(draw(st.integers(0, t)) for t in top)
+    q = quiver(n, [(f"a{k}", i, j) for k, (i, j) in enumerate(arrows)])
+    return q, top, small
+
+
+@settings(max_examples=40, deadline=None)
+@given(acyclic_boxes())
+def test_table_matches_reference_on_random_quivers(case):
+    q, top, small = case
+    small_first, large_first, ref = GenericExtTable(q), GenericExtTable(q), ReferenceTable(q)
+    small_first.generic_subdimvectors(small)
+    small_first.generic_subdimvectors(top)
+    large_first.generic_subdimvectors(top)
+    large_first.generic_subdimvectors(small)
+    box = list(product(*(range(t + 1) for t in top)))
+    for gamma in box:
+        expected = ref.generic_subdimvectors(gamma)
+        assert small_first._subs[gamma] == large_first._subs[gamma] == expected, gamma
+    for alpha in box:
+        for beta in box:
+            expected = ref.ext(alpha, beta)
+            assert small_first.ext(alpha, beta) == large_first.ext(alpha, beta) == expected, \
+                (alpha, beta)
 
 
 @pytest.mark.parametrize("arrows, top", [

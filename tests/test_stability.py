@@ -4,9 +4,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quivermod import (QQ, BudgetExceededError, FieldError, PrimeField,
+from quivermod import (QQ, BudgetExceededError, FieldError, PrimeField, QuiverError,
                        RepresentationError, WitnessCheckError, act, check_over_rationals, direct_sum,
-                       enumerate_subreps, is_semistable, is_stable, quiver,
+                       enumerate_subreps, is_semistable, is_stable, local_quiver, quiver,
                        random_group_element,
                        random_representation, representation, stability,
                        verify_witness, zero_representation)
@@ -75,6 +75,27 @@ def test_budget_exceeded(k3):
         enumerate_subreps(m, budget=3)
     assert exc.value.name == "subspace_tuples"
     assert exc.value.required > 3
+
+
+@pytest.mark.parametrize("budget", [-1, 0, 1.5, "3", None])
+def test_budget_not_a_positive_integer_is_rejected(k3, budget):
+    f3 = PrimeField(3)
+    m = rep_k3(k3, f3, (1, 0, 0))
+    off = zero_representation(k3, f3, (2, 1))  # theta(M) != 0: no search needed
+    q_point = rep_k3(k3, QQ, (1, 0, 0))
+    calls = [lambda: enumerate_subreps(m, budget=budget),
+             lambda: is_semistable(m, (-1, 1), budget=budget),
+             lambda: is_semistable(off, (-1, 1), budget=budget),
+             lambda: is_stable(m, (-1, 1), budget=budget),
+             lambda: is_stable(off, (-1, 1), budget=budget),
+             lambda: check_over_rationals(q_point, (-1, 1), [5], budget=budget),
+             lambda: check_over_rationals(q_point, (-2, 1), [5], budget=budget),
+             lambda: local_quiver([(m, 1)], (-1, 1), budget=budget),
+             lambda: local_quiver([(m, 1)], (-1, 1), assert_stable=True, budget=budget)]
+    for call in calls:
+        with pytest.raises(QuiverError, match="budget"):
+            call()
+    assert is_semistable(off, (-1, 1), budget=1).reason == "theta(M) != 0"
 
 
 def test_semistable_examples(k3):
