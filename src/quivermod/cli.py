@@ -7,8 +7,10 @@ Machine output is one JSON record per line with sorted keys, so identical
 inputs and seed give byte-identical output.
 
 A subcommand is one function `(args, quiver) -> (exit code, payload, text
-lines)` plus one `add` call in `_build_parser`, which declares its arguments
-and registers the function as the parser's `run` default. `_run` calls it and
+lines)` plus one `add` call in `_build_parser`. `add` declares `--format` and
+`-q`, then exactly the `_arg` declarations it is given, in that order (shared
+ones such as `theta` or `rep` are declared once as values), and registers the
+function as the parser's `run` default. `_run` calls it and
 `_emit` prints the result; `run` stays out of the machine record's `config`
 because `_emit` drops callable values.
 """
@@ -220,7 +222,7 @@ def _root(args, q):
 
 
 def _arg(*flags, **kwargs):
-    """One further argument of a subcommand, as `add_argument` takes it."""
+    """One argument of a subcommand, as `add_argument` takes it."""
     return flags, kwargs
 
 
@@ -230,64 +232,54 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, run, *extra, rep=False, sigma=False, theta=False,
-            alpha=False, beta=False, budgets=False):
+    def add(name, help_text, run, *arguments):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(run=run)
         sp._negative_number_matcher = _NEGATIVE_LIST
         sp.add_argument("--format", choices=["text", "machine"], default="text")
         sp.add_argument("-q", "--quiver", required=True, help="quiver JSON file")
-        if rep:
-            sp.add_argument("-r", "--rep", required=True, help="representation JSON file")
-        if sigma:
-            sp.add_argument("-s", "--sigma", action="append", default=[],
-                            help="sigma morphism JSON file (repeatable)")
-        if theta:
-            sp.add_argument("--theta", type=_int_list, required=True)
-        if alpha:
-            sp.add_argument("--alpha", type=_int_list, required=True)
-        if beta:
-            sp.add_argument("--beta", type=_int_list, required=True)
-        if budgets:
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        for flags, kwargs in extra:
+        for flags, kwargs in arguments:
             sp.add_argument(*flags, **kwargs)
 
+    rep = _arg("-r", "--rep", required=True, help="representation JSON file")
+    sigma = _arg("-s", "--sigma", action="append", default=[],
+                 help="sigma morphism JSON file (repeatable)")
+    theta = _arg("--theta", type=_int_list, required=True)
+    alpha = _arg("--alpha", type=_int_list, required=True)
+    beta = _arg("--beta", type=_int_list, required=True)
+    budget = _arg("--budget", type=int, default=DEFAULT_BUDGET)
     n = _arg("-n", type=int, required=True)
     primes = _arg("-p", "--primes", type=_int_list, default=None,
                   help="primes for rational representations")
     add("paths", "enumerate oriented paths", _paths, _arg("--max-len", type=int, default=None))
-    add("euler", "Euler form <alpha, beta>", _euler, alpha=True, beta=True)
-    add("dimvecs", "dimension vectors with d(alpha)=n and theta(alpha)=0", _dimvecs, n,
-        theta=True)
+    add("euler", "Euler form <alpha, beta>", _euler, alpha, beta)
+    add("dimvecs", "dimension vectors with d(alpha)=n and theta(alpha)=0", _dimvecs, theta, n)
     add("ssne", "is the semistable locus generically nonempty?",
-        partial(_nonempty, "semistable_nonempty", semistable_nonempty), alpha=True, theta=True)
+        partial(_nonempty, "semistable_nonempty", semistable_nonempty), theta, alpha)
     add("stne", "is the stable locus generically nonempty?",
-        partial(_nonempty, "stable_nonempty", stable_nonempty), alpha=True, theta=True)
-    add("dim", "moduli space dimension 1 - <alpha, alpha>", _dim, alpha=True, theta=True)
-    add("check-ss", "exhaustive semistability check", _check_ss, primes,
-        rep=True, theta=True, budgets=True)
-    add("check-st", "exhaustive stability check", _check_st, primes,
-        rep=True, theta=True, budgets=True)
-    add("sigma-gen", "generate a random member of Sigma_z", _sigma_gen,
+        partial(_nonempty, "stable_nonempty", stable_nonempty), theta, alpha)
+    add("dim", "moduli space dimension 1 - <alpha, alpha>", _dim, theta, alpha)
+    add("check-ss", "exhaustive semistability check", _check_ss, rep, theta, budget, primes)
+    add("check-st", "exhaustive stability check", _check_st, rep, theta, budget, primes)
+    add("sigma-gen", "generate a random member of Sigma_z", _sigma_gen, theta,
         _arg("-z", type=int, default=1), _arg("--max-path-len", type=int, default=None),
         _arg("--seed", type=int, default=0),
-        _arg("-o", "--output", default=None, help="write sigma JSON here"), theta=True)
+        _arg("-o", "--output", default=None, help="write sigma JSON here"))
     add("sigma-eval", "evaluate a sigma morphism at a representation", _sigma_eval,
-        rep=True, sigma=True)
-    add("localize", "emit the universal localization presentation", _localize, sigma=True)
+        rep, sigma)
+    add("localize", "emit the universal localization presentation", _localize, sigma)
     add("check-point", "does the representation invert every sigma?", _check_point,
-        rep=True, sigma=True)
+        rep, sigma)
     add("local-quiver", "local quiver data at a semisimple point", _local_quiver,
+        theta, budget,
         _arg("-r", "--rep", action="append", required=True,
              help="stable summand JSON file (repeatable)"),
         _arg("--mults", type=_int_list, default=None, help="multiplicities, default all 1"),
         _arg("--assert-stable", action="store_true",
-             help="skip oracle verification (result flagged unverified)"),
-        theta=True, budgets=True)
+             help="skip oracle verification (result flagged unverified)"))
     add("extend", "extended quiver with fresh source vertex v0", _extend, n)
-    add("root", "root-construction presentation and v0 loop words", _root, n,
-        _arg("--loop-bound", type=int, default=2), sigma=True)
+    add("root", "root-construction presentation and v0 loop words", _root, sigma, n,
+        _arg("--loop-bound", type=int, default=2))
     return parser
 
 

@@ -4,7 +4,8 @@ matrix type of the package.
 A `Matrix` is immutable: its rows are tuples of field elements, `Fraction`s
 over Q and ints in 0..p-1 over F_p, and it records its `shape`, so a matrix
 without rows keeps its column count. Both field tags expose the same small
-API so the linear algebra in :mod:`quivermod.linalg` is written once.
+API so the linear algebra in :mod:`quivermod.linalg` is written once; each
+declares its `zero` and `one` as class attributes.
 
 `Field.coerce` is the one place where outside scalars become field elements
 (`quiver.int_vector` is the one place for outside integers): integers
@@ -140,14 +141,8 @@ class Rationals(Field):
     """Tag for exact rational arithmetic."""
 
     name = "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
         return _parse_rational(x)
@@ -164,6 +159,8 @@ class PrimeField(Field):
     """Tag for arithmetic in F_p, p any prime below 2^31 (2 included)."""
 
     p: int
+    zero = 0
+    one = 1
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p >= 2**31 or not _is_prime(self.p):
@@ -172,14 +169,6 @@ class PrimeField(Field):
     @property
     def name(self) -> str:
         return f"F{self.p}"
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def coerce(self, x) -> int:
         if isinstance(x, int):

@@ -11,7 +11,7 @@ vertex, so morphisms over the original quiver lift verbatim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -47,9 +47,11 @@ class PathCombination:
 
 
 def path_combination(source: int, target: int, terms) -> PathCombination:
-    cleaned = tuple((Fraction(c), p) for c, p in terms if Fraction(c) != 0)
+    """The combination of `terms`, (coefficient, path) pairs, zero terms dropped;
+    a coefficient that is not a rational number raises `FieldError`."""
+    parsed = [(_parse_rational(c), p) for c, p in terms]
     source, target = int_vector((source, target), what="path combination ends")
-    return PathCombination(source, target, cleaned)
+    return PathCombination(source, target, tuple((c, p) for c, p in parsed if c != 0))
 
 
 @dataclass(frozen=True)
@@ -438,40 +440,29 @@ def extended_quiver(q: Quiver, n: int) -> Quiver:
 def tau_morphism(q: Quiver, n: int) -> SigmaMorphism:
     """The k x n matrix of the fresh arrows, P_1 + ... + P_k -> n copies of P_0."""
     ext = extended_quiver(q, n)  # checks n
-    k = q.vertex_count
-    v0 = k + 1
-    xs = [a for a in ext.arrows if a.src == v0]
-    by_tgt: dict[int, list[str]] = {}
-    for a in xs:
-        by_tgt.setdefault(a.tgt, []).append(a.id)
-    entries = []
-    for i in range(1, k + 1):
-        row = []
-        for t in range(n):
-            aid = by_tgt[i][t]
-            row.append(path_combination(v0, i, [(Fraction(1), Path(v0, i, (aid,)))]))
-        entries.append(tuple(row))
-    return SigmaMorphism(ext, tuple(range(1, k + 1)), tuple([v0] * n),
-                         tuple(entries), name="tau")
-
-
-def _lift_sigma(sigma: SigmaMorphism, ext: Quiver) -> SigmaMorphism:
-    return SigmaMorphism(ext, sigma.domain, sigma.codomain, sigma.entries,
-                         name=sigma.name)
+    v0 = q.vertex_count + 1
+    # extended_quiver appends the fresh arrows after q's, n per vertex in order
+    fresh = [a.id for a in ext.arrows[len(q.arrows):]]
+    entries = tuple(
+        tuple(path_combination(v0, i, [(Fraction(1), Path(v0, i, (aid,)))])
+              for aid in fresh[(i - 1) * n:i * n])
+        for i in q.vertices())
+    return SigmaMorphism(ext, tuple(q.vertices()), tuple([v0] * n), entries, name="tau")
 
 
 def root_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism], n: int,
                       loop_len_bound: int = 2) -> tuple[Presentation, list[tuple[str, ...]]]:
     """Presentation of the localization of the extended quiver at the given
-    morphisms plus tau, together with the loop words based at v0 that generate
-    the corner algebra v0*B*v0."""
+    morphisms, which must live over q, plus tau, together with the loop words
+    based at v0 that generate the corner algebra v0*B*v0."""
     (loop_len_bound,) = int_vector((loop_len_bound,), what="loop_len_bound")
     if loop_len_bound < 0:
         raise QuiverError("loop_len_bound must be >= 0")
-    ext = extended_quiver(q, n)
+    if any(s.quiver != q for s in sigmas):
+        raise SigmaError("sigma defined over a different quiver")
     tau = tau_morphism(q, n)
-    lifted = [_lift_sigma(s, ext) for s in sigmas]
-    pres = localization_presentation(ext, lifted + [tau])
+    ext = tau.quiver
+    pres = localization_presentation(ext, [replace(s, quiver=ext) for s in sigmas] + [tau])
     v0 = q.vertex_count + 1
     # loop words range over arrows and y-variables; idempotents excluded
     idempotents = {ext.label(v) for v in ext.vertices()}

@@ -112,16 +112,23 @@ class GenericExtTable:
             flat[gi] = duals_of[gamma] = duals
 
 
+def _table(q: Quiver, table: GenericExtTable | None) -> GenericExtTable:
+    """`table`, which must be built for q, or a new table for q."""
+    if table is None:
+        return GenericExtTable(q)
+    if table.quiver != q:
+        raise QuiverError("the GenericExtTable was built for a different quiver")
+    return table
+
+
 def generic_ext(q: Quiver, alpha: Sequence[int], beta: Sequence[int],
                 table: GenericExtTable | None = None) -> int:
-    table = table if table is not None else GenericExtTable(q)
-    return table.ext(alpha, beta)
+    return _table(q, table).ext(alpha, beta)
 
 
 def generic_subdimvectors(q: Quiver, alpha: Sequence[int],
                           table: GenericExtTable | None = None) -> list[DimVector]:
-    table = table if table is not None else GenericExtTable(q)
-    return table.generic_subdimvectors(alpha)
+    return _table(q, table).generic_subdimvectors(alpha)
 
 
 def semistable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
@@ -132,9 +139,8 @@ def semistable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
     theta = int_vector(theta, q.vertex_count)
     if theta_pairing(theta, alpha) != 0:
         return False
-    table = table if table is not None else GenericExtTable(q)
     return all(sum(map(mul, theta, beta)) >= 0
-               for beta in table.generic_subdimvectors(alpha))
+               for beta in _table(q, table).generic_subdimvectors(alpha))
 
 
 def stable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
@@ -146,9 +152,8 @@ def stable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
     theta = int_vector(theta, q.vertex_count)
     if theta_pairing(theta, alpha) != 0:
         return False
-    table = table if table is not None else GenericExtTable(q)
     zero = tuple(0 for _ in alpha)
-    for beta in table.generic_subdimvectors(alpha):
+    for beta in _table(q, table).generic_subdimvectors(alpha):
         if beta in (zero, alpha):
             continue
         if sum(map(mul, theta, beta)) <= 0:

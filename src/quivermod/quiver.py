@@ -10,12 +10,17 @@ counts, arrow ends, dimension vectors, weights, multiplicities) become the
 package's ints; `Field.coerce` in :mod:`quivermod.fields` is the one place for
 scalars. Entries go through `operator.index`, so a float or a numeric string
 raises instead of being truncated.
+
+`Quiver.acyclic` comes from `graphlib.TopologicalSorter`, each arrow making
+its source a predecessor of its target: a loop or an oriented cycle raises
+`CycleError`.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Sequence
 
 
@@ -83,22 +88,15 @@ class Quiver:
         }
 
 
-def _is_acyclic(k: int, arrows: Sequence[Arrow]) -> bool:
-    indeg = [0] * (k + 1)
-    out: list[list[int]] = [[] for _ in range(k + 1)]
+def _is_acyclic(arrows: Iterable[Arrow]) -> bool:
+    sorter = TopologicalSorter()
     for a in arrows:
-        indeg[a.tgt] += 1
-        out[a.src].append(a.tgt)
-    queue = [v for v in range(1, k + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == k
+        sorter.add(a.tgt, a.src)
+    try:
+        sorter.prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
@@ -127,7 +125,7 @@ def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
             raise QuiverError(f"malformed labels: {exc}") from exc
         if len(labels) != vertex_count or not distinct:
             raise QuiverError("labels must be distinct, one per vertex")
-    return Quiver(vertex_count, tuple(arr), labels, _is_acyclic(vertex_count, arr))
+    return Quiver(vertex_count, tuple(arr), labels, _is_acyclic(arr))
 
 
 def validate_quiver(raw) -> Quiver:

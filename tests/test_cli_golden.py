@@ -4,6 +4,8 @@ The commands run from a temporary working directory on relative file names,
 so the `config` key of each machine record holds no absolute path. The
 expected outputs are `cli_machine_golden.txt` (one record per command) and
 `cli_text_golden.txt` next to this file, in the order of COMMANDS.
+`cli_usage_golden.txt` holds what the top level and each subcommand print when
+run without arguments: the `usage:` line and the missing-arguments error.
 """
 import json
 from pathlib import Path
@@ -12,6 +14,7 @@ from quivermod.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_machine_golden.txt")
 TEXT_GOLDEN = Path(__file__).with_name("cli_text_golden.txt")
+USAGE_GOLDEN = Path(__file__).with_name("cli_usage_golden.txt")
 
 K3 = {"vertices": 2,
       "arrows": [{"id": "x", "src": 1, "tgt": 2},
@@ -113,3 +116,18 @@ def test_machine_output_matches_golden(tmp_path, capsys, monkeypatch):
 def test_text_output_matches_golden(tmp_path, capsys, monkeypatch):
     got = run_commands(tmp_path, capsys, monkeypatch, "text")
     assert got == TEXT_GOLDEN.read_text()
+
+
+SUBCOMMANDS = ["paths", "euler", "dimvecs", "ssne", "stne", "dim", "check-ss", "check-st",
+               "sigma-gen", "sigma-eval", "localize", "check-point", "local-quiver",
+               "extend", "root"]
+
+
+def test_usage_errors_match_golden(capsys, monkeypatch):
+    # wide enough that no usage line wraps; the lines are the same on 3.10-3.13
+    monkeypatch.setenv("COLUMNS", "200")
+    out = []
+    for argv in [[]] + [[name] for name in SUBCOMMANDS]:
+        assert main(argv) == 2, argv
+        out.append(capsys.readouterr().err)
+    assert "".join(out) == USAGE_GOLDEN.read_text()

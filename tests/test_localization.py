@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivermod import (QQ, NonSquareError, Path, PrimeField, QuiverError,
+from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverError,
                        SigmaError, SigmaMorphism, act, check_localized_point, chi_theta,
                        evaluate_sigma, extended_quiver, group_element,
                        is_semistable,
@@ -33,6 +33,16 @@ def test_path_combination_typing():
     assert z.terms == ()
     dropped = path_combination(1, 2, [(0, Path(1, 2, ("x",)))])
     assert dropped.terms == ()
+
+
+def test_path_combination_parses_coefficients_like_field_coerce():
+    """A float used to become its binary fraction: 0.1 gave
+    3602879701896397/36028797018963968."""
+    path = Path(1, 2, ("x",))
+    with pytest.raises(FieldError):
+        path_combination(1, 2, [(0.1, path)])
+    assert path_combination(1, 2, [("-3/4", path), (2, path)]).terms == (
+        (Fraction(-3, 4), path), (Fraction(2), path))
 
 
 def test_make_sigma_shape_z1(k3):
@@ -333,6 +343,16 @@ def test_root_presentation_with_sigma(k3):
     assert any(g.startswith("y.s1.") for g in pres.generators)  # tau's block
     for w in loops[1:]:
         assert word_typing(pres.typing, w) == (3, 3)
+
+
+def test_root_presentation_refuses_sigma_of_another_quiver(k2, k3):
+    """A K2 sigma used to be lifted to K3's extended quiver and give a
+    27-relation presentation; localization_presentation refused it."""
+    sigma = make_sigma(k2, (-1, 1), 1, seed=0)
+    with pytest.raises(SigmaError):
+        localization_presentation(k3, [sigma])
+    with pytest.raises(SigmaError):
+        root_presentation(k3, [sigma], 1, 1)
 
 
 def test_sigma_serialization_round_trip(k3):

@@ -162,6 +162,23 @@ def test_table_validates_public_arguments(k3, bad):
         t.generic_subdimvectors(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q, t: stable_nonempty(q, (2, 2), (-1, 1), table=t),
+    lambda q, t: moduli_dimension(q, (2, 2), (-1, 1), table=t),
+    lambda q, t: generic_ext(q, (1, 0), (0, 1), table=t),
+    lambda q, t: generic_subdimvectors(q, (1, 1), table=t),
+    lambda q, t: semistable_nonempty(q, (2, 1), (-1, 2), table=t),
+], ids=["stable_nonempty", "moduli_dimension", "generic_ext", "generic_subdimvectors",
+        "semistable_nonempty"])
+def test_table_of_another_quiver_is_refused(a2, k3, call):
+    """A K3 table used to answer for K3: stne on A2 at (2, 2) gave True, dim -3
+    and ext((1,0), (0,1)) 3, where A2's own table gives False, None and 1."""
+    with pytest.raises(QuiverError, match="different quiver"):
+        call(a2, GenericExtTable(k3))
+    # a table built for an equal quiver is accepted
+    assert call(a2, GenericExtTable(quiver(2, [("a", 1, 2)]))) == call(a2, None)
+
+
 def test_generic_subs_returns_a_copy(k3):
     t = GenericExtTable(k3)
     subs = t.generic_subdimvectors((1, 1))

@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivermod import (Path, QuiverError, compose, enumerate_dimvectors,
                        enumerate_paths, euler_form, quiver, theta_pairing,
                        trivial_path, validate_quiver)
-from quivermod.quiver import check_path
+from quivermod.quiver import _is_acyclic, check_path
 
 
 def test_validate_a2():
@@ -15,6 +15,26 @@ def test_validate_a2():
 def test_validate_self_loop_cyclic():
     q = validate_quiver({"vertices": 1, "arrows": [{"id": "l", "src": 1, "tgt": 1}]})
     assert not q.acyclic
+
+
+small_quivers = st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(1, k), st.integers(1, k)), max_size=8)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_quivers)
+@example((1, [(1, 1)]))  # a loop
+@example((3, [(1, 2), (2, 1)]))  # a 2-cycle and an isolated vertex
+@example((2, [(1, 2), (1, 2), (1, 2)]))  # parallel arrows
+@example((4, [(1, 2), (2, 3), (3, 4), (4, 2), (1, 3)]))
+@example((5, []))
+def test_is_acyclic_matches_path_oracle(case):
+    """With k vertices, a path of length k repeats a vertex, so q has an
+    oriented cycle iff it has a path of length k."""
+    k, ends = case
+    q = quiver(k, [(f"a{i}", src, tgt) for i, (src, tgt) in enumerate(ends)])
+    has_long_path = any(p.length == k for p in enumerate_paths(q, k))
+    assert q.acyclic == _is_acyclic(q.arrows) == (not has_long_path)
 
 
 def test_validate_out_of_range():
