@@ -8,19 +8,29 @@ order finds them, offering at each vertex only the superspaces of the span of
 the images of the lower vertices' subspaces, and checking the remaining arrows
 (into lower vertices, loops) as soon as both ends are chosen. It reports them
 in the order of the Cartesian product of the per-vertex subspace lists, so
-witnesses do not depend on the pruning. Each search shares the subspace lattice
-of F_p^n with later ones (at most 64 lattices are kept, none above 1024
-subspaces): repeated searches gain, one CLI call does not. Rational inputs are
-handled by multi-prime reduction; instability can be certified exactly by
-lifting a witness, semistability stays heuristic. `verify_witness` re-checks a
-witness over any field with `linalg.rank` and `linalg.matmul`, independently of
-the search; it also decides whether a lifted witness is exact over Q.
+witnesses do not depend on the pruning.
+
+The search runs no elimination. A subspace is named by its position in the
+`_all_subspaces` list of F_p^n; the lattice of F_p^n maps each position to the
+position of its basis without the last row (`prefix`) and joins vectors to a
+subspace by position (`extend`). The image of U under the arrows between two
+vertices is the image of prefix(U) extended by the images of U's last row,
+memoised by position for one search. Each search shares the lattice of F_p^n,
+and the superspaces of each subspace met, with later ones (at most 64
+lattices are kept, none above 1024 subspaces): repeated searches gain, one CLI
+call does not. Rational inputs are handled by multi-prime reduction;
+instability can be certified exactly by lifting a witness, semistability stays
+heuristic, and with no prime tested there is no verdict. `verify_witness`
+re-checks a witness over any field with `linalg.rank` and `linalg.matmul`,
+independently of the search; it also decides whether a lifted witness is exact
+over Q.
 
 Subspace bases are `Matrix` values, keyed by their rows of ints in 0..p-1;
-images and span tests run on such rows, exact at every prime below 2^31.
+images and joins run on such rows, exact at every prime below 2^31.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache, partial
 from itertools import combinations, product
@@ -100,24 +110,6 @@ def subspace_count(p: int, n: int) -> int:
     return total
 
 
-def _in_span(vectors, basis: Matrix, pivots: tuple[int, ...], p: int) -> bool:
-    """Do all `vectors`, rows of ints in 0..p-1, lie in the row span of the rref
-    `basis`?"""
-    for w in vectors:
-        for b, c in zip(basis.rows, pivots):
-            f = w[c]
-            if f:
-                w = [(x - f * y) % p for x, y in zip(w, b)]
-        if any(w):
-            return False
-    return True
-
-
-def _image(mat: Matrix, basis: Matrix, p: int) -> list[list[int]]:
-    """Rows spanning the image of the row span of `basis` under `mat`."""
-    return [[sum(map(mul, row, u)) % p for row in mat.rows] for u in basis.rows]
-
-
 def verify_witness(m: Representation, w: SubrepWitness) -> bool:
     """Independent re-check over m's field: each basis, coerced into the field,
     has beta_i linearly independent rows of length d_i, and every arrow maps
@@ -145,34 +137,60 @@ def _require_prime_field(m: Representation) -> PrimeField:
 
 
 class _Lattice:
-    """The subspaces of F_p^n in `_all_subspaces` order, the position of each
-    rref basis among them, and the sorted superspace positions of each span met."""
+    """The subspaces of F_p^n in `_all_subspaces` order, named by their
+    positions in it: the position of each rref basis, `prefix` (the position of
+    each basis without its last row, an earlier one; -1 for the zero subspace),
+    and the sorted superspace positions of each subspace met (`supers`). None
+    of it depends on a representation; `extend` joins vectors to a subspace."""
 
     def __init__(self, p: int, n: int):
-        self.fld, self.n, self.subspaces = PrimeField(p), n, _all_subspaces(p, n)
+        self.p, self.n, self.subspaces = p, n, _all_subspaces(p, n)
         self.position = {b.rows: pos for pos, (b, _) in enumerate(self.subspaces)}
-        self.supers: dict[tuple, tuple[int, ...]] = {}
+        self.prefix = [self.position[b.rows[:-1]] if b.rows else -1 for b, _ in self.subspaces]
+        self.supers: dict[int, tuple[int, ...]] = {}
 
-    def superspaces(self, images: list, lattice: Callable[[int], _Lattice]) -> Sequence[int]:
-        """Sorted positions of the subspaces containing the span S of the rows
-        `images`; `lattice(k)` gives the lattice of F_p^k."""
-        n = self.n
-        if not images:
+    def extend(self, pos: int, vectors) -> int:
+        """Position of the span of subspace `pos` and `vectors`, rows of ints in
+        0..p-1, each reduced into the rref basis as it grows."""
+        p = self.p
+        basis, pivots = self.subspaces[pos]
+        rows, pivots = list(basis.rows), list(pivots)
+        for w in vectors:
+            for b, c in zip(rows, pivots):
+                if f := w[c]:
+                    w = [(x - f * y) % p for x, y in zip(w, b)]
+            for lead, x in enumerate(w):
+                if x:
+                    break
+            else:
+                continue  # w lies in the span already
+            inv = pow(x, -1, p)
+            w = tuple([y * inv % p for y in w])
+            rows = [tuple([(x - f * y) % p for x, y in zip(r, w)]) if (f := r[lead]) else r
+                    for r in rows]
+            k = bisect(pivots, lead)
+            rows.insert(k, w)
+            pivots.insert(k, lead)
+        return self.position[tuple(rows)]
+
+    def superspaces(self, pos: int, lattice: Callable[[int], _Lattice]) -> Sequence[int]:
+        """Sorted positions of the subspaces containing subspace `pos`;
+        `lattice(k)` gives the lattice of F_p^k."""
+        if not pos:
             return range(len(self.subspaces))
-        span, pivots = linalg.rref(self.fld, Matrix(tuple(map(tuple, images)), (len(images), n)))
-        span = span.rows[:len(pivots)]
-        if span not in self.supers:
-            # each superspace is S + W, W a subspace of the non-pivot coordinates;
-            # free maps each non-pivot column to its coordinate in W
-            free = {c: k for k, c in enumerate(c for c in range(n) if c not in pivots)}
-            out = []
-            for w, _ in lattice(len(free)).subspaces:
-                rows = span + tuple(tuple(u[free[c]] if c in free else 0 for c in range(n))
-                                    for u in w.rows)
-                t, piv = linalg.rref(self.fld, Matrix(rows, (len(rows), n)))
-                out.append(self.position[t.rows[:len(piv)]])
-            self.supers[span] = tuple(sorted(out))
-        return self.supers[span]
+        if pos not in self.supers:
+            # each superspace is S + W, W a subspace of the non-pivot coordinates:
+            # S + W is S + prefix(W) extended by the last row of W
+            free = [c for c in range(self.n) if c not in self.subspaces[pos][1]]
+            small = lattice(len(free))
+            out = [pos]
+            for (w, _), pre in zip(small.subspaces[1:], small.prefix[1:]):
+                v = [0] * self.n
+                for c, x in zip(free, w.rows[-1]):
+                    v[c] = x
+                out.append(self.extend(out[pre], (v,)))
+            self.supers[pos] = tuple(sorted(out))
+        return self.supers[pos]
 
 
 _kept_lattice = lru_cache(maxsize=LATTICE_CACHE_SIZE)(_Lattice)
@@ -186,43 +204,71 @@ def _lattice(p: int, n: int) -> _Lattice:
 class _SubrepSearch:
     """Depth-first search for the subrepresentations of m, vertex 1 first.
 
-    At vertex i only the superspaces of S, the span of the images of the
-    subspaces chosen at lower vertices under arrows j -> i, are candidates;
-    they are visited in their `_all_subspaces` order. Arrows i -> j with
-    j <= i (loops included) are checked once U_i is chosen. Results therefore
-    come in the order of the product scan over `_all_subspaces` lists. Only
-    what depends on m is held here; each lattice of F_p^k comes from `_lattice`,
-    kept for later searches (at most 64, none above 1024 subspaces).
+    Subspaces are lattice positions. At vertex i only the superspaces of S,
+    the join of the images of the subspaces chosen at lower vertices under
+    arrows j -> i, are candidates; they are visited in their `_all_subspaces`
+    order. Arrows i -> j with j <= i (loops included) are checked once U_i is
+    chosen, as "U_j is a superspace of the image of U_i". Results therefore
+    come in the order of the product scan over `_all_subspaces` lists.
+
+    Images are memoised by position for this search only (`_image`); each
+    lattice of F_p^k comes from `_lattice`, kept for later searches.
     """
 
     def __init__(self, m: Representation):
-        self.fld = m.field
-        self.dim = m.dim
+        self.lattice = cache(partial(_lattice, m.field.p))  # k -> lattice of F_p^k
+        self.lattices = [self.lattice(d) for d in m.dim]
         k = len(m.dim)
-        self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, matrix)
-        self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, matrix)
+        groups: dict[tuple[int, int], list] = {}
         for a in m.quiver.arrows:
-            if a.src < a.tgt:
-                self.into[a.tgt - 1].append((a.src - 1, m.matrix(a.id)))
+            groups.setdefault((a.src - 1, a.tgt - 1), []).append(m.matrix(a.id).rows)
+        self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, image of U_j)
+        self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, image of U_i)
+        for (src, tgt), mats in groups.items():
+            image = self._image(src, tgt, mats)
+            if src < tgt:
+                self.into[tgt].append((src, image))
             else:
-                self.back[a.src - 1].append((a.tgt - 1, m.matrix(a.id)))
-        self.lattice = cache(partial(_lattice, self.fld.p))  # k -> lattice of F_p^k
+                self.back[src].append((tgt, image))
         self.found: list[SubrepWitness] = []
 
-    def run(self, i: int, chosen: list) -> None:
+    def _image(self, src: int, tgt: int, mats: list) -> Callable[[int], int]:
+        """The map from the position of a subspace U at `src` to the position of
+        the span of its images under the arrow matrices `mats` (their rows):
+        the image of prefix(U) extended by the images of U's last row, so each
+        U costs one `extend` of len(mats) vectors. Memoised by position."""
+        source, target = self.lattices[src], self.lattices[tgt]
+        p = source.p
+        memo = {0: 0}
+
+        def image(pos: int) -> int:
+            if pos not in memo:
+                u = source.subspaces[pos][0].rows[-1]
+                memo[pos] = target.extend(image(source.prefix[pos]),
+                                          [[sum(map(mul, row, u)) % p for row in mat]
+                                           for mat in mats])
+            return memo[pos]
+
+        return image
+
+    def run(self, i: int, chosen: list[int]) -> None:
         """Extend the subspaces chosen at vertices 1..i in every arrow-stable way."""
-        if i == len(self.dim):
-            self.found.append(SubrepWitness({v + 1: b for v, (b, _) in enumerate(chosen)},
-                                            tuple(b.shape[0] for b, _ in chosen)))
+        lattices = self.lattices
+        if i == len(lattices):
+            bases = [lat.subspaces[pos][0] for lat, pos in zip(lattices, chosen)]
+            self.found.append(SubrepWitness(dict(enumerate(bases, 1)),
+                                            tuple(b.shape[0] for b in bases)))
             return
-        p = self.fld.p
-        lattice = self.lattice(self.dim[i])
-        images = [v for j, mat in self.into[i] for v in _image(mat, chosen[j][0], p)]
-        for pos in lattice.superspaces(images, self.lattice):
-            u, piv = lattice.subspaces[pos]
-            chosen.append((u, piv))
-            if not u.shape[0] or all(_in_span(_image(mat, u, p), *chosen[j], p)
-                                     for j, mat in self.back[i]):
+        lattice = lattices[i]
+        span = 0
+        for j, image in self.into[i]:
+            t = image(chosen[j])
+            span = lattice.extend(span, lattice.subspaces[t][0].rows) if span else t
+        back = self.back[i]
+        for pos in lattice.superspaces(span, self.lattice):
+            chosen.append(pos)
+            if not back or all(chosen[j] in lattices[j].superspaces(image(pos), self.lattice)
+                               for j, image in back):
                 self.run(i + 1, chosen)
             chosen.pop()
 
@@ -343,7 +389,9 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
     """Reduce a rational representation mod each prime and run the oracle.
 
     A "semistable" answer is heuristic; "unstable" is a proof exactly when the
-    witness subspaces lift to an exact subrepresentation over Q.
+    witness subspaces lift to an exact subrepresentation over Q. When theta(M)
+    = 0 and no prime can be tested (none given, or each divides a denominator),
+    there is no verdict: `RepresentationError` names the skipped primes.
     """
     if not isinstance(m.field, Rationals):
         raise RepresentationError("check_over_rationals needs a representation over Q")
@@ -373,6 +421,9 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
         if lifted:
             return out
         best = out
+    if not tested:
+        why = "; ".join(msg for _, msg in skipped) or "no primes given"
+        raise RepresentationError(f"no prime could be tested ({why})")
     if best is not None:
         best.primes_tested = tested
         best.skipped = skipped

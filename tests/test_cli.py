@@ -106,6 +106,21 @@ def test_check_ss_rational(tmp_path, k3_file, capsys):
                  "-p", str(2**61 - 1)]) == 2
 
 
+def test_check_ss_rational_without_a_tested_prime(tmp_path, k3_file, capsys):
+    zero = [[0, 0], [0, 0]]
+    doc = {"field": "Q", "dim": [2, 2], "matrices": {"x": [["1/3", 0], [0, 0]], "y": zero,
+                                                     "z": zero}}
+    path = tmp_path / "q22.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check-ss", "-q", k3_file, "-r", str(path), "--theta", "-1,1", "--primes"]
+    assert main(argv + ["3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no prime could be tested (prime 3 divides a denominator)\n"
+    assert main(argv + ["5"]) == 1
+    assert capsys.readouterr().out.startswith("unstable (PROOF)")
+
+
 def test_budget_exit_code(tmp_path, k3_file):
     doc = {"field": {"p": 3}, "dim": [2, 2],
            "matrices": {"x": [[0, 0], [0, 0]], "y": [[0, 0], [0, 0]],

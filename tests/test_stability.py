@@ -1,15 +1,18 @@
 import random
+from functools import cache
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivermod import (QQ, BudgetExceededError, FieldError, PrimeField, QuiverError,
                        RepresentationError, WitnessCheckError, act, check_over_rationals, direct_sum,
-                       enumerate_subreps, is_semistable, is_stable, local_quiver, quiver,
+                       enumerate_subreps, is_semistable, is_stable, linalg, local_quiver, quiver,
                        random_group_element,
                        random_representation, representation, stability,
                        verify_witness, zero_representation)
+from quivermod.fields import Matrix
 from quivermod.stability import SubrepWitness, _all_subspaces, subspace_count
 
 
@@ -198,13 +201,28 @@ def test_verify_witness_over_rationals(a2):
 
 def test_rational_prime_skipped(k3):
     m = rep_k3(k3, QQ, ("1/3", 0, 0))
-    r = check_over_rationals(m, (-1, 1), [3])
-    assert r.skipped == [(3, "prime 3 divides a denominator")]
-    assert r.primes_tested == []
+    with pytest.raises(RepresentationError, match="prime 3 divides a denominator"):
+        check_over_rationals(m, (-1, 1), [3])
     with pytest.raises(FieldError):
         check_over_rationals(m, (-1, 1), [4])
     r = check_over_rationals(m, (-1, 1), [3, 5])
+    assert r.skipped == [(3, "prime 3 divides a denominator")]
     assert r.primes_tested == [5] and r.verdict == "semistable"
+
+
+def test_rational_without_a_tested_prime_has_no_verdict(k3):
+    """With every prime skipped there is no verdict: the answer used to be
+    "semistable (HEURISTIC)" for a representation that F_5 proves unstable."""
+    zero = [[0, 0], [0, 0]]
+    m = representation(k3, QQ, (2, 2), {"x": [["1/3", 0], [0, 0]], "y": zero, "z": zero})
+    r = check_over_rationals(m, (-1, 1), [5])
+    assert (r.verdict, r.certainty, r.witness_beta) == ("unstable", "PROOF", (1, 0))
+    with pytest.raises(RepresentationError, match=r"no prime could be tested \(prime 3 divides"):
+        check_over_rationals(m, (-1, 1), [3])
+    with pytest.raises(RepresentationError, match="no primes given"):
+        check_over_rationals(m, (-1, 1), [])
+    # theta(M) != 0 decides without a prime
+    assert check_over_rationals(m, (-2, 1), []).certainty == "PROOF"
 
 
 def reference_subreps(m):
@@ -291,7 +309,11 @@ def test_shared_lattice_matches_product_scan(k3, cold_lattices, order):
     lattice = stability._lattice(3, 2)
     assert lattice is stability._lattice(3, 2) and lattice.supers
     assert type(lattice.subspaces) is tuple
-    assert all(type(s) is tuple for s in lattice.supers.values())
+    for pos, supers in lattice.supers.items():  # keyed by position, checked by rank
+        basis = lattice.subspaces[pos][0]
+        assert type(pos) is int and type(supers) is tuple
+        assert supers == tuple(t for t, (b, _) in enumerate(lattice.subspaces)
+                               if linalg.rank(f3, f3.array(b.rows + basis.rows)) == b.shape[0])
 
 
 def test_budget_exceeded_builds_no_lattice(k3, cold_lattices, monkeypatch):
@@ -329,3 +351,66 @@ def test_lattice_above_size_limit_is_not_kept(k3, cold_lattices, monkeypatch):
     assert stability._lattice(2, 2) is not stability._lattice(2, 2)
     assert stability._kept_lattice.cache_info() == info
     assert stability._lattice(2, 1) is stability._lattice(2, 1)
+
+
+@cache
+def lattice_of(p, n):
+    return stability._Lattice(p, n)
+
+
+@st.composite
+def extend_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(0, 4))
+    pos = draw(st.integers(0, subspace_count(p, n) - 1))
+    vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    return p, n, pos, draw(st.lists(vector, max_size=4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(extend_cases())
+def test_extend_matches_rref(case):
+    p, n, pos, vectors = case
+    lattice = lattice_of(p, n)
+    basis = lattice.subspaces[pos][0]
+    rows = basis.rows + tuple(map(tuple, vectors))
+    span, pivots = linalg.rref(PrimeField(p), Matrix(rows, (len(rows), n)))
+    assert lattice.extend(pos, vectors) == lattice.position[span.rows[:len(pivots)]]
+    if pos:
+        assert lattice.prefix[pos] < pos
+        assert lattice.subspaces[lattice.prefix[pos]][0].rows == basis.rows[:-1]
+    else:
+        assert lattice.prefix[pos] == -1
+
+
+def test_search_runs_no_elimination(cold_lattices, monkeypatch):
+    """The search joins lattice positions and never calls an elimination."""
+    cases = []
+    for name, (k, arrows) in sorted(SEARCH_QUIVERS.items()):
+        q = quiver(k, arrows)
+        for p in (2, 3):
+            rng = random.Random(f"{name}/{p}")
+            for dim in ((2,) * k, tuple(rng.randint(0, 2) for _ in range(k))):
+                for m in (zero_representation(q, PrimeField(p), dim),
+                          random_representation(q, PrimeField(p), dim, rng)):
+                    cases.append((m, reference_subreps(m)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subrepresentation search eliminated")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    for m, expected in cases:
+        assert searched(m) == expected
+
+
+def test_search_goes_through_enumerate_subreps(k3, monkeypatch):
+    """bench/tracing.py counts subrepresentations through the module attribute."""
+    calls = []
+    enumerate_all = stability.enumerate_subreps
+    monkeypatch.setattr(stability, "enumerate_subreps",
+                        lambda m, budget: calls.append(m) or enumerate_all(m, budget))
+    m = rep_k3(k3, PrimeField(2), (1, 0, 0))
+    is_semistable(m, (-1, 1))
+    is_stable(m, (-1, 1))
+    assert calls == [m, m]
