@@ -25,7 +25,7 @@ from functools import partial
 # lets values like "-1,1" follow --theta/--alpha without being read as options
 _NEGATIVE_LIST = re.compile(r"^-\d+(,-?\d+)*$")
 
-from . import __version__
+from . import __version__, linalg
 from .fields import Rationals
 from .moduli import (GenericExtTable, local_model_dimension,
                      local_quiver, moduli_dimension, semistable_nonempty,
@@ -34,7 +34,7 @@ from .localization import (SigmaError, check_localized_point,
                            evaluate_sigma, extended_quiver,
                            localization_presentation, make_sigma,
                            numerical_condition, root_presentation,
-                           semi_invariant, sigma_from_json)
+                           sigma_from_json)
 from .quiver import (QuiverError, enumerate_dimvectors, enumerate_paths,
                      euler_form, validate_quiver)
 from .rep import RepresentationError, representation_from_json
@@ -164,11 +164,12 @@ def _sigma_eval(args, q):
     if len(args.sigma) != 1:
         raise SigmaError("sigma-eval needs exactly one -s file")
     sigma = _load_sigmas(args, q)[0]
-    rows = [[m.field.format_scalar(x) for x in row] for row in evaluate_sigma(sigma, m)]
+    mat = evaluate_sigma(sigma, m)
+    rows = [[m.field.format_scalar(x) for x in row] for row in mat]
     payload = {"matrix": rows, "square": numerical_condition(sigma, m.dim)}
     lines = ["[" + " ".join(r) + "]" for r in rows]
     if payload["square"]:
-        payload["det"] = m.field.format_scalar(semi_invariant(sigma, m))
+        payload["det"] = m.field.format_scalar(linalg.det(m.field, mat))
         lines.append(f"det = {payload['det']}")
     return 0, payload, lines
 

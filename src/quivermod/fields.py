@@ -176,7 +176,7 @@ class PrimeField(Field):
         q = _parse_rational(x)
         if q.denominator % self.p == 0:
             raise FieldError(f"denominator of {q} not invertible mod {self.p}")
-        return (q.numerator % self.p) * pow(q.denominator % self.p, self.p - 2, self.p) % self.p
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def array(self, rows) -> Matrix:
         return _matrix(self.coerce, rows)

@@ -14,12 +14,19 @@ denominators and then runs fraction-free Gauss-Jordan (Bareiss 1968): each
 step divides exactly by the previous pivot, so every entry stays an integer
 minor of the scaled matrix, and the rref is the result divided by the last
 pivot. Elimination uses the first nonzero pivot in each column, so every
-result is deterministic. `matmul` forms each entry as one sum of Python-int
-products. Over F_p the sum is reduced mod p, so it is exact for every prime
-below 2^31. Over Q each row of the left factor and each column of the right
-one is first scaled to integers by the lcm of its denominators, and the sum
-becomes one `Fraction` over the product of the two scales, so an entry costs
-one normalisation instead of a `Fraction` multiply and add per term.
+result is deterministic. For an m x n matrix with m <= n, `_eliminate` also
+reports the determinant of the leading m x m block: that block is invertible
+exactly when the pivots are the columns 0..m-1, and then its determinant is
+read off the pivots. So `_det_inv` takes the determinant and the inverse of
+a square matrix A from one elimination of [A | I]; `inv` and
+`localization.check_localized_point` use it.
+
+`matmul` forms each entry as one sum of Python-int products. Over F_p the
+sum is reduced mod p, so it is exact for every prime below 2^31. Over Q each
+row of the left factor and each column of the right one is first scaled to
+integers by the lcm of its denominators, and the sum becomes one `Fraction`
+over the product of the two scales, so an entry costs one normalisation
+instead of a `Fraction` multiply and add per term.
 """
 from __future__ import annotations
 
@@ -87,8 +94,8 @@ def _eliminate(field: Field, rows, n: int):
     over F_p ints in 0..p-1, over Q `Fraction`s (or ints). `rows` is not modified.
 
     Returns (rows, d, pivots, det): the rref of the matrix is rows / d (d = 1
-    over F_p), pivots are its pivot columns, and det is its determinant when it
-    is square (None otherwise).
+    over F_p), pivots are its pivot columns, and det is the determinant of its
+    leading m x m block when m <= n (None when m > n).
     """
     m = len(rows)
     modular = isinstance(field, PrimeField)
@@ -132,10 +139,10 @@ def _eliminate(field: Field, rows, n: int):
                     rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
             prev = piv
         pivots.append(c)
-    if m != n:
+    if m > n:
         det = None
-    elif len(pivots) < n:
-        det = field.zero
+    elif m and not (len(pivots) == m and pivots[-1] == m - 1):
+        det = field.zero   # the leading block is singular: its pivots are not 0..m-1
     elif modular:
         det = sign * prev % p
     else:
@@ -195,16 +202,25 @@ def det(field: Field, a: Matrix):
 
 
 def inv(field: Field, a: Matrix) -> Matrix:
-    m, n = a.shape
-    if m != n:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("inverse of non-square matrix")
+    inverse = _det_inv(field, a)[1]
+    if inverse is None:
+        raise ZeroDivisionError("matrix is singular")
+    return inverse
+
+
+def _det_inv(field: Field, a: Matrix):
+    """(det a, a^-1) for a square `a`, from one elimination of [a | I]; the
+    inverse is None when det a = 0."""
+    n = a.shape[0]
     zero, one = field.zero, field.one
     aug = [row + (zero,) * i + (one,) + (zero,) * (n - 1 - i)
            for i, row in enumerate(a.rows)]
-    rows, d, pivots, _ = _eliminate(field, aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return _divided(field, [row[n:] for row in rows], d, n)
+    rows, d, _, det = _eliminate(field, aug, 2 * n)
+    if not det:
+        return det, None
+    return det, _divided(field, [row[n:] for row in rows], d, n)
 
 
 def is_zero(field: Field, a: Matrix) -> bool:

@@ -7,6 +7,11 @@ such morphisms is presented symbolically by adjoining y-variables with the
 two diagonal matrix relations. The extended-quiver construction adjoins a
 fresh source vertex v0 (internal index k+1) with n arrows to every original
 vertex, so morphisms over the original quiver lift verbatim.
+
+`evaluate_sigma` evaluates each distinct path of a morphism once per call and
+forms each entry of the block matrix as one integer dot product over the
+entry's terms; `check_localized_point` takes each sigma's determinant and
+inverse from one elimination (`linalg._det_inv`).
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -187,49 +193,58 @@ def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
     """Block matrix with arrows replaced by the representation's matrices,
     assembled one block row at a time.
 
-    Each block sum_t c_t P_t (P_t the matrix of the t-th path) is accumulated on
-    Python-int numerators over one common denominator D and divided once per
-    entry at the end. Over Q, D is the lcm over the terms of the coefficient's
-    denominator times the lcm of P_t's denominators; over F_p the coefficients
-    are residues, D is 1 and each entry is reduced mod p.
+    Each distinct path of sigma is evaluated once per call and kept as Python
+    ints, its entries listed row by row: over Q as N / e, e the lcm of the
+    path matrix's denominators, over F_p as residues. Each entry of a block
+    sum_t c_t P_t is then one integer dot product of the scaled coefficients
+    with the paths' entries at that place, over one common denominator D and
+    divided once. Over Q, D is the lcm over the terms of the coefficient's
+    denominator times e; over F_p the coefficients are residues, D is 1 and
+    each entry is reduced mod p.
     """
     if sigma.quiver != m.quiver:
         raise RepresentationError("sigma and representation live over different quivers")
     fld = m.field
     p = fld.p if isinstance(fld, PrimeField) else 0
     zero = fld.zero
+    path_entries: dict = {}
     col_dims = [m.dim[j - 1] for j in sigma.codomain]
     rows = []
     for i, entry_row in zip(sigma.domain, sigma.entries):
         lines = [[] for _ in range(m.dim[i - 1])]
         for cd, comb in zip(col_dims, entry_row):
-            d, terms = _integer_terms(fld, m, comb)
-            block = [[0] * cd for _ in lines]
-            for c, path_rows in terms:
-                for line, path_row in zip(block, path_rows):
-                    line[:] = [x + c * y for x, y in zip(line, path_row)]
-            for line, block_line in zip(lines, block):
-                line.extend([x % p for x in block_line] if p else
-                            [Fraction(x, d) if x else zero for x in block_line])
+            d, cs, entries = _integer_terms(fld, m, comb, path_entries)
+            if not cs:
+                block = [zero] * (len(lines) * cd)
+            elif p:
+                block = [sum(map(mul, cs, xs)) % p for xs in zip(*entries)]
+            else:
+                block = [Fraction(x, d) if (x := sum(map(mul, cs, xs))) else zero
+                         for xs in zip(*entries)]
+            for r, line in enumerate(lines):
+                line.extend(block[r * cd:(r + 1) * cd])
         rows.extend(map(tuple, lines))
     return Matrix(tuple(rows), (len(rows), sum(col_dims)))
 
 
-def _integer_terms(fld: Field, m: Representation, comb: PathCombination):
-    """(D, [(c, rows)]) with comb evaluated at m equal to sum c * rows / D, the
-    c and the entries of rows Python ints (residues over F_p, where D = 1)."""
-    if isinstance(fld, PrimeField):
-        return 1, [(fld.coerce(c), evaluate_path(m, path).rows)
-                   for c, path in comb.terms]
+def _integer_terms(fld: Field, m: Representation, comb: PathCombination, path_entries: dict):
+    """(D, cs, entries) with comb evaluated at m equal to sum_t cs[t] * P_t / D,
+    the entries of P_t listed row by row in entries[t], all Python ints
+    (residues over F_p, where D = 1). `path_entries` maps (source, arrows) to
+    (e, N), the entries of that path's matrix at m being N / e; a path missing
+    from it is evaluated and added."""
     scaled = []
     for c, path in comb.terms:
-        path_rows = evaluate_path(m, path).rows
-        e = lcm(*[x.denominator for row in path_rows for x in row])
-        scaled.append((c, e, path_rows))
+        key = (path.source, path.arrows)
+        if key not in path_entries:
+            flat = [x for row in evaluate_path(m, path).rows for x in row]
+            path_entries[key] = (1, flat) if isinstance(fld, PrimeField) else linalg._scaled(flat)
+        scaled.append((c, *path_entries[key]))
+    entries = [flat for _, _, flat in scaled]
+    if isinstance(fld, PrimeField):
+        return 1, [fld.coerce(c) for c, _, _ in scaled], entries
     d = lcm(*[c.denominator * e for c, e, _ in scaled])
-    return d, [(c.numerator * (d // (c.denominator * e)),
-                [[x.numerator * (e // x.denominator) for x in row] for row in path_rows])
-               for c, e, path_rows in scaled]
+    return d, [c.numerator * (d // (c.denominator * e)) for c, e, _ in scaled], entries
 
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
@@ -389,29 +404,30 @@ class LocalizedPointVerdict:
 def check_localized_point(sigmas: Sequence[SigmaMorphism],
                           m: Representation) -> LocalizedPointVerdict:
     """Is m a point of the localization? Exact inverses returned as witnesses,
-    with both matrix-relation families re-verified by evaluation."""
+    with both matrix-relation families re-verified by evaluation. Each sigma
+    costs one elimination, which gives its determinant and its inverse; the
+    check stops at the first sigma whose determinant vanishes."""
     fld = m.field
     dets = []
     evaluated = []
+    inverses = []
     for idx, sigma in enumerate(sigmas):
         if not numerical_condition(sigma, m.dim):
             raise NonSquareError(
                 f"sigma #{idx}: numerical condition fails at {m.dim}")
         mat = evaluate_sigma(sigma, m)
-        d = linalg.det(fld, mat)
+        d, n_mat = linalg._det_inv(fld, mat)
         dets.append(d)
-        evaluated.append(mat)
-        if fld.scalar_is_zero(d):
+        if n_mat is None:
             return LocalizedPointVerdict(False, dets, None, failing_sigma=idx)
-    inverses = []
+        evaluated.append(mat)
+        inverses.append(n_mat)
     ok = True
-    for mat in evaluated:
-        n_mat = linalg.inv(fld, mat)
+    for mat, n_mat in zip(evaluated, inverses):
         ident = fld.identity(mat.shape[0])
         if not (linalg.equal(fld, linalg.matmul(fld, mat, n_mat), ident)
                 and linalg.equal(fld, linalg.matmul(fld, n_mat, mat), ident)):
             ok = False
-        inverses.append(n_mat)
     return LocalizedPointVerdict(True, dets, inverses, relations_verified=ok)
 
 

@@ -23,6 +23,25 @@ def test_prime_field_validation():
     assert PrimeField(BIG).mul(BIG - 1, BIG - 1) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, BIG])
+def test_prime_field_coerce_matches_fermat_inverse(p):
+    """coerce inverts the denominator with pow(d, -1, p); the residue is the
+    one Fermat's pow(d, p - 2, p) gives, and a denominator p divides raises."""
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(300):
+        q = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+        if q.denominator % p:
+            want = q.numerator % p * pow(q.denominator % p, p - 2, p) % p
+            assert f.coerce(q) == f.coerce(str(q)) == want
+        else:
+            with pytest.raises(FieldError):
+                f.coerce(q)
+    for bad in (Fraction(1, p), Fraction(-5, 3 * p), f"7/{p * p}"):
+        with pytest.raises(FieldError):
+            f.coerce(bad)
+
+
 def trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
@@ -336,3 +355,47 @@ def test_inv_matches_reference(case):
             linalg.inv(field, a)
         return
     same_matrix(field, linalg.inv(field, a), want)
+
+
+def residue(field, x):
+    return x % field.p if isinstance(field, PrimeField) else x
+
+
+@KERNEL
+@given(field_matrices(square=True))
+@example(EDGE[0])
+@example(EDGE[3])
+def test_det_and_inverse_from_one_elimination(case):
+    """det, inv and _det_inv agree with the Laplace expansion, singular
+    matrices included; _det_inv's inverse is inv's."""
+    field, a = case
+    want = residue(field, cofactor_det(a.tolist()))
+    d, inverse = linalg._det_inv(field, a)
+    assert d == want and linalg.det(field, a) == want
+    assert type(d) is (int if isinstance(field, PrimeField) else Fraction)
+    if not want:
+        assert inverse is None
+        with pytest.raises(ZeroDivisionError):
+            linalg.inv(field, a)
+        return
+    assert inverse == linalg.inv(field, a)
+    n = a.shape[0]
+    assert linalg.equal(field, linalg.matmul(field, a, inverse), field.identity(n))
+
+
+@KERNEL
+@given(field_matrices())
+@example(EDGE[1])
+@example(EDGE[2])
+@example(EDGE[4])
+@example(EDGE[5])
+def test_eliminate_reports_leading_block_determinant(case):
+    """An m x n matrix with m <= n: the determinant of its leading m x m block;
+    with m > n: None."""
+    field, a = case
+    m, n = a.shape
+    d = linalg._eliminate(field, a.rows, n)[3]
+    if m > n:
+        assert d is None
+    else:
+        assert d == residue(field, cofactor_det([row[:m] for row in a.tolist()]))

@@ -5,10 +5,10 @@ import pytest
 
 from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverError,
                        SigmaError, SigmaMorphism, act, check_localized_point, chi_theta,
-                       evaluate_sigma, extended_quiver, group_element,
+                       evaluate_path, evaluate_sigma, extended_quiver, group_element,
                        is_semistable,
                        localization_presentation, make_sigma,
-                       numerical_condition, path_combination, quiver,
+                       numerical_condition, path_combination, paths_between, quiver,
                        random_group_element, random_representation,
                        representation, root_presentation, semi_invariant,
                        sigma_from_json, tau_morphism, word_typing,
@@ -227,6 +227,127 @@ def test_check_localized_point_at_largest_prime(k3):
     inv = [[int(x) for x in row] for row in v.inverses[0]]
     assert [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*inv)]
             for row in mat] == [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+def test_check_localized_point_stops_at_first_vanishing_determinant(k3):
+    """A singular second sigma: both determinants reported, no inverses."""
+    m = rep_k3(k3, QQ, (2, 0, 0))
+    v = check_localized_point([coord_sigma(k3, "x"), coord_sigma(k3, "y")], m)
+    assert not v.invertible and v.failing_sigma == 1
+    assert v.determinants == [Fraction(2), Fraction(0)]
+    assert v.inverses is None and not v.relations_verified
+
+
+def test_check_localized_point_eliminates_once_per_sigma(k3, monkeypatch):
+    """One elimination per sigma gives its determinant and its inverse, and
+    evaluate_sigma evaluates each distinct path once."""
+    import quivermod.linalg as linalg
+    import quivermod.localization as localization
+    eliminations, paths = [], []
+    eliminate, evaluate = linalg._eliminate, localization.evaluate_path
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: eliminations.append(args[2]) or eliminate(*args))
+    monkeypatch.setattr(localization, "evaluate_path",
+                        lambda m, path: paths.append(path) or evaluate(m, path))
+    for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
+        sigmas = [make_sigma(k3, (-1, 1), 2, seed=seed) for seed in (3, 4)]
+        m = random_representation(k3, fld, (3, 3), random.Random(5))
+        del eliminations[:], paths[:]
+        v = check_localized_point(sigmas, m)
+        assert v.invertible and v.relations_verified
+        assert eliminations == [12, 12]  # [sigma(m) | I], 6 x 12, once per sigma
+        # 12 terms per sigma over the 3 distinct paths x, y, z
+        assert sum(len(c.terms) for s in sigmas for row in s.entries for c in row) == 24
+        assert sorted(p.arrows for p in paths) == [(a,) for a in "xxyyzz"]
+
+
+def fermat_residue(c, p):
+    return c.numerator * pow(c.denominator, p - 2, p) % p
+
+
+def reference_sigma(sigma, m):
+    """sigma evaluated at m term by term: each term through evaluate_path, the
+    block entries as plain `Fraction` or mod-p sums."""
+    fld = m.field
+    p = fld.p if isinstance(fld, PrimeField) else None
+    rows = []
+    for i, entry_row in zip(sigma.domain, sigma.entries):
+        lines = [[] for _ in range(m.dim[i - 1])]
+        for j, comb in zip(sigma.codomain, entry_row):
+            block = [[Fraction(0)] * m.dim[j - 1] for _ in lines]
+            for c, path in comb.terms:
+                mat = evaluate_path(m, path).tolist()
+                block = [[x + c * y for x, y in zip(brow, prow)]
+                         for brow, prow in zip(block, mat)]
+            for line, brow in zip(lines, block):
+                line.extend(brow if p is None else [
+                    fermat_residue(x, p) for x in brow])
+        rows.extend(lines)
+    return rows
+
+
+def random_sigma(q, rng, max_len):
+    """A morphism with random vertex lists, each entry 0 to 4 terms drawn with
+    repetition from the paths between its vertices."""
+    k = q.vertex_count
+    domain = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3)))
+    codomain = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3)))
+    entries = []
+    for i in domain:
+        row = []
+        for j in codomain:
+            paths = paths_between(q, j, i, max_len)
+            terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.choice(paths))
+                     for _ in range(rng.randint(0, 4) if paths else 0)]
+            row.append(path_combination(j, i, terms))
+        entries.append(tuple(row))
+    return SigmaMorphism(q, domain, codomain, tuple(entries))
+
+
+def random_point(q, fld, dim, rng):
+    if fld is QQ:  # entries with denominators, unlike random_representation's
+        return representation(q, QQ, dim, {
+            a.id: [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                    for _ in range(dim[a.src - 1])] for _ in range(dim[a.tgt - 1])]
+            for a in q.arrows})
+    return random_representation(q, fld, dim, rng)
+
+
+SIGMA_FIELDS = [QQ, PrimeField(101), PrimeField(2**31 - 1)]
+
+
+@pytest.mark.parametrize("fld", SIGMA_FIELDS, ids=str)
+def test_evaluate_sigma_matches_term_by_term_reference(fld):
+    """Paths repeated within and across entries, empty combinations and
+    zero-dimensional blocks, on quivers with paths of length 0, 1 and 2."""
+    q3 = quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3), ("d", 1, 2)])
+    k3 = quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)])
+    rng = random.Random(f"evaluate_sigma/{fld}")
+    element = int if isinstance(fld, PrimeField) else Fraction
+    for q in (q3, k3) * 20:
+        sigma = random_sigma(q, rng, max_len=2)
+        dim = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+        m = random_point(q, fld, dim, rng)
+        got = evaluate_sigma(sigma, m)
+        want = reference_sigma(sigma, m)
+        assert got.shape == (sum(dim[i - 1] for i in sigma.domain),
+                             sum(dim[j - 1] for j in sigma.codomain))
+        assert got.tolist() == want
+        assert all(type(x) is element for row in got for x in row)
+
+
+@pytest.mark.parametrize("fld", SIGMA_FIELDS, ids=str)
+def test_evaluate_sigma_keeps_trivial_paths_at_two_vertices_apart(k3, fld):
+    """e_1 and e_2 have the same (empty) arrow list but are different paths."""
+    e1, e2 = Path(1, 1, ()), Path(2, 2, ())
+    entries = ((path_combination(1, 1, [(2, e1)]), path_combination(2, 1, [])),
+               (path_combination(1, 2, [(1, Path(1, 2, ("x",)))]),
+                path_combination(2, 2, [(3, e2), ("1/2", e2)])))
+    sigma = SigmaMorphism(k3, (1, 2), (1, 2), entries)
+    m = random_point(k3, fld, (2, 3), random.Random(9))
+    got = evaluate_sigma(sigma, m)
+    assert got.shape == (5, 5) and got.tolist() == reference_sigma(sigma, m)
+    assert got.tolist()[2][2:] == [fld.coerce("7/2"), 0, 0]
 
 
 def test_inverse_relations_random(k3):
