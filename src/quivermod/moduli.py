@@ -13,10 +13,13 @@ the one asked for in lexicographic order, so each list is computed once per
 table and nothing recurses. It keeps a quotient q only when the linear form
 <-, q> has a negative coefficient: otherwise <beta', q> >= 0 for every
 beta' >= 0, so q rejects no subvector and cannot lift ext above 0. The fill
-finds the quotients of gamma - beta at the flat position index(gamma) -
-index(beta) in the box being filled, not by hashing a tuple; `quivermod ssne`
-on K3 at (30, 30) takes 1.1-1.4 s (2 vCPUs). Inputs are validated, by
-`quiver.dim_vector`, at its public methods (`ext`, `generic_subdimvectors`).
+names every vector of the box by its position in product order: the quotients
+of gamma - beta sit at position index(gamma) - index(beta), each subvector is
+tested by one loop that stops at the first negative pairing, and each quotient's
+form is the difference of two forms computed once per position.
+`quivermod ssne` on K3 at (30, 30) takes 0.9 s (2 vCPUs), and the table peaks
+at 6.2 MB. Inputs are validated, by `quiver.dim_vector`, at its public methods
+(`ext`, `generic_subdimvectors`).
 """
 from __future__ import annotations
 
@@ -49,21 +52,30 @@ class GenericExtTable:
     Only the w with a negative entry are kept: for beta >= 0 any other w has
     beta . w >= 0, so it never rejects a subvector nor lifts `ext` above 0.
 
-    `_fill(top)` walks the box under top in product order, in which the
-    position of v is its flat index sum_k v_k r_k with r_k = prod_{l > k}
-    (top_l + 1). The index is linear, so for beta <= gamma the duals of
-    gamma - beta sit at index(gamma) - index(beta) in a per-fill list seeded
-    from earlier fills; beta = 0 reads gamma's own entry, not yet filled, which
-    counts as no duals and so accepts it.
+    `_fill(top)` walks the box under top as one list `box` in product order,
+    in which the position of v is its flat index sum_k v_k r_k with
+    r_k = prod_{l > k} (top_l + 1), so box[index(v)] == v. The index is
+    linear, so for beta <= gamma the duals of gamma - beta sit at
+    index(gamma) - index(beta) in a per-fill list seeded from earlier fills;
+    beta = 0 reads gamma's own entry, not yet filled, which counts as no duals
+    and so accepts it. The positions of the beta <= gamma are summed one
+    coordinate at a time, and `_subs[gamma]` holds the box's own tuples. The
+    form w(v) is linear too: it is computed once per position, and the dual of
+    gamma - s is w(gamma) - w(s).
 
     Filling up to alpha costs about sum over gamma <= alpha of
     prod_i (gamma_i + 1) subvector tests, and no budget bounds it:
-    `quivermod ssne` on K3 at alpha = (30, 30) takes 1.1-1.4 s (2 vCPUs)."""
+    `quivermod ssne` on K3 at alpha = (30, 30) takes 0.9 s (2 vCPUs)."""
 
     def __init__(self, quiver: Quiver):
         _check_acyclic(quiver)
         self.quiver = quiver
-        self._arrows = tuple((a.src - 1, a.tgt - 1) for a in quiver.arrows)
+        # rows of the linear form w(v): w_i = v_i - sum over arrows i -> j of v_j
+        n = quiver.vertex_count
+        form = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        for a in quiver.arrows:
+            form[a.src - 1][a.tgt - 1] -= 1
+        self._form = tuple(map(tuple, form))
         self._subs: dict[DimVector, list[DimVector]] = {}
         self._duals: dict[DimVector, list[DimVector]] = {}
 
@@ -90,25 +102,30 @@ class GenericExtTable:
         for k in range(len(top) - 1, 0, -1):
             radix[k - 1] = radix[k] * (top[k] + 1)
         subs_of, duals_of = self._subs, self._duals
-        boxes = [range(t + 1) for t in top]
-        flat = [duals_of.get(gamma) for gamma in product(*boxes)]
-        for gi, gamma in enumerate(product(*boxes)):
+        box = list(product(*(range(t + 1) for t in top)))
+        flat = [duals_of.get(v) for v in box]
+        forms = [tuple(sum(map(mul, row, v)) for row in self._form) for v in box]
+        for gi, gamma in enumerate(box):
             if flat[gi] is not None:
                 continue
-            offsets = map(sum, product(*(range(0, (g + 1) * r, r)
-                                         for g, r in zip(gamma, radix))))
-            subs = [beta for beta, bi in zip(product(*(range(g + 1) for g in gamma)), offsets)
-                    if not (ws := flat[gi - bi])
-                    or all(sum(map(mul, beta, w)) >= 0 for w in ws)]
-            duals = []
-            for s in subs[:-1]:  # the last generic subvector is gamma itself
-                q = tuple(map(sub, gamma, s))
-                w = list(q)
-                for i, j in self._arrows:
-                    w[i] -= q[j]
+            flat[gi] = ()  # beta = 0 reads gamma's own entry: no duals, accepted
+            offsets = [0]
+            for g, r in zip(gamma, radix):
+                offsets = [o + k for o in offsets for k in range(0, (g + 1) * r, r)]
+            accepted = []
+            for bi in offsets:
+                beta = box[bi]
+                for w in flat[gi - bi]:
+                    if sum(map(mul, beta, w)) < 0:
+                        break
+                else:
+                    accepted.append(bi)
+            wg, duals = forms[gi], []
+            for bi in accepted[:-1]:  # the last generic subvector is gamma itself
+                w = tuple(map(sub, wg, forms[bi]))
                 if min(w) < 0:  # beta . w >= 0 for every beta >= 0 otherwise
-                    duals.append(tuple(w))
-            subs_of[gamma] = subs
+                    duals.append(w)
+            subs_of[gamma] = [box[bi] for bi in accepted]
             flat[gi] = duals_of[gamma] = duals
 
 

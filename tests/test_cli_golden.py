@@ -20,6 +20,11 @@ K3 = {"vertices": 2,
       "arrows": [{"id": "x", "src": 1, "tgt": 2},
                  {"id": "y", "src": 1, "tgt": 2},
                  {"id": "z", "src": 1, "tgt": 2}]}
+# K3 with its arrows reversed, 2 -> 1: against the numbering
+K3OP = {"vertices": 2,
+        "arrows": [{"id": "x", "src": 2, "tgt": 1},
+                   {"id": "y", "src": 2, "tgt": 1},
+                   {"id": "z", "src": 2, "tgt": 1}]}
 A2 = {"vertices": 2, "arrows": [{"id": "a", "src": 1, "tgt": 2}]}
 # the acyclic triangle 1 -> 2 -> 3, 1 -> 3
 Q3 = {"vertices": 3,
@@ -29,6 +34,7 @@ Q3 = {"vertices": 3,
 
 FILES = {
     "k3.json": K3,
+    "k3op.json": K3OP,
     "a2.json": A2,
     "q3.json": Q3,
     # F_3, dimension (2, 2): every arrow kills e_2, so (1, 0) destabilizes
@@ -68,6 +74,10 @@ COMMANDS = [
     (["ssne", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
     (["stne", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
     (["dim", "-q", "k3.json", "--alpha", "9,9", "--theta", "-1,1"], 0),
+    # the same three with the vertices swapped
+    (["ssne", "-q", "k3op.json", "--alpha", "9,9", "--theta", "1,-1"], 0),
+    (["stne", "-q", "k3op.json", "--alpha", "9,9", "--theta", "1,-1"], 0),
+    (["dim", "-q", "k3op.json", "--alpha", "9,9", "--theta", "1,-1"], 0),
     (["ssne", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-1,0,1"], 0),
     (["stne", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-2,1,1"], 1),
     (["dim", "-q", "q3.json", "--alpha", "3,3,3", "--theta", "-1,0,1"], 1),
@@ -131,3 +141,24 @@ def test_usage_errors_match_golden(capsys, monkeypatch):
         assert main(argv) == 2, argv
         out.append(capsys.readouterr().err)
     assert "".join(out) == USAGE_GOLDEN.read_text()
+
+
+def test_reversed_k3_golden_lines_are_k3_swapped():
+    """The k3op.json records are the k3.json (9, 9) records with the two
+    vertices swapped: same verdicts and dimension, swapped subvectors."""
+    records = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+
+    def at(name):
+        return {r["command"]: r for r in records
+                if r["config"].get("quiver") == name and r["config"].get("alpha") == [9, 9]}
+
+    k3, k3op = at("k3.json"), at("k3op.json")
+    assert sorted(k3) == sorted(k3op) == ["dim", "ssne", "stne"]
+    for command, r in k3.items():
+        swapped = k3op[command]
+        assert swapped["config"]["theta"] == r["config"]["theta"][::-1]
+        if "generic_subs" in r:
+            assert swapped["generic_subs"] == sorted(s[::-1] for s in r["generic_subs"])
+        strip = {"config", "generic_subs"}
+        assert ({k: v for k, v in swapped.items() if k not in strip}
+                == {k: v for k, v in r.items() if k not in strip})

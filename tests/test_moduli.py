@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -93,11 +94,13 @@ def test_table_matches_reference_recursion(arrows, top):
 
 @st.composite
 def acyclic_boxes(draw, max_box=40):
-    """A quiver on 2-4 vertices with arrows i -> j, i < j (parallel ones
-    allowed), a top whose box holds at most `max_box` dimension vectors, and a
-    smaller top below it."""
+    """A quiver on 2-4 vertices whose arrows follow a random topological
+    order, so they run both up and down the numbering (parallel ones allowed),
+    a top whose box holds at most `max_box` dimension vectors, and a smaller
+    top below it."""
     n = draw(st.integers(2, 4))
-    ends = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    order = draw(st.permutations(range(1, n + 1)))
+    ends = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     arrows = draw(st.lists(st.sampled_from(ends), max_size=6))
     room, top = max_box, []
     for _ in range(n):
@@ -127,6 +130,75 @@ def test_table_matches_reference_on_random_quivers(case):
             expected = ref.ext(alpha, beta)
             assert small_first.ext(alpha, beta) == large_first.ext(alpha, beta) == expected, \
                 (alpha, beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(acyclic_boxes(), st.randoms(use_true_random=False))
+def test_relabelling_vertices_permutes_the_table(case, rng):
+    """Renumber the vertices by a permutation pi: the generic subvectors and
+    ext of the renumbered quiver are those of the original, moved by pi.
+    Relabelling alone cannot tell a quiver from its opposite, whose table
+    permutes the same way, so ext(alpha, beta) >= -<alpha, beta> (the generic
+    hom is <alpha, beta> + ext >= 0) ties both tables to the arrows' direction."""
+    q, top, _ = case
+    n = q.vertex_count
+    pi = list(range(n))
+    rng.shuffle(pi)
+
+    def move(v):
+        moved = [0] * n
+        for i, x in enumerate(v):
+            moved[pi[i]] = x
+        return tuple(moved)
+
+    moved_q = quiver(n, [(a.id, pi[a.src - 1] + 1, pi[a.tgt - 1] + 1) for a in q.arrows])
+    table, moved_table = GenericExtTable(q), GenericExtTable(moved_q)
+    box = list(product(*(range(t + 1) for t in top)))
+    for gamma in box:
+        assert (sorted(map(move, table.generic_subdimvectors(gamma)))
+                == moved_table.generic_subdimvectors(move(gamma))), gamma
+    for alpha in box:
+        for beta in box:
+            e = table.ext(alpha, beta)
+            assert moved_table.ext(move(alpha), move(beta)) == e, (alpha, beta)
+            assert e >= -euler_form(q, alpha, beta), (alpha, beta)
+
+
+def test_large_tables_pinned():
+    """sha256 of the whole `_subs` dict and of the sorted `_duals` lists at
+    boxes where dual lists reach ~90 entries, where a subvector test that
+    stops early or accepts late would show."""
+    cases = [
+        (quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]), (20, 20),
+         "6659430b7215e8421c58c947710c8e939dec0a6487536cc04de6944118548dc9",
+         "1ba9dd577afdaf4e537f4661af31f4b8956acc39c0ab3ec1e09d1da5abac216b"),
+        (quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)]), (6, 6, 6),
+         "31cb27ce5ffbcead5236b0a69783d24c8501bc07cd104660d6f376ee00a6b669",
+         "1a5b1020b873ae08cbf61ce30c0d91a5c2d2433246d213cd5b0528d6762763ef"),
+    ]
+    for q, top, subs_digest, duals_digest in cases:
+        t = GenericExtTable(q)
+        t.generic_subdimvectors(top)
+        subs = repr(sorted(t._subs.items()))
+        duals = repr(sorted((gamma, sorted(ws)) for gamma, ws in t._duals.items()))
+        assert hashlib.sha256(subs.encode()).hexdigest() == subs_digest, top
+        assert hashlib.sha256(duals.encode()).hexdigest() == duals_digest, top
+
+
+def test_incremental_fill_keeps_earlier_lists(k3):
+    t = GenericExtTable(k3)
+    t.generic_subdimvectors((4, 4))
+    first = dict(t._subs)
+    first_duals = dict(t._duals)
+    t.generic_subdimvectors((9, 9))
+    assert set(t._subs) == set(product(range(10), repeat=2))
+    assert all(t._subs[gamma] is subs for gamma, subs in first.items())
+    assert all(t._duals[gamma] is duals for gamma, duals in first_duals.items())
+    subs, duals = dict(t._subs), dict(t._duals)
+    t._fill((9, 9))
+    assert t._subs == subs and t._duals == duals
+    assert all(t._subs[gamma] is s for gamma, s in subs.items())
+    assert all(t._duals[gamma] is w for gamma, w in duals.items())
 
 
 @pytest.mark.parametrize("arrows, top", [
