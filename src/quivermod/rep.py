@@ -171,7 +171,9 @@ def compose_group(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def act(g: GroupElement, m: Representation) -> Representation:
-    """Base change: arrow a: i -> j maps to g_j M_a g_i^{-1}."""
+    """Base change: arrow a: i -> j maps to g_j M_a g_i^{-1}. The products are
+    already in field form and of shape (d_j, d_i), so they are not coerced
+    again."""
     if g.field != m.field:
         raise RepresentationError("field mismatch between group element and representation")
     if len(g.mats) != m.quiver.vertex_count or any(
@@ -183,7 +185,7 @@ def act(g: GroupElement, m: Representation) -> Representation:
         mats[a.id] = linalg.matmul(
             m.field, linalg.matmul(m.field, g.mats[a.tgt - 1], m.matrix(a.id)),
             inverses[a.src - 1])
-    return representation(m.quiver, m.field, m.dim, mats)
+    return Representation(m.quiver, m.field, m.dim, mats)
 
 
 def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[tuple[str, int, int]], int]:

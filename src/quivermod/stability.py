@@ -15,10 +15,16 @@ The search runs no elimination. A subspace is named by its position in the
 position of its basis without the last row (`prefix`) and joins vectors to a
 subspace by position (`extend`). The image of U under the arrows between two
 vertices is the image of prefix(U) extended by the images of U's last row,
-memoised by position for one search. Each search shares the lattice of F_p^n,
-and the superspaces of each subspace met, with later ones (at most 64
-lattices are kept, none above 1024 subspaces): repeated searches gain, one CLI
-call does not. Rational inputs are handled by multi-prime reduction;
+memoised by position for one search. Work that cannot change a result is
+skipped: `extend` returns the top position (F_p^n itself) as soon as its rows
+span F_p^n, without reducing the remaining vectors, and once the image of
+prefix(U) is the top position so is the image of U, and the images of U's last
+row are not computed. The last vertex is one loop over its candidates, with the
+back arrows checked inline and each witness built from the lower vertices'
+bases, gathered once per choice at the lower vertices. Each search shares the
+lattice of F_p^n, and the superspaces of each subspace met, with later ones
+(at most 64 lattices are kept, none above 1024 subspaces): repeated searches
+gain, one CLI call does not. Rational inputs are handled by multi-prime reduction;
 instability can be certified exactly by lifting a witness, semistability stays
 heuristic, and with no prime tested there is no verdict. `verify_witness`
 re-checks a witness over any field with `linalg.rank` and `linalg.matmul`,
@@ -39,7 +45,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .fields import Matrix, PrimeField, Rationals
-from .quiver import DimVector, QuiverError, Weight, int_vector, theta_pairing
+from .quiver import DimVector, QuiverError, int_vector, theta_pairing
 from .rep import Representation, RepresentationError, representation
 
 DEFAULT_BUDGET = 10**7
@@ -140,19 +146,25 @@ class _Lattice:
     """The subspaces of F_p^n in `_all_subspaces` order, named by their
     positions in it: the position of each rref basis, `prefix` (the position of
     each basis without its last row, an earlier one; -1 for the zero subspace),
-    and the sorted superspace positions of each subspace met (`supers`). None
+    `top` (the last position, F_p^n itself) and the sorted superspace positions
+    of each subspace met (`supers`). None
     of it depends on a representation; `extend` joins vectors to a subspace."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n, self.subspaces = p, n, _all_subspaces(p, n)
         self.position = {b.rows: pos for pos, (b, _) in enumerate(self.subspaces)}
         self.prefix = [self.position[b.rows[:-1]] if b.rows else -1 for b, _ in self.subspaces]
+        self.top = len(self.subspaces) - 1  # F_p^n itself
         self.supers: dict[int, tuple[int, ...]] = {}
 
     def extend(self, pos: int, vectors) -> int:
         """Position of the span of subspace `pos` and `vectors`, rows of ints in
-        0..p-1, each reduced into the rref basis as it grows."""
-        p = self.p
+        0..p-1 (any iterable), each reduced into the rref basis as it grows.
+        Once the rows span F_p^n the top position is returned and the
+        remaining vectors are not drawn."""
+        p, top = self.p, self.top
+        if pos == top:
+            return top
         basis, pivots = self.subspaces[pos]
         rows, pivots = list(basis.rows), list(pivots)
         for w in vectors:
@@ -171,6 +183,8 @@ class _Lattice:
             k = bisect(pivots, lead)
             rows.insert(k, w)
             pivots.insert(k, lead)
+            if len(rows) == self.n:
+                return top
         return self.position[tuple(rows)]
 
     def superspaces(self, pos: int, lattice: Callable[[int], _Lattice]) -> Sequence[int]:
@@ -236,41 +250,56 @@ class _SubrepSearch:
         """The map from the position of a subspace U at `src` to the position of
         the span of its images under the arrow matrices `mats` (their rows):
         the image of prefix(U) extended by the images of U's last row, so each
-        U costs one `extend` of len(mats) vectors. Memoised by position."""
+        U costs at most one `extend` of len(mats) vectors, each computed only
+        if `extend` draws it. Once the image of prefix(U) is the whole target
+        space, so is the image of U. Memoised by position."""
         source, target = self.lattices[src], self.lattices[tgt]
-        p = source.p
+        p, top = source.p, target.top
         memo = {0: 0}
 
         def image(pos: int) -> int:
             if pos not in memo:
-                u = source.subspaces[pos][0].rows[-1]
-                memo[pos] = target.extend(image(source.prefix[pos]),
-                                          [[sum(map(mul, row, u)) % p for row in mat]
-                                           for mat in mats])
+                below = image(source.prefix[pos])
+                if below == top:
+                    memo[pos] = top
+                else:
+                    u = source.subspaces[pos][0].rows[-1]
+                    memo[pos] = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
+                                                      for mat in mats))
             return memo[pos]
 
         return image
 
     def run(self, i: int, chosen: list[int]) -> None:
-        """Extend the subspaces chosen at vertices 1..i in every arrow-stable way."""
+        """Extend the subspaces chosen at vertices 1..i in every arrow-stable
+        way. The last vertex is one loop over its candidates: each one that
+        passes the back-arrow checks adds a witness, its lower bases shared
+        from one dict per prefix."""
         lattices = self.lattices
-        if i == len(lattices):
-            bases = [lat.subspaces[pos][0] for lat, pos in zip(lattices, chosen)]
-            self.found.append(SubrepWitness(dict(enumerate(bases, 1)),
-                                            tuple(b.shape[0] for b in bases)))
-            return
         lattice = lattices[i]
         span = 0
         for j, image in self.into[i]:
             t = image(chosen[j])
             span = lattice.extend(span, lattice.subspaces[t][0].rows) if span else t
         back = self.back[i]
-        for pos in lattice.superspaces(span, self.lattice):
-            chosen.append(pos)
-            if not back or all(chosen[j] in lattices[j].superspaces(image(pos), self.lattice)
+        candidates = lattice.superspaces(span, self.lattice)
+        if i + 1 < len(lattices):
+            for pos in candidates:
+                chosen.append(pos)
+                if not back or all(chosen[j] in lattices[j].superspaces(image(pos), self.lattice)
+                                   for j, image in back):
+                    self.run(i + 1, chosen)
+                chosen.pop()
+            return
+        lower = {j: lat.subspaces[pos][0] for j, (lat, pos) in enumerate(zip(lattices, chosen), 1)}
+        beta = tuple(b.shape[0] for b in lower.values())
+        subspaces, found, last = lattice.subspaces, self.found, i + 1
+        for pos in candidates:
+            if not back or all((chosen[j] if j < i else pos)
+                               in lattices[j].superspaces(image(pos), self.lattice)
                                for j, image in back):
-                self.run(i + 1, chosen)
-            chosen.pop()
+                basis = subspaces[pos][0]
+                found.append(SubrepWitness({**lower, last: basis}, (*beta, basis.shape[0])))
 
 
 def check_budget(budget) -> int:
@@ -301,10 +330,6 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[S
     return search.found
 
 
-def _witness_key(theta: Weight, w: SubrepWitness):
-    return (sum(map(mul, theta, w.beta)), sum(w.beta), w.beta)
-
-
 class WitnessCheckError(RuntimeError):
     """A witness failed its independent re-check: the oracle itself is at fault."""
 
@@ -316,29 +341,44 @@ def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWit
     return w
 
 
-def _search(m: Representation, theta: Sequence[int], budget: int):
-    """theta, theta(M), and when theta(M) = 0 the subrepresentations and the
-    minimal one by `_witness_key` (otherwise None, None)."""
+@dataclass
+class _Scan:
+    count: int                       # subrepresentations found: the budget used
+    best: SubrepWitness              # minimal by (theta . beta, |beta|, beta), first on ties
+    min_theta: int                   # theta . beta of `best`
+    balanced: SubrepWitness | None   # first proper nonzero one with theta . beta = 0
+
+
+def _search(m: Representation, theta: Sequence[int], budget: int) -> tuple[int, _Scan | None]:
+    """theta(M), and when theta(M) = 0 one pass over the subrepresentations in
+    product order (otherwise None)."""
     budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
-        return theta, theta_m, None, None
+        return theta_m, None
     subreps = enumerate_subreps(m, budget=budget)
-    return theta, theta_m, subreps, min(subreps, key=lambda w: _witness_key(theta, w))
+    best = balanced = None
+    for w in subreps:
+        beta = w.beta
+        value = sum(map(mul, theta, beta))
+        if best is None or (value, sum(beta), beta) < key:
+            best, key = w, (value, sum(beta), beta)
+        if not value and balanced is None and any(beta) and beta != m.dim:
+            balanced = w
+    return theta_m, _Scan(len(subreps), best, key[0], balanced)
 
 
 def is_semistable(m: Representation, theta: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> SemistabilityVerdict:
-    theta, theta_m, subreps, best = _search(m, theta, budget)
-    if subreps is None:
+    theta_m, scan = _search(m, theta, budget)
+    if scan is None:
         return SemistabilityVerdict(False, theta_m, None, None, 0,
                                     reason="theta(M) != 0")
-    min_theta = theta_pairing(theta, best.beta)
-    if min_theta >= 0:
-        return SemistabilityVerdict(True, theta_m, None, min_theta, len(subreps))
-    return SemistabilityVerdict(False, theta_m, _checked(m, best, min_theta), min_theta,
-                                len(subreps))
+    if scan.min_theta >= 0:
+        return SemistabilityVerdict(True, theta_m, None, scan.min_theta, scan.count)
+    return SemistabilityVerdict(False, theta_m, _checked(m, scan.best, scan.min_theta),
+                                scan.min_theta, scan.count)
 
 
 def is_stable(m: Representation, theta: Sequence[int],
@@ -347,21 +387,16 @@ def is_stable(m: Representation, theta: Sequence[int],
     only, so, like `stable_nonempty`, this refuses the zero one."""
     if not any(m.dim):
         raise RepresentationError("is_stable needs a nonzero representation")
-    theta, theta_m, subreps, best = _search(m, theta, budget)
-    if subreps is None:
+    theta_m, scan = _search(m, theta, budget)
+    if scan is None:
         return StabilityVerdict(False, False, theta_m, None, 0, reason="theta(M) != 0")
-    min_theta = theta_pairing(theta, best.beta)
-    if min_theta < 0:
-        return StabilityVerdict(False, False, theta_m, _checked(m, best, min_theta),
-                                len(subreps), reason="destabilizing subrepresentation")
-    zero = tuple(0 for _ in m.dim)
-    for w in subreps:
-        if w.beta == zero or w.beta == m.dim:
-            continue
-        if sum(map(mul, theta, w.beta)) == 0:
-            return StabilityVerdict(False, True, theta_m, _checked(m, w, 0), len(subreps),
-                                    reason="proper subrepresentation with theta = 0")
-    return StabilityVerdict(True, True, theta_m, None, len(subreps))
+    if scan.min_theta < 0:
+        return StabilityVerdict(False, False, theta_m, _checked(m, scan.best, scan.min_theta),
+                                scan.count, reason="destabilizing subrepresentation")
+    if scan.balanced is not None:
+        return StabilityVerdict(False, True, theta_m, _checked(m, scan.balanced, 0), scan.count,
+                                reason="proper subrepresentation with theta = 0")
+    return StabilityVerdict(True, True, theta_m, None, scan.count)
 
 
 @dataclass

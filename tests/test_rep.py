@@ -106,6 +106,24 @@ def test_act_composition(k3):
     assert all(linalg.equal(f5, lhs.matrix(a), rhs.matrix(a)) for a in lhs.matrices)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)],
+                         ids=["Q", "F5", "F2^31-1"])
+def test_act_matches_coerced_representation(field):
+    """`act` keeps the products as they are: coercing them again through
+    `representation` gives the same dimension vector and matrices, entry types
+    included, also at zero-dimensional vertices."""
+    q = quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 3, 1), ("l", 2, 2), ("d", 1, 3)])
+    rng = random.Random(3)
+    for dim in ((2, 3, 1), (0, 2, 1), (2, 0, 0), (1, 0, 2), (0, 0, 0)):
+        m = random_representation(q, field, dim, rng)
+        out = act(random_group_element(field, dim, rng), m)
+        ref = representation(q, field, dim, out.matrices)
+        assert (out.quiver, out.field, out.dim) == (ref.quiver, ref.field, ref.dim)
+        assert out.matrices == ref.matrices
+        assert all(type(x) is type(y) for a in q.arrows
+                   for r, s in zip(out.matrix(a.id), ref.matrix(a.id)) for x, y in zip(r, s))
+
+
 def test_singular_group_element_rejected():
     with pytest.raises(RepresentationError):
         group_element(QQ, [[[0]]])

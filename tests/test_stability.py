@@ -1,6 +1,7 @@
 import random
 from functools import cache
 from itertools import product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -252,6 +253,13 @@ SEARCH_QUIVERS = {
 }
 
 
+# (quiver, p) -> a dimension vector where most images fill their target space,
+# so the full-space exits of `_Lattice.extend` and `_image` fire; at the
+# 2-cycle and the loop the last vertex's back-arrow check then decides
+FILLING_DIMS = {("K3", 3): (3, 3), ("K3", 2): (4, 3), ("2-cycle", 2): (3, 3),
+                ("back arrow and loop", 2): (3, 3)}
+
+
 @pytest.mark.parametrize("name", sorted(SEARCH_QUIVERS))
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_search_matches_product_scan(name, p):
@@ -266,6 +274,11 @@ def test_search_matches_product_scan(name, p):
         dims.append(tuple([0] + [top] * (k - 1)))
     for dim in dims:
         for m in (zero_representation(q, fld, dim), random_representation(q, fld, dim, rng)):
+            assert searched(m) == reference_subreps(m), dim
+    if (name, p) in FILLING_DIMS:
+        dim = FILLING_DIMS[name, p]
+        for _ in range(3):
+            m = random_representation(q, fld, dim, rng)
             assert searched(m) == reference_subreps(m), dim
 
 
@@ -364,18 +377,28 @@ def extend_cases(draw):
     n = draw(st.integers(0, 4))
     pos = draw(st.integers(0, subspace_count(p, n) - 1))
     vector = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-    return p, n, pos, draw(st.lists(vector, max_size=4))
+    return p, n, pos, draw(st.lists(vector, max_size=n + 4))  # often spanning F_p^n
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(extend_cases())
 def test_extend_matches_rref(case):
+    """`extend` gives the position of the rref span, and draws the vectors
+    only until they span F_p^n."""
     p, n, pos, vectors = case
+    fld = PrimeField(p)
     lattice = lattice_of(p, n)
     basis = lattice.subspaces[pos][0]
     rows = basis.rows + tuple(map(tuple, vectors))
-    span, pivots = linalg.rref(PrimeField(p), Matrix(rows, (len(rows), n)))
-    assert lattice.extend(pos, vectors) == lattice.position[span.rows[:len(pivots)]]
+    span, pivots = linalg.rref(fld, Matrix(rows, (len(rows), n)))
+    drawn = []
+    assert (lattice.extend(pos, (drawn.append(v) or v for v in vectors))
+            == lattice.position[span.rows[:len(pivots)]])
+    needed = next((k for k in range(len(vectors) + 1)
+                   if linalg.rank(fld, Matrix(rows[:len(basis.rows) + k],
+                                              (len(basis.rows) + k, n))) == n), len(vectors))
+    assert drawn == vectors[:needed]
+    assert (len(pivots) == n) == (lattice.extend(pos, vectors) == lattice.top)
     if pos:
         assert lattice.prefix[pos] < pos
         assert lattice.subspaces[lattice.prefix[pos]][0].rows == basis.rows[:-1]
@@ -414,3 +437,71 @@ def test_search_goes_through_enumerate_subreps(k3, monkeypatch):
     is_semistable(m, (-1, 1))
     is_stable(m, (-1, 1))
     assert calls == [m, m]
+
+
+# the bench's stability quivers: Q3 is the path with a shortcut, C2 the 2-cycle
+VERDICT_QUIVERS = {"K3": SEARCH_QUIVERS["K3"], "Q3": SEARCH_QUIVERS["path with shortcut"],
+                   "C2": SEARCH_QUIVERS["2-cycle"]}
+
+
+@st.composite
+def verdict_cases(draw):
+    k, arrows = VERDICT_QUIVERS[draw(st.sampled_from(sorted(VERDICT_QUIVERS)))]
+    fld = PrimeField(draw(st.sampled_from([2, 3, 5])))
+    dim = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    # theta_i = u_i |dim| - u . dim pairs to 0 with dim; a nudge makes theta(M) != 0
+    u = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+    theta = [x * sum(dim) - sum(map(mul, u, dim)) for x in u]
+    theta[0] += draw(st.sampled_from([0, 0, 0, 1]))
+    q = quiver(k, arrows)
+    if draw(st.booleans()):
+        return random_representation(q, fld, dim, random.Random(draw(st.integers(0, 2**16)))), theta
+    return zero_representation(q, fld, dim), theta
+
+
+def witness_summary(w):
+    if w is None:
+        return None
+    return w.beta, {v: b.rows for v, b in w.bases.items()}, w.theta_value
+
+
+def reference_verdicts(m, theta):
+    """(semistable, stable) verdicts as tuples: the minimal witness is the first
+    minimum of `enumerate_subreps` by (theta . beta, |beta|, beta), the
+    theta-zero witness the first proper one in the product scan."""
+    theta_m = sum(map(mul, theta, m.dim))
+    if theta_m:
+        return ((False, theta_m, None, None, 0, "theta(M) != 0"),
+                (False, False, theta_m, None, 0, "theta(M) != 0"))
+    subreps = enumerate_subreps(m)
+    n = len(subreps)
+    best = min(subreps, key=lambda w: (sum(map(mul, theta, w.beta)), sum(w.beta), w.beta))
+    low = sum(map(mul, theta, best.beta))
+    if low < 0:
+        witness = (best.beta, {v: b.rows for v, b in best.bases.items()}, low)
+        return ((False, theta_m, witness, low, n, None),
+                (False, False, theta_m, witness, n, "destabilizing subrepresentation"))
+    balanced = next(((beta, dict(enumerate(rows, 1)), 0) for beta, rows in reference_subreps(m)
+                     if any(beta) and beta != m.dim and not sum(map(mul, theta, beta))), None)
+    semistable = (True, theta_m, None, low, n, None)
+    if balanced is None:
+        return semistable, (True, True, theta_m, None, n, None)
+    return semistable, (False, True, theta_m, balanced, n,
+                        "proper subrepresentation with theta = 0")
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(verdict_cases())
+def test_verdicts_match_reference(case):
+    m, theta = case
+    want_ss, want_st = reference_verdicts(m, theta)
+    v = is_semistable(m, theta)
+    assert (v.semistable, v.theta_of_m, witness_summary(v.witness), v.min_theta, v.budget_used,
+            v.reason) == want_ss
+    if not any(m.dim):
+        with pytest.raises(RepresentationError):
+            is_stable(m, theta)
+        return
+    v = is_stable(m, theta)
+    assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
+            v.reason) == want_st
