@@ -256,10 +256,13 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
-    """Character value prod det(g_i)^{theta_i}."""
+    """Character value prod det(g_i)^{theta_i}; a vertex with theta_i = 0
+    contributes 1, and its determinant is not taken."""
     fld = g.field
     out = fld.one
     for gi, t in zip(g.mats, int_vector(theta, len(g.mats))):
+        if not t:
+            continue
         d = linalg.det(fld, gi)
         if t < 0:
             d = fld.scalar_inv(d)

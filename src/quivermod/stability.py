@@ -19,10 +19,14 @@ memoised by position for one search. Work that cannot change a result is
 skipped: `extend` returns the top position (F_p^n itself) as soon as its rows
 span F_p^n, without reducing the remaining vectors, and once the image of
 prefix(U) is the top position so is the image of U, and the images of U's last
-row are not computed. The last vertex is one loop over its candidates, with the
-back arrows checked inline and each witness built from the lower vertices'
-bases, gathered once per choice at the lower vertices. Each search shares the
-lattice of F_p^n, and the superspaces of each subspace met, with later ones
+row are not computed. The last vertex builds no witness: for each choice at
+the lower vertices the search keeps one block, those positions and the sorted
+positions of the last vertex's candidates that pass the back-arrow checks.
+`enumerate_subreps` returns a read-only sequence over the blocks that builds a
+`SubrepWitness` only for an item read. Within a block the dimension at the
+last vertex grows with the position, so the verdicts read the count, the
+minimal witness and the first proper theta-zero one off the blocks, and build
+only the witnesses they return. Each search shares the lattice of F_p^n, and the superspaces of each subspace met, with later ones
 (at most 64 lattices are kept, none above 1024 subspaces): repeated searches
 gain, one CLI call does not. Rational inputs are handled by multi-prime reduction;
 instability can be certified exactly by lifting a witness, semistability stays
@@ -36,12 +40,12 @@ images and joins run on such rows, exact at every prime below 2^31.
 """
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache, partial
-from itertools import combinations, product
-from operator import mul
-from typing import Callable, Sequence
+from itertools import accumulate, combinations, product
+from operator import index as index_of, mul
 
 from . import linalg
 from .fields import Matrix, PrimeField, Rationals
@@ -146,8 +150,9 @@ class _Lattice:
     """The subspaces of F_p^n in `_all_subspaces` order, named by their
     positions in it: the position of each rref basis, `prefix` (the position of
     each basis without its last row, an earlier one; -1 for the zero subspace),
-    `top` (the last position, F_p^n itself) and the sorted superspace positions
-    of each subspace met (`supers`). None
+    `top` (the last position, F_p^n itself), `starts` (the subspaces of
+    dimension d are the positions starts[d] to starts[d + 1] - 1) and the
+    sorted superspace positions of each subspace met (`supers`). None
     of it depends on a representation; `extend` joins vectors to a subspace."""
 
     def __init__(self, p: int, n: int):
@@ -155,6 +160,8 @@ class _Lattice:
         self.position = {b.rows: pos for pos, (b, _) in enumerate(self.subspaces)}
         self.prefix = [self.position[b.rows[:-1]] if b.rows else -1 for b, _ in self.subspaces]
         self.top = len(self.subspaces) - 1  # F_p^n itself
+        dims = [b.shape[0] for b, _ in self.subspaces]  # nondecreasing
+        self.starts = [bisect_left(dims, d) for d in range(n + 2)]
         self.supers: dict[int, tuple[int, ...]] = {}
 
     def extend(self, pos: int, vectors) -> int:
@@ -223,7 +230,10 @@ class _SubrepSearch:
     arrows j -> i, are candidates; they are visited in their `_all_subspaces`
     order. Arrows i -> j with j <= i (loops included) are checked once U_i is
     chosen, as "U_j is a superspace of the image of U_i". Results therefore
-    come in the order of the product scan over `_all_subspaces` lists.
+    come in the order of the product scan over `_all_subspaces` lists. They
+    are kept as `blocks`: for each choice at the lower vertices, its
+    positions and the sorted positions of the last vertex's candidates that
+    pass the back-arrow checks.
 
     Images are memoised by position for this search only (`_image`); each
     lattice of F_p^k comes from `_lattice`, kept for later searches.
@@ -244,7 +254,7 @@ class _SubrepSearch:
                 self.into[tgt].append((src, image))
             else:
                 self.back[src].append((tgt, image))
-        self.found: list[SubrepWitness] = []
+        self.blocks: list[tuple[tuple[int, ...], Sequence[int]]] = []
 
     def _image(self, src: int, tgt: int, mats: list) -> Callable[[int], int]:
         """The map from the position of a subspace U at `src` to the position of
@@ -272,9 +282,8 @@ class _SubrepSearch:
 
     def run(self, i: int, chosen: list[int]) -> None:
         """Extend the subspaces chosen at vertices 1..i in every arrow-stable
-        way. The last vertex is one loop over its candidates: each one that
-        passes the back-arrow checks adds a witness, its lower bases shared
-        from one dict per prefix."""
+        way. At the last vertex the candidates that pass the back-arrow checks
+        are recorded as one block, with no recursive call."""
         lattices = self.lattices
         lattice = lattices[i]
         span = 0
@@ -291,15 +300,13 @@ class _SubrepSearch:
                     self.run(i + 1, chosen)
                 chosen.pop()
             return
-        lower = {j: lat.subspaces[pos][0] for j, (lat, pos) in enumerate(zip(lattices, chosen), 1)}
-        beta = tuple(b.shape[0] for b in lower.values())
-        subspaces, found, last = lattice.subspaces, self.found, i + 1
-        for pos in candidates:
-            if not back or all((chosen[j] if j < i else pos)
-                               in lattices[j].superspaces(image(pos), self.lattice)
-                               for j, image in back):
-                basis = subspaces[pos][0]
-                found.append(SubrepWitness({**lower, last: basis}, (*beta, basis.shape[0])))
+        if back:
+            candidates = tuple(pos for pos in candidates
+                               if all((chosen[j] if j < i else pos)
+                                      in lattices[j].superspaces(image(pos), self.lattice)
+                                      for j, image in back))
+        if candidates:
+            self.blocks.append((tuple(chosen), candidates))
 
 
 def check_budget(budget) -> int:
@@ -310,8 +317,53 @@ def check_budget(budget) -> int:
     return budget
 
 
-def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[SubrepWitness]:
-    """All subrepresentations of m, as per-vertex rref subspace tuples.
+class _Subreps(Sequence):
+    """The subrepresentations a search found, read-only and in product order.
+    It keeps the search's blocks and builds a `SubrepWitness` only for an item
+    read; `len` sums the block sizes."""
+
+    def __init__(self, lattices: list[_Lattice], blocks: list):
+        self.lattices, self.blocks = lattices, blocks
+        self._ends = list(accumulate(len(candidates) for _, candidates in blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def witnesses(self, chosen: tuple[int, ...], positions) -> Iterator[SubrepWitness]:
+        """The witnesses of the lower vertices' positions `chosen` with each of
+        `positions` at the last vertex."""
+        lattices = self.lattices
+        lower = {j: lat.subspaces[pos][0] for j, (lat, pos) in enumerate(zip(lattices, chosen), 1)}
+        beta = tuple(b.shape[0] for b in lower.values())
+        subspaces, last = lattices[-1].subspaces, len(lattices)
+        for pos in positions:
+            basis = subspaces[pos][0]
+            yield SubrepWitness({**lower, last: basis}, (*beta, basis.shape[0]))
+
+    def witness(self, chosen: tuple[int, ...], pos: int) -> SubrepWitness:
+        return next(self.witnesses(chosen, (pos,)))
+
+    def __iter__(self) -> Iterator[SubrepWitness]:
+        for chosen, candidates in self.blocks:
+            yield from self.witnesses(chosen, candidates)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = index_of(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("subrepresentation index out of range")
+        b = bisect(self._ends, k)
+        chosen, candidates = self.blocks[b]
+        return self.witness(chosen, candidates[k - self._ends[b] + len(candidates)])
+
+
+def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequence[SubrepWitness]:
+    """All subrepresentations of m, as per-vertex rref subspace tuples, in a
+    read-only sequence in product order; each `SubrepWitness` is built when
+    it is read, and `len` builds none.
 
     The budget bounds the number of subspace tuples, the product over vertices
     of `subspace_count(p, d_i)`, whatever the search then visits. It must be an
@@ -327,7 +379,7 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> list[S
         raise BudgetExceededError("subspace_tuples", budget, total)
     search = _SubrepSearch(m)
     search.run(0, [])
-    return search.found
+    return _Subreps(search.lattices, search.blocks)
 
 
 class WitnessCheckError(RuntimeError):
@@ -350,23 +402,57 @@ class _Scan:
 
 
 def _search(m: Representation, theta: Sequence[int], budget: int) -> tuple[int, _Scan | None]:
-    """theta(M), and when theta(M) = 0 one pass over the subrepresentations in
-    product order (otherwise None)."""
+    """theta(M), and when theta(M) = 0 one pass over the search's blocks
+    (otherwise None). In a block the lower part of beta is fixed and d, the
+    dimension at the last vertex, grows with the position, so the minimal
+    key is the first candidate of the smallest d when theta_last >= 0 and of
+    the largest d otherwise, and the first theta-zero one is the first
+    candidate of the smallest d that gives theta . beta = 0. Only the
+    witnesses returned are built."""
     budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
         return theta_m, None
     subreps = enumerate_subreps(m, budget=budget)
+    lattices, dim_low = subreps.lattices, m.dim[:-1]
+    *theta_low, theta_last = theta
+    last = lattices[-1]
+    starts, subspaces, n = last.starts, last.subspaces, last.n
+
+    def first(candidates, d: int) -> int | None:
+        """The first candidate of dimension d, or None."""
+        k = bisect_left(candidates, starts[d])
+        if k < len(candidates) and candidates[k] < starts[d + 1]:
+            return candidates[k]
+        return None
+
     best = balanced = None
-    for w in subreps:
-        beta = w.beta
-        value = sum(map(mul, theta, beta))
-        if best is None or (value, sum(beta), beta) < key:
-            best, key = w, (value, sum(beta), beta)
-        if not value and balanced is None and any(beta) and beta != m.dim:
-            balanced = w
-    return theta_m, _Scan(len(subreps), best, key[0], balanced)
+    for chosen, candidates in subreps.blocks:
+        low = tuple([lat.subspaces[pos][0].shape[0] for lat, pos in zip(lattices, chosen)])
+        value = sum(map(mul, theta_low, low))
+        if theta_last >= 0:
+            pos = candidates[0]
+            d = subspaces[pos][0].shape[0]
+        else:
+            d = subspaces[candidates[-1]][0].shape[0]
+            pos = first(candidates, d)
+        key = (value + theta_last * d, sum(low) + d, (*low, d))
+        if best is None or key < best_key:
+            best, best_key = (chosen, pos), key
+        if balanced is None:
+            if theta_last:
+                d, r = divmod(-value, theta_last)
+                ds = (d,) if not r and 0 <= d <= n else ()
+            else:
+                ds = () if value else range(n + 1)
+            for d in ds:
+                if (d or any(low)) and (d != n or low != dim_low):
+                    if (zero := first(candidates, d)) is not None:
+                        balanced = (chosen, zero)
+                        break
+    return theta_m, _Scan(len(subreps), subreps.witness(*best), best_key[0],
+                          balanced and subreps.witness(*balanced))
 
 
 def is_semistable(m: Representation, theta: Sequence[int],

@@ -6,7 +6,7 @@ import pytest
 from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverError,
                        SigmaError, SigmaMorphism, act, check_localized_point, chi_theta,
                        evaluate_path, evaluate_sigma, extended_quiver, group_element,
-                       is_semistable,
+                       is_semistable, linalg,
                        localization_presentation, make_sigma,
                        numerical_condition, path_combination, paths_between, quiver,
                        random_group_element, random_representation,
@@ -147,6 +147,28 @@ def test_chi_theta_rejects_weight_length():
     for theta in [(-1,), (-1, 1, 0)]:
         with pytest.raises(QuiverError):
             chi_theta(g, theta)
+
+
+def test_chi_theta_skips_vertices_of_weight_zero(monkeypatch):
+    """A vertex with theta_i = 0 contributes det(g_i)^0 = 1: its determinant
+    is not taken, and the value is the full product of det(g_i)^theta_i."""
+    rng = random.Random(5)
+    cases = []
+    for fld in (QQ, PrimeField(5), PrimeField(2**31 - 1)):
+        for theta in [(-1, 0, 1), (2, 0, -1), (0, 3, 0), (0, 0, 0)]:
+            g = random_group_element(fld, (2, 1, 3), rng)
+            want = fld.one
+            for gi, t in zip(g.mats, theta):
+                d = linalg.det(fld, gi)
+                want = fld.mul(want, d ** t if fld is QQ else pow(d, t, fld.p))
+            cases.append((g, theta, want))
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda fld, a: calls.append(a) or det(fld, a))
+    for g, theta, want in cases:
+        calls.clear()
+        assert chi_theta(g, theta) == want
+        assert calls == [gi for gi, t in zip(g.mats, theta) if t]
 
 
 def test_transformation_law_random(k3):

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Sequence
 from functools import cache
 from itertools import product
 from operator import mul
@@ -439,9 +440,10 @@ def test_search_goes_through_enumerate_subreps(k3, monkeypatch):
     assert calls == [m, m]
 
 
-# the bench's stability quivers: Q3 is the path with a shortcut, C2 the 2-cycle
-VERDICT_QUIVERS = {"K3": SEARCH_QUIVERS["K3"], "Q3": SEARCH_QUIVERS["path with shortcut"],
-                   "C2": SEARCH_QUIVERS["2-cycle"]}
+# every search quiver (the bench's Q3 is the path with a shortcut, C2 the
+# 2-cycle), and K3op, whose last vertex has only back arrows: blocks at a single
+# vertex, candidates filtered by back arrows and loops, and theta_last < 0
+VERDICT_QUIVERS = {**SEARCH_QUIVERS, "K3op": (2, [("x", 2, 1), ("y", 2, 1), ("z", 2, 1)])}
 
 
 @st.composite
@@ -490,7 +492,7 @@ def reference_verdicts(m, theta):
                         "proper subrepresentation with theta = 0")
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
+@settings(derandomize=True, deadline=None, max_examples=240)
 @given(verdict_cases())
 def test_verdicts_match_reference(case):
     m, theta = case
@@ -505,3 +507,65 @@ def test_verdicts_match_reference(case):
     v = is_stable(m, theta)
     assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
             v.reason) == want_st
+
+
+@pytest.fixture
+def built_witnesses(monkeypatch):
+    """Counts the `SubrepWitness` objects the stability module builds."""
+    built = []
+
+    class Counted(SubrepWitness):
+        def __init__(self, bases, beta, *args):
+            built.append(beta)
+            super().__init__(bases, beta, *args)
+
+    monkeypatch.setattr(stability, "SubrepWitness", Counted)
+    return built
+
+
+def test_verdicts_build_at_most_two_witnesses(k3, built_witnesses):
+    """The verdicts fold the search's blocks and build a `SubrepWitness` only
+    for the witnesses they may return."""
+    rng = random.Random(20)
+    f3 = PrimeField(3)
+    half = [random_representation(k3, f3, (2, 2), rng) for _ in range(2)]
+    reps = [random_representation(k3, f3, (4, 4), rng), zero_representation(k3, f3, (4, 4)),
+            direct_sum(*half)]
+    for m in reps:
+        assert len(enumerate_subreps(m)) > 100
+        for decide in (is_semistable, is_stable):
+            built_witnesses.clear()
+            decide(m, (-1, 1))
+            assert len(built_witnesses) <= 2, (decide.__name__, m.dim)
+    assert not is_semistable(reps[1], (-1, 1)).semistable
+    assert is_stable(reps[2], (-1, 1)).witness.theta_value == 0
+
+
+def test_enumerate_subreps_is_a_lazy_sequence(k3, built_witnesses):
+    m = random_representation(k3, PrimeField(3), (2, 2), random.Random(3))
+    subreps = enumerate_subreps(m)
+    assert isinstance(subreps, Sequence)
+    assert len(subreps) > 4 and not built_witnesses  # counting builds no witness
+    listed = list(subreps)
+    assert len(built_witnesses) == len(listed) == len(subreps)
+    assert list(subreps) == listed  # iterating again gives the same witnesses
+    assert [(w.beta, tuple(w.bases[v].rows for v in (1, 2))) for w in listed] == searched(m)
+    assert subreps[0] == listed[0] and subreps[-1] == listed[-1]
+    assert subreps[1:4] == listed[1:4] and subreps[::-3] == listed[::-3]
+    assert [subreps[i] for i in range(-len(listed), len(listed))] == listed + listed
+    for i in (len(listed), -len(listed) - 1):
+        with pytest.raises(IndexError):
+            subreps[i]
+
+
+def test_theta_zero_witness_where_a_block_lacks_its_dimension(k3):
+    """Here some block of the last vertex has no candidate of the dimension
+    that makes theta . beta = 0, yet holds the first subspace of the next
+    one; the theta-zero witness must not come from that block."""
+    m = representation(k3, PrimeField(2), (2, 2), {"x": [[1, 0], [1, 1]], "y": [[1, 0], [0, 0]],
+                                                   "z": [[0, 1], [1, 1]]})
+    want_ss, want_st = reference_verdicts(m, (-1, 1))
+    v = is_stable(m, (-1, 1))
+    assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
+            v.reason) == want_st
+    assert want_st[3][0] == (1, 1)
