@@ -18,8 +18,10 @@ result is deterministic. For an m x n matrix with m <= n, `_eliminate` also
 reports the determinant of the leading m x m block: that block is invertible
 exactly when the pivots are the columns 0..m-1, and then its determinant is
 read off the pivots. So `_det_inv` takes the determinant and the inverse of
-a square matrix A from one elimination of [A | I]; `inv` and
-`localization.check_localized_point` use it.
+a square matrix A from one elimination of [A | I]; `inv`,
+`localization.check_localized_point` and `rep.GroupElement` use it.
+`_product_is_identity` decides whether a product is the identity with the
+arithmetic of `matmul`, without building the product.
 
 `matmul` forms each entry as one sum of Python-int products. Over F_p the
 sum is reduced mod p, so it is exact for every prime below 2^31. Over Q each
@@ -221,6 +223,34 @@ def _det_inv(field: Field, a: Matrix):
     if not det:
         return det, None
     return det, _divided(field, [row[n:] for row in rows], d, n)
+
+
+def _product_is_identity(field: Field, a: Matrix, b: Matrix) -> bool:
+    """Whether a b is the identity matrix, decided entry by entry with the
+    arithmetic of `matmul` and without building the product: each entry is one
+    integer dot product, compared over F_p with 0 or 1 mod p, and over Q with 0
+    or with the product of its row's and column's scales."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    n = a.shape[0]
+    if b.shape[1] != n:
+        return False
+    if a.shape[1] == 0:
+        return n == 0   # the product is the n x n zero matrix
+    cols = list(zip(*b.rows))
+    if isinstance(field, PrimeField):
+        p = field.p
+        for r, row in enumerate(a.rows):
+            sums = [sum(map(mul, row, col)) % p for col in cols]
+            if sums[r] != 1 or sums.count(0) != n - 1:
+                return False
+        return True
+    cols = [_scaled(col) for col in cols]
+    for r, (da, row) in enumerate(map(_scaled, a.rows)):
+        sums = [sum(map(mul, row, col)) for _, col in cols]
+        if sums[r] != da * cols[r][0] or sums.count(0) != n - 1:
+            return False
+    return True
 
 
 def is_zero(field: Field, a: Matrix) -> bool:

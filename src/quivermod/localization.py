@@ -10,8 +10,11 @@ vertex, so morphisms over the original quiver lift verbatim.
 
 `evaluate_sigma` evaluates each distinct path of a morphism once per call and
 forms each entry of the block matrix as one integer dot product over the
-entry's terms; `check_localized_point` takes each sigma's determinant and
-inverse from one elimination (`linalg._det_inv`).
+entry's terms. `check_localized_point` takes each sigma's determinant and
+inverse from one elimination (`linalg._det_inv`) and checks M N = I and
+N M = I entry by entry (`linalg._product_is_identity`), building neither
+product. `chi_theta` reads the determinants a `GroupElement` took when it was
+built, so the transformation law eliminates no group block.
 """
 from __future__ import annotations
 
@@ -256,14 +259,14 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
-    """Character value prod det(g_i)^{theta_i}; a vertex with theta_i = 0
-    contributes 1, and its determinant is not taken."""
+    """Character value prod det(g_i)^{theta_i}, from the determinants the
+    element holds (`GroupElement.dets`), so nothing is eliminated; a vertex
+    with theta_i = 0 contributes 1."""
     fld = g.field
     out = fld.one
-    for gi, t in zip(g.mats, int_vector(theta, len(g.mats))):
+    for d, t in zip(g.dets, int_vector(theta, len(g.mats))):
         if not t:
             continue
-        d = linalg.det(fld, gi)
         if t < 0:
             d = fld.scalar_inv(d)
             t = -t
@@ -425,12 +428,9 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
             return LocalizedPointVerdict(False, dets, None, failing_sigma=idx)
         evaluated.append(mat)
         inverses.append(n_mat)
-    ok = True
-    for mat, n_mat in zip(evaluated, inverses):
-        ident = fld.identity(mat.shape[0])
-        if not (linalg.equal(fld, linalg.matmul(fld, mat, n_mat), ident)
-                and linalg.equal(fld, linalg.matmul(fld, n_mat, mat), ident)):
-            ok = False
+    ok = all(linalg._product_is_identity(fld, mat, n_mat)
+             and linalg._product_is_identity(fld, n_mat, mat)
+             for mat, n_mat in zip(evaluated, inverses))
     return LocalizedPointVerdict(True, dets, inverses, relations_verified=ok)
 
 

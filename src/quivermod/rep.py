@@ -4,8 +4,10 @@ linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
 Every matrix handed to `representation` or `group_element`, as nested lists,
 a `Matrix` or, at this boundary only, an ndarray of any dtype, goes through the
 field's `array`, so it always holds elements of the field it claims. Matrices,
-group elements and Hom bases are immutable `Matrix` values, so a path of one
-arrow evaluates to the arrow's own matrix.
+group element blocks and Hom bases are immutable `Matrix` values, so a path of
+one arrow evaluates to the arrow's own matrix. A `GroupElement` eliminates each
+block once, when it is built, and keeps the block's determinant and inverse:
+`act` and `compose_group` use them and run no elimination of their own.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
@@ -21,7 +23,7 @@ representatives are the labels (a, r, c) of the rows that are not pivots there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field as _field
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -136,55 +138,88 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
+    """An element of GL(alpha), the product of the GL(alpha_i): `mats[i-1]`
+    acts at vertex i. Building one eliminates each block once, by
+    `linalg._det_inv`, which checks that it is invertible and gives its
+    determinant `dets[i-1]` and its inverse `inverses[i-1]`; a block that is
+    not a square `Matrix`, or is singular, raises `RepresentationError`.
+    `act`, `compose_group` and `localization.chi_theta` read these fields and
+    eliminate nothing. `_known`, the (dets, inverses) of `mats`, is for this
+    module's own constructors, which already hold them."""
     field: Field
-    mats: tuple[Matrix, ...]  # mats[i-1] acts at vertex i
+    mats: tuple[Matrix, ...]
+    dets: tuple = _field(init=False)
+    inverses: tuple[Matrix, ...] = _field(init=False)
+    _known: InitVar[tuple | None] = None
+
+    def __post_init__(self, _known):
+        object.__setattr__(self, "mats", tuple(self.mats))
+        if _known is None:
+            dets, inverses = [], []
+            for g in self.mats:
+                if not isinstance(g, Matrix) or g.shape[0] != g.shape[1]:
+                    raise RepresentationError("group element blocks must be square matrices")
+                det, inverse = linalg._det_inv(self.field, g)
+                if inverse is None:
+                    raise RepresentationError("group element block is singular")
+                dets.append(det)
+                inverses.append(inverse)
+        else:
+            dets, inverses = _known
+        object.__setattr__(self, "dets", tuple(dets))
+        object.__setattr__(self, "inverses", tuple(inverses))
 
 
 def group_element(field: Field, mats: Sequence[object]) -> GroupElement:
-    out = []
-    for g in mats:
-        g = field.array(g)
-        if g.shape[0] != g.shape[1]:
-            raise RepresentationError("group element blocks must be square")
-        if g.shape[0] and field.scalar_is_zero(linalg.det(field, g)):
-            raise RepresentationError("group element block is singular")
-        out.append(g)
-    return GroupElement(field, tuple(out))
+    """The group element with the given blocks (lists, `Matrix` values or
+    ndarrays, coerced into `field`)."""
+    return GroupElement(field, tuple(field.array(g) for g in mats))
 
 
 def random_group_element(field: Field, dim: Sequence[int], rng: random.Random) -> GroupElement:
-    mats = []
+    """Blocks drawn with `_random_matrix`, each redrawn until it is invertible;
+    the elimination that tests a block also gives its determinant and inverse."""
+    mats, dets, inverses = [], [], []
     for d in dim_vector(dim, error=RepresentationError):
         while True:
             g = field.array(_random_matrix(field, rng, d, d))
-            if d == 0 or not field.scalar_is_zero(linalg.det(field, g)):
-                mats.append(g)
+            det, inverse = linalg._det_inv(field, g)
+            if inverse is not None:
                 break
-    return GroupElement(field, tuple(mats))
+        mats.append(g)
+        dets.append(det)
+        inverses.append(inverse)
+    return GroupElement(field, tuple(mats), (dets, inverses))
 
 
 def compose_group(g: GroupElement, h: GroupElement) -> GroupElement:
+    """The blockwise product g h. Its determinants are the products of the
+    factors' and its inverses are h_i^-1 g_i^-1, so nothing is eliminated."""
     if g.field != h.field:
         raise RepresentationError("group elements over different fields")
-    return GroupElement(g.field, tuple(linalg.matmul(g.field, a, b)
-                                       for a, b in zip(g.mats, h.mats)))
+    if len(g.mats) != len(h.mats) or any(a.shape != b.shape for a, b in zip(g.mats, h.mats)):
+        raise RepresentationError("group elements of different dimension vectors")
+    fld = g.field
+    mats = tuple(linalg.matmul(fld, a, b) for a, b in zip(g.mats, h.mats))
+    dets = [fld.mul(a, b) for a, b in zip(g.dets, h.dets)]
+    inverses = [linalg.matmul(fld, b, a) for a, b in zip(g.inverses, h.inverses)]
+    return GroupElement(fld, mats, (dets, inverses))
 
 
 def act(g: GroupElement, m: Representation) -> Representation:
-    """Base change: arrow a: i -> j maps to g_j M_a g_i^{-1}. The products are
-    already in field form and of shape (d_j, d_i), so they are not coerced
-    again."""
+    """Base change: arrow a: i -> j maps to g_j M_a g_i^{-1}, with the inverse
+    the element already holds. The products are already in field form and of
+    shape (d_j, d_i), so they are not coerced again."""
     if g.field != m.field:
         raise RepresentationError("field mismatch between group element and representation")
     if len(g.mats) != m.quiver.vertex_count or any(
             gm.shape[0] != d for gm, d in zip(g.mats, m.dim)):
         raise RepresentationError("group element shapes do not match the dimension vector")
-    inverses = [linalg.inv(m.field, gm) if gm.shape[0] else gm for gm in g.mats]
     mats = {}
     for a in m.quiver.arrows:
         mats[a.id] = linalg.matmul(
             m.field, linalg.matmul(m.field, g.mats[a.tgt - 1], m.matrix(a.id)),
-            inverses[a.src - 1])
+            g.inverses[a.src - 1])
     return Representation(m.quiver, m.field, m.dim, mats)
 
 

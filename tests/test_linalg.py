@@ -383,6 +383,59 @@ def test_det_and_inverse_from_one_elimination(case):
     assert linalg.equal(field, linalg.matmul(field, a, inverse), field.identity(n))
 
 
+@st.composite
+def product_pairs(draw):
+    """(field, a, b), a and b square of one size: b random, b = a^-1, or b with
+    a b off the identity in exactly one entry (b = a^-1 (I + delta E_ij))."""
+    field, a = draw(field_matrices(square=True))
+    n = a.shape[0]
+    inverse = linalg._det_inv(field, a)[1]
+    kind = draw(st.sampled_from(["random", "inverse", "near miss"]))
+    if kind == "random" or inverse is None:
+        entry = entries(field)
+        return field, a, field.array([[draw(entry) for _ in range(n)] for _ in range(n)])
+    if kind == "inverse":
+        return field, a, inverse
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    delta = draw(st.integers(1, field.p - 1) if isinstance(field, PrimeField)
+                 else st.builds(Fraction, st.integers(1, 12) | st.integers(-12, -1),
+                                st.integers(1, 12)))
+    step = [[field.coerce((r == c) + (delta if (r, c) == (i, j) else 0)) for c in range(n)]
+            for r in range(n)]
+    return field, a, linalg.matmul(field, inverse, field.array(step))
+
+
+@KERNEL
+@given(product_pairs())
+@example((QQ, QQ.zeros(0, 0), QQ.zeros(0, 0)))
+@example((PrimeField(3), PrimeField(3).zeros(0, 0), PrimeField(3).zeros(0, 0)))
+@example((QQ, QQ.identity(3), QQ.identity(3)))
+def test_product_is_identity_matches_the_built_product(case):
+    """_product_is_identity(a, b) is equal(matmul(a, b), I) in both orders."""
+    field, a, b = case
+    ident = field.identity(a.shape[0])
+    for x, y in ((a, b), (b, a)):
+        want = linalg.equal(field, linalg.matmul(field, x, y), ident)
+        assert linalg._product_is_identity(field, x, y) is want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_product_is_identity_of_non_square_factors(field):
+    """A (2 x 3)(3 x 2) product can be the identity and the (3 x 2)(2 x 3) one
+    cannot; an empty inner dimension gives a zero product; mismatched inner
+    dimensions raise as matmul does."""
+    a = field.array([[1, 0, 0], [0, 1, 0]])
+    b = field.array([[1, 0], [0, 1], [5, 3]])
+    assert linalg._product_is_identity(field, a, b)
+    assert not linalg._product_is_identity(field, b, a)
+    assert not linalg._product_is_identity(field, a, field.identity(3))
+    assert not linalg._product_is_identity(field, field.zeros(2, 0), field.zeros(0, 2))
+    assert linalg._product_is_identity(field, field.zeros(0, 0), field.zeros(0, 0))
+    assert not linalg._product_is_identity(field, field.zeros(0, 0), field.zeros(0, 2))
+    with pytest.raises(ValueError):
+        linalg._product_is_identity(field, a, a)
+
+
 @KERNEL
 @given(field_matrices())
 @example(EDGE[1])

@@ -13,6 +13,7 @@ from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverE
                        representation, root_presentation, semi_invariant,
                        sigma_from_json, tau_morphism, word_typing,
                        zero_representation)
+from quivermod.rep import compose_group
 
 
 def coord_sigma(k3, arrow):
@@ -149,26 +150,38 @@ def test_chi_theta_rejects_weight_length():
             chi_theta(g, theta)
 
 
-def test_chi_theta_skips_vertices_of_weight_zero(monkeypatch):
-    """A vertex with theta_i = 0 contributes det(g_i)^0 = 1: its determinant
-    is not taken, and the value is the full product of det(g_i)^theta_i."""
+def test_chi_theta_and_act_run_no_elimination(monkeypatch, k3):
+    """A group element eliminates its blocks once, when it is built: chi_theta,
+    act and compose_group call none of det, inv or _det_inv, and give the
+    values that eliminating each block again gives."""
     rng = random.Random(5)
     cases = []
     for fld in (QQ, PrimeField(5), PrimeField(2**31 - 1)):
-        for theta in [(-1, 0, 1), (2, 0, -1), (0, 3, 0), (0, 0, 0)]:
-            g = random_group_element(fld, (2, 1, 3), rng)
+        for theta, dim in [((-1, 1), (2, 3)), ((2, -1), (1, 2)), ((0, 3), (3, 1)),
+                           ((0, 0), (2, 2)), ((1, -1), (0, 2))]:
+            g = random_group_element(fld, dim, rng)
+            h = random_group_element(fld, dim, rng)
+            m = random_representation(k3, fld, dim, rng)
             want = fld.one
             for gi, t in zip(g.mats, theta):
                 d = linalg.det(fld, gi)
                 want = fld.mul(want, d ** t if fld is QQ else pow(d, t, fld.p))
-            cases.append((g, theta, want))
+            moved = {a.id: linalg.matmul(fld, linalg.matmul(fld, g.mats[a.tgt - 1],
+                                                            m.matrix(a.id)),
+                                         linalg.inv(fld, g.mats[a.src - 1]))
+                     for a in k3.arrows}
+            cases.append((g, h, m, theta, want, moved))
     calls = []
-    det = linalg.det
-    monkeypatch.setattr(linalg, "det", lambda fld, a: calls.append(a) or det(fld, a))
-    for g, theta, want in cases:
-        calls.clear()
+    for name in ("det", "inv", "_det_inv"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for g, h, m, theta, want, moved in cases:
         assert chi_theta(g, theta) == want
-        assert calls == [gi for gi, t in zip(g.mats, theta) if t]
+        assert act(g, m).matrices == moved
+        gh = compose_group(g, h)
+        assert act(gh, m).matrices == act(g, act(h, m)).matrices
+    assert calls == []
 
 
 def test_transformation_law_random(k3):
@@ -261,26 +274,60 @@ def test_check_localized_point_stops_at_first_vanishing_determinant(k3):
 
 
 def test_check_localized_point_eliminates_once_per_sigma(k3, monkeypatch):
-    """One elimination per sigma gives its determinant and its inverse, and
-    evaluate_sigma evaluates each distinct path once."""
+    """One elimination per sigma gives its determinant and its inverse,
+    evaluate_sigma evaluates each distinct path once, and both relation
+    families, M N = I and N M = I, are checked for each sigma."""
     import quivermod.linalg as linalg
     import quivermod.localization as localization
-    eliminations, paths = [], []
+    eliminations, paths, products = [], [], []
     eliminate, evaluate = linalg._eliminate, localization.evaluate_path
+    is_identity = linalg._product_is_identity
     monkeypatch.setattr(linalg, "_eliminate",
                         lambda *args: eliminations.append(args[2]) or eliminate(*args))
     monkeypatch.setattr(localization, "evaluate_path",
                         lambda m, path: paths.append(path) or evaluate(m, path))
+    monkeypatch.setattr(linalg, "_product_is_identity",
+                        lambda fld, a, b: products.append((a, b)) or is_identity(fld, a, b))
     for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
         sigmas = [make_sigma(k3, (-1, 1), 2, seed=seed) for seed in (3, 4)]
         m = random_representation(k3, fld, (3, 3), random.Random(5))
-        del eliminations[:], paths[:]
+        mats = [evaluate_sigma(s, m) for s in sigmas]
+        del eliminations[:], paths[:], products[:]
         v = check_localized_point(sigmas, m)
         assert v.invertible and v.relations_verified
         assert eliminations == [12, 12]  # [sigma(m) | I], 6 x 12, once per sigma
+        assert products == [pair for mat, inverse in zip(mats, v.inverses)
+                            for pair in ((mat, inverse), (inverse, mat))]
         # 12 terms per sigma over the 3 distinct paths x, y, z
         assert sum(len(c.terms) for s in sigmas for row in s.entries for c in row) == 24
         assert sorted(p.arrows for p in paths) == [(a,) for a in "xxyyzz"]
+
+
+@pytest.mark.parametrize("place", [(0, 0), (0, 5), (5, 5)])
+def test_check_localized_point_catches_a_wrong_inverse(k3, monkeypatch, place):
+    """With one entry of the inverse off, the point is still invertible but the
+    relations M N = I and N M = I fail, as the products built in full say."""
+    import quivermod.linalg as linalg
+    det_inv = linalg._det_inv
+    r, c = place
+
+    def perturbed(fld, a):
+        d, inverse = det_inv(fld, a)
+        rows = inverse.tolist()
+        rows[r][c] = fld.coerce(rows[r][c] + 1)
+        return d, fld.array(rows)
+
+    sigma = make_sigma(k3, (-1, 1), 2, seed=3)
+    for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
+        m = random_representation(k3, fld, (3, 3), random.Random(5))
+        assert check_localized_point([sigma], m).relations_verified
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_det_inv", perturbed)
+            v = check_localized_point([sigma], m)
+        assert v.invertible and not v.relations_verified
+        mat, ident = evaluate_sigma(sigma, m), fld.identity(6)
+        assert not linalg.equal(fld, linalg.matmul(fld, mat, v.inverses[0]), ident)
+        assert not linalg.equal(fld, linalg.matmul(fld, v.inverses[0], mat), ident)
 
 
 def fermat_residue(c, p):

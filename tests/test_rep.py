@@ -11,7 +11,8 @@ from quivermod import (QQ, FieldError, PrimeField, RepresentationError, act, dir
                        representation_from_json, theta_pairing, trivial_path,
                        zero_representation)
 from quivermod.quiver import Path
-from quivermod.rep import compose_group
+from quivermod.fields import Matrix
+from quivermod.rep import GroupElement, compose_group
 
 
 def rep_k3(k3, field, m):
@@ -127,6 +128,76 @@ def test_act_matches_coerced_representation(field):
 def test_singular_group_element_rejected():
     with pytest.raises(RepresentationError):
         group_element(QQ, [[[0]]])
+
+
+def test_group_element_built_directly_is_validated():
+    """A `GroupElement` built without `group_element` is checked as well: a
+    singular or non-square block used to be accepted, after which chi_theta
+    returned 0 and act raised a bare ZeroDivisionError."""
+    one = Matrix(((1,),), (1, 1))
+    for blocks in [(Matrix(((0,),), (1, 1)), one),
+                   (one, Matrix(((1, 0),), (1, 2))),
+                   (one, Matrix(((1, 2), (2, 4)), (2, 2))),
+                   ([[1]],)]:
+        with pytest.raises(RepresentationError):
+            GroupElement(QQ, blocks)
+    g = GroupElement(PrimeField(5), [Matrix(((2,),), (1, 1)), Matrix((), (0, 0))])
+    assert g.mats == (Matrix(((2,),), (1, 1)), Matrix((), (0, 0)))
+    assert g.dets == (2, 1) and g.inverses == (Matrix(((3,),), (1, 1)), Matrix((), (0, 0)))
+
+
+def test_compose_group_checks_its_factors():
+    """Different vertex counts used to be truncated by zip, and blocks of
+    different sizes raised a bare ValueError from matmul."""
+    rng = random.Random(2)
+    g = random_group_element(QQ, (1, 2), rng)
+    with pytest.raises(RepresentationError):
+        compose_group(g, random_group_element(QQ, (1, 2, 1), rng))
+    with pytest.raises(RepresentationError):
+        compose_group(random_group_element(QQ, (1, 2, 1), rng), g)
+    with pytest.raises(RepresentationError):
+        compose_group(g, random_group_element(QQ, (2, 2), rng))
+    with pytest.raises(RepresentationError):
+        compose_group(g, random_group_element(PrimeField(5), (1, 2), rng))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**31 - 1)],
+                         ids=["Q", "F5", "F2^31-1"])
+def test_group_element_determinants_and_inverses(field):
+    """dets[i] is det(g_i) and inverses[i] is g_i^-1, for random elements, for
+    elements built from blocks, and for products, zero-sized blocks included."""
+    import quivermod.linalg as linalg
+    rng = random.Random(11)
+    for _ in range(20):
+        dim = [rng.randint(0, 4) for _ in range(3)]
+        g = random_group_element(field, dim, rng)
+        h = random_group_element(field, dim, rng)
+        for x in (g, group_element(field, g.mats), compose_group(g, h)):
+            assert len(x.dets) == len(x.inverses) == len(x.mats) == 3
+            for gi, d, inverse in zip(x.mats, x.dets, x.inverses):
+                n = gi.shape[0]
+                assert d == linalg.det(field, gi) and type(d) is type(linalg.det(field, gi))
+                assert inverse == linalg.inv(field, gi)
+                assert linalg.equal(field, linalg.matmul(field, inverse, gi), field.identity(n))
+                assert linalg.equal(field, linalg.matmul(field, gi, inverse), field.identity(n))
+
+
+def test_group_blocks_are_eliminated_once(monkeypatch):
+    """Building an element eliminates each kept block exactly once; the other
+    eliminations of random_group_element are of singular draws it discards."""
+    import quivermod.linalg as linalg
+    calls = []
+    det_inv = linalg._det_inv
+    monkeypatch.setattr(linalg, "_det_inv", lambda fld, a: calls.append(a) or det_inv(fld, a))
+    for fld in (QQ, PrimeField(2), PrimeField(5)):
+        calls.clear()
+        g = random_group_element(fld, (3, 0, 2, 1), random.Random(4))
+        assert [sum(c is gi for c in calls) for gi in g.mats] == [1, 1, 1, 1]
+        assert all(det_inv(fld, c)[1] is None for c in calls
+                   if not any(c is gi for gi in g.mats))
+        calls.clear()
+        group_element(fld, g.mats)
+        assert len(calls) == 4
 
 
 def test_hom_examples(a2):
