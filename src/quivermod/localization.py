@@ -27,8 +27,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .fields import Field, Matrix, PrimeField, _parse_rational
-from .quiver import (Path, Quiver, QuiverError, check_path, dim_vector, int_vector,
-                     paths_between, quiver)
+from .quiver import (Path, Quiver, QuiverError, check_path, dim_vector, enumerate_paths,
+                     int_vector, quiver)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
 
 
@@ -171,11 +171,14 @@ def make_sigma(q: Quiver, theta: Sequence[int], z: int,
         raise QuiverError("make_sigma requires an acyclic quiver")
     domain, codomain = sigma_family_for_weight(int_vector(theta, q.vertex_count), z)
     rng = random.Random(seed)
+    paths_of = {}  # (source, target) -> its paths, in `enumerate_paths` order
+    for path in enumerate_paths(q, max_path_len):
+        paths_of.setdefault((path.source, path.target), []).append(path)
     entries = []
-    for p, i_p in enumerate(domain):
+    for i_p in domain:
         row = []
-        for _, j_q in enumerate(codomain):
-            paths = paths_between(q, j_q, i_p, max_path_len)
+        for j_q in codomain:
+            paths = paths_of.get((j_q, i_p), ())
             terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), path)
                      for path in paths]
             row.append(path_combination(j_q, i_p, terms))
@@ -260,18 +263,15 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
     """Character value prod det(g_i)^{theta_i}, from the determinants the
-    element holds (`GroupElement.dets`), so nothing is eliminated; a vertex
-    with theta_i = 0 contributes 1."""
+    element holds (`GroupElement.dets`), so nothing is eliminated. Each power
+    is one exponentiation, `pow(d, theta_i, p)` over F_p and `d ** theta_i`
+    over Q (a negative exponent inverts: every det is nonzero), so the cost
+    grows with log |theta_i|; a vertex with theta_i = 0 contributes 1."""
     fld = g.field
     out = fld.one
     for d, t in zip(g.dets, int_vector(theta, len(g.mats))):
-        if not t:
-            continue
-        if t < 0:
-            d = fld.scalar_inv(d)
-            t = -t
-        for _ in range(t):
-            out = fld.mul(out, d)
+        if t:
+            out = fld.mul(out, pow(d, t, fld.p) if isinstance(fld, PrimeField) else d ** t)
     return out
 
 
@@ -492,8 +492,7 @@ def root_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism], n: int,
     for _ in range(loop_len_bound):
         nxt = []
         for word, at in frontier:
-            for name in sorted(alphabet):
-                src, tgt = alphabet[name]
+            for name, (src, tgt) in alphabet.items():
                 if src != at:
                     continue
                 new_word = (name,) + word
@@ -501,5 +500,5 @@ def root_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism], n: int,
                 if tgt == v0:
                     loops.append(new_word)
         frontier = nxt
-    loops.sort(key=lambda w: (len(w), w))
+    loops.sort(key=lambda w: (len(w), w))  # fixes the order, whatever the frontier's
     return pres, loops

@@ -3,12 +3,15 @@
 Semistability of a concrete representation over F_p is decided by King's
 criterion over every subrepresentation. Subrepresentations are tuples of
 per-vertex subspaces (each given by its reduced row echelon basis) that are
-stable under every arrow; a depth-first search over the vertices in numbering
-order finds them, offering at each vertex only the superspaces of the span of
-the images of the lower vertices' subspaces, and checking the remaining arrows
-(into lower vertices, loops) as soon as both ends are chosen. It reports them
-in the order of the Cartesian product of the per-vertex subspace lists, so
-witnesses do not depend on the pruning.
+stable under every arrow. `enumerate_subreps` returns them as one object, a
+read-only sequence whose constructor runs a depth-first search over the
+vertices in numbering order. Each vertex's candidates are the superspaces of
+the span of the images of the lower vertices' subspaces, less those that fail
+an arrow into a lower vertex or a loop; inner vertices recurse over them, and
+the last vertex keeps them as one block with the positions chosen below it.
+The sequence is in the order of the Cartesian product of the per-vertex
+subspace lists, so witnesses do not depend on the pruning; `len` sums the
+block sizes, and a `SubrepWitness` is built only for an item read.
 
 The search runs no elimination. A subspace is named by its position in the
 `_all_subspaces` list of F_p^n; the lattice of F_p^n maps each position to the
@@ -19,21 +22,17 @@ memoised by position for one search. Work that cannot change a result is
 skipped: `extend` returns the top position (F_p^n itself) as soon as its rows
 span F_p^n, without reducing the remaining vectors, and once the image of
 prefix(U) is the top position so is the image of U, and the images of U's last
-row are not computed. The last vertex builds no witness: for each choice at
-the lower vertices the search keeps one block, those positions and the sorted
-positions of the last vertex's candidates that pass the back-arrow checks.
-`enumerate_subreps` returns a read-only sequence over the blocks that builds a
-`SubrepWitness` only for an item read. Within a block the dimension at the
-last vertex grows with the position, so the verdicts read the count, the
-minimal witness and the first proper theta-zero one off the blocks, and build
-only the witnesses they return. Each search shares the lattice of F_p^n, and the superspaces of each subspace met, with later ones
-(at most 64 lattices are kept, none above 1024 subspaces): repeated searches
-gain, one CLI call does not. Rational inputs are handled by multi-prime reduction;
-instability can be certified exactly by lifting a witness, semistability stays
-heuristic, and with no prime tested there is no verdict. `verify_witness`
-re-checks a witness over any field with `linalg.rank` and `linalg.matmul`,
-independently of the search; it also decides whether a lifted witness is exact
-over Q.
+row are not computed. Within a block the dimension at the last vertex grows
+with the position, so the verdicts read the count, the minimal witness and the
+first proper theta-zero one off the blocks, and build only the witnesses they
+return. Each search shares the lattice of F_p^n, and the superspaces of each
+subspace met, with later ones (at most 64 lattices are kept, none above 1024
+subspaces): repeated searches gain, one CLI call does not. Rational inputs are
+handled by multi-prime reduction; instability can be certified exactly by
+lifting a witness, semistability stays heuristic, and with no prime tested
+there is no verdict. `verify_witness` re-checks a witness over any field with
+`linalg.rank` and `linalg.matmul`, independently of the search; it also
+decides whether a lifted witness is exact over Q.
 
 Subspace bases are `Matrix` values, keyed by their rows of ints in 0..p-1;
 images and joins run on such rows, exact at every prime below 2^31.
@@ -41,7 +40,7 @@ images and joins run on such rows, exact at every prime below 2^31.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache, partial
 from itertools import accumulate, combinations, product
@@ -140,12 +139,6 @@ def verify_witness(m: Representation, w: SubrepWitness) -> bool:
     return True
 
 
-def _require_prime_field(m: Representation) -> PrimeField:
-    if not isinstance(m.field, PrimeField):
-        raise RepresentationError("the exhaustive oracle needs a representation over F_p")
-    return m.field
-
-
 class _Lattice:
     """The subspaces of F_p^n in `_all_subspaces` order, named by their
     positions in it: the position of each rref basis, `prefix` (the position of
@@ -222,91 +215,28 @@ def _lattice(p: int, n: int) -> _Lattice:
     return (_kept_lattice if subspace_count(p, n) <= LATTICE_MAX_SUBSPACES else _Lattice)(p, n)
 
 
-class _SubrepSearch:
-    """Depth-first search for the subrepresentations of m, vertex 1 first.
+def _image(source: _Lattice, target: _Lattice, mats: list) -> Callable[[int], int]:
+    """The map from the position of a subspace U of the `source` space to the
+    position of the span of its images under the arrow matrices `mats` (their
+    rows): the image of prefix(U) extended by the images of U's last row, so
+    each U costs at most one `extend` of len(mats) vectors, each computed only
+    if `extend` draws it. Once the image of prefix(U) is the whole target
+    space, so is the image of U. Memoised by position."""
+    p, top = source.p, target.top
+    memo = {0: 0}
 
-    Subspaces are lattice positions. At vertex i only the superspaces of S,
-    the join of the images of the subspaces chosen at lower vertices under
-    arrows j -> i, are candidates; they are visited in their `_all_subspaces`
-    order. Arrows i -> j with j <= i (loops included) are checked once U_i is
-    chosen, as "U_j is a superspace of the image of U_i". Results therefore
-    come in the order of the product scan over `_all_subspaces` lists. They
-    are kept as `blocks`: for each choice at the lower vertices, its
-    positions and the sorted positions of the last vertex's candidates that
-    pass the back-arrow checks.
-
-    Images are memoised by position for this search only (`_image`); each
-    lattice of F_p^k comes from `_lattice`, kept for later searches.
-    """
-
-    def __init__(self, m: Representation):
-        self.lattice = cache(partial(_lattice, m.field.p))  # k -> lattice of F_p^k
-        self.lattices = [self.lattice(d) for d in m.dim]
-        k = len(m.dim)
-        groups: dict[tuple[int, int], list] = {}
-        for a in m.quiver.arrows:
-            groups.setdefault((a.src - 1, a.tgt - 1), []).append(m.matrix(a.id).rows)
-        self.into = [[] for _ in range(k)]     # arrows j -> i, j < i: (j, image of U_j)
-        self.back = [[] for _ in range(k)]     # arrows i -> j, j <= i: (j, image of U_i)
-        for (src, tgt), mats in groups.items():
-            image = self._image(src, tgt, mats)
-            if src < tgt:
-                self.into[tgt].append((src, image))
+    def image(pos: int) -> int:
+        if pos not in memo:
+            below = image(source.prefix[pos])
+            if below == top:
+                memo[pos] = top
             else:
-                self.back[src].append((tgt, image))
-        self.blocks: list[tuple[tuple[int, ...], Sequence[int]]] = []
+                u = source.subspaces[pos][0].rows[-1]
+                memo[pos] = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
+                                                  for mat in mats))
+        return memo[pos]
 
-    def _image(self, src: int, tgt: int, mats: list) -> Callable[[int], int]:
-        """The map from the position of a subspace U at `src` to the position of
-        the span of its images under the arrow matrices `mats` (their rows):
-        the image of prefix(U) extended by the images of U's last row, so each
-        U costs at most one `extend` of len(mats) vectors, each computed only
-        if `extend` draws it. Once the image of prefix(U) is the whole target
-        space, so is the image of U. Memoised by position."""
-        source, target = self.lattices[src], self.lattices[tgt]
-        p, top = source.p, target.top
-        memo = {0: 0}
-
-        def image(pos: int) -> int:
-            if pos not in memo:
-                below = image(source.prefix[pos])
-                if below == top:
-                    memo[pos] = top
-                else:
-                    u = source.subspaces[pos][0].rows[-1]
-                    memo[pos] = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
-                                                      for mat in mats))
-            return memo[pos]
-
-        return image
-
-    def run(self, i: int, chosen: list[int]) -> None:
-        """Extend the subspaces chosen at vertices 1..i in every arrow-stable
-        way. At the last vertex the candidates that pass the back-arrow checks
-        are recorded as one block, with no recursive call."""
-        lattices = self.lattices
-        lattice = lattices[i]
-        span = 0
-        for j, image in self.into[i]:
-            t = image(chosen[j])
-            span = lattice.extend(span, lattice.subspaces[t][0].rows) if span else t
-        back = self.back[i]
-        candidates = lattice.superspaces(span, self.lattice)
-        if i + 1 < len(lattices):
-            for pos in candidates:
-                chosen.append(pos)
-                if not back or all(chosen[j] in lattices[j].superspaces(image(pos), self.lattice)
-                                   for j, image in back):
-                    self.run(i + 1, chosen)
-                chosen.pop()
-            return
-        if back:
-            candidates = tuple(pos for pos in candidates
-                               if all((chosen[j] if j < i else pos)
-                                      in lattices[j].superspaces(image(pos), self.lattice)
-                                      for j, image in back))
-        if candidates:
-            self.blocks.append((tuple(chosen), candidates))
+    return image
 
 
 def check_budget(budget) -> int:
@@ -318,34 +248,67 @@ def check_budget(budget) -> int:
 
 
 class _Subreps(Sequence):
-    """The subrepresentations a search found, read-only and in product order.
-    It keeps the search's blocks and builds a `SubrepWitness` only for an item
-    read; `len` sums the block sizes."""
+    """The subrepresentations of m, read-only and in product order; the
+    constructor runs the search, a depth-first one over the vertices, vertex 1
+    first.
 
-    def __init__(self, lattices: list[_Lattice], blocks: list):
-        self.lattices, self.blocks = lattices, blocks
+    Subspaces are lattice positions. The candidates at vertex i are the
+    superspaces of S, the join of the images of the subspaces chosen at lower
+    vertices under arrows j -> i, in their `_all_subspaces` order, less those
+    that fail an arrow i -> j with j <= i (loops included): U_j must be a
+    superspace of the image of U_i. Inner vertices recurse over their
+    candidates; the last vertex's are kept as one block with the positions
+    chosen below it. Results therefore come in the order of the product scan
+    over `_all_subspaces` lists. The object keeps the lattices, the blocks and
+    their ends: `len` builds no witness, and `witness` builds one for an item
+    read. The arrow images are memoised by position for this search only;
+    each lattice of F_p^k comes from `_lattice`, kept for later searches.
+    """
+
+    def __init__(self, m: Representation):
+        lattice = cache(partial(_lattice, m.field.p))  # k -> lattice of F_p^k
+        self.lattices = lattices = [lattice(d) for d in m.dim]
+        groups: dict[tuple[int, int], list] = {}
+        for a in m.quiver.arrows:
+            groups.setdefault((a.src - 1, a.tgt - 1), []).append(m.matrix(a.id).rows)
+        into = [[] for _ in lattices]  # arrows j -> i, j < i: (j, image of U_j)
+        back = [[] for _ in lattices]  # arrows i -> j, j <= i: (j, image of U_i)
+        for (src, tgt), mats in groups.items():
+            image = _image(lattices[src], lattices[tgt], mats)
+            if src < tgt:
+                into[tgt].append((src, image))
+            else:
+                back[src].append((tgt, image))
+        blocks: list[tuple[tuple[int, ...], Sequence[int]]] = []
+        last = len(lattices) - 1
+
+        def visit(i: int, chosen: list[int]) -> None:
+            lat = lattices[i]
+            span = 0
+            for j, image in into[i]:
+                t = image(chosen[j])
+                span = lat.extend(span, lat.subspaces[t][0].rows) if span else t
+            candidates = lat.superspaces(span, lattice)
+            if back[i]:
+                candidates = tuple(pos for pos in candidates
+                                   if all((chosen[j] if j < i else pos)
+                                          in lattices[j].superspaces(image(pos), lattice)
+                                          for j, image in back[i]))
+            if i < last:
+                for pos in candidates:
+                    chosen.append(pos)
+                    visit(i + 1, chosen)
+                    chosen.pop()
+            elif candidates:
+                blocks.append((tuple(chosen), candidates))
+
+        visit(0, [])
+        del visit  # the closure refers to itself: free the search state now, not at a collection
+        self.blocks = blocks
         self._ends = list(accumulate(len(candidates) for _, candidates in blocks))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
-
-    def witnesses(self, chosen: tuple[int, ...], positions) -> Iterator[SubrepWitness]:
-        """The witnesses of the lower vertices' positions `chosen` with each of
-        `positions` at the last vertex."""
-        lattices = self.lattices
-        lower = {j: lat.subspaces[pos][0] for j, (lat, pos) in enumerate(zip(lattices, chosen), 1)}
-        beta = tuple(b.shape[0] for b in lower.values())
-        subspaces, last = lattices[-1].subspaces, len(lattices)
-        for pos in positions:
-            basis = subspaces[pos][0]
-            yield SubrepWitness({**lower, last: basis}, (*beta, basis.shape[0]))
-
-    def witness(self, chosen: tuple[int, ...], pos: int) -> SubrepWitness:
-        return next(self.witnesses(chosen, (pos,)))
-
-    def __iter__(self) -> Iterator[SubrepWitness]:
-        for chosen, candidates in self.blocks:
-            yield from self.witnesses(chosen, candidates)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -359,6 +322,13 @@ class _Subreps(Sequence):
         chosen, candidates = self.blocks[b]
         return self.witness(chosen, candidates[k - self._ends[b] + len(candidates)])
 
+    def witness(self, chosen: tuple[int, ...], pos: int) -> SubrepWitness:
+        """The subrepresentation with the positions `chosen` at the lower
+        vertices and `pos` at the last."""
+        bases = {v: lat.subspaces[q][0]
+                 for v, (lat, q) in enumerate(zip(self.lattices, (*chosen, pos)), 1)}
+        return SubrepWitness(bases, tuple(b.shape[0] for b in bases.values()))
+
 
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequence[SubrepWitness]:
     """All subrepresentations of m, as per-vertex rref subspace tuples, in a
@@ -371,15 +341,14 @@ def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequen
     one, which checks it before any shortcut.
     """
     budget = check_budget(budget)
-    fld = _require_prime_field(m)
+    if not isinstance(m.field, PrimeField):
+        raise RepresentationError("the exhaustive oracle needs a representation over F_p")
     total = 1
     for d in m.dim:
-        total *= subspace_count(fld.p, d)
+        total *= subspace_count(m.field.p, d)
     if total > budget:
         raise BudgetExceededError("subspace_tuples", budget, total)
-    search = _SubrepSearch(m)
-    search.run(0, [])
-    return _Subreps(search.lattices, search.blocks)
+    return _Subreps(m)
 
 
 class WitnessCheckError(RuntimeError):
@@ -393,27 +362,22 @@ def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWit
     return w
 
 
-@dataclass
-class _Scan:
-    count: int                       # subrepresentations found: the budget used
-    best: SubrepWitness              # minimal by (theta . beta, |beta|, beta), first on ties
-    min_theta: int                   # theta . beta of `best`
-    balanced: SubrepWitness | None   # first proper nonzero one with theta . beta = 0
-
-
-def _search(m: Representation, theta: Sequence[int], budget: int) -> tuple[int, _Scan | None]:
-    """theta(M), and when theta(M) = 0 one pass over the search's blocks
-    (otherwise None). In a block the lower part of beta is fixed and d, the
-    dimension at the last vertex, grows with the position, so the minimal
-    key is the first candidate of the smallest d when theta_last >= 0 and of
-    the largest d otherwise, and the first theta-zero one is the first
-    candidate of the smallest d that gives theta . beta = 0. Only the
-    witnesses returned are built."""
+def _search(m: Representation, theta: Sequence[int], budget: int):
+    """(theta(M), count, best, min_theta, balanced); when theta(M) != 0 the
+    rest is (0, None, None, None). Otherwise one pass over the search's blocks
+    gives the number of subrepresentations (the budget used), the minimal one
+    by (theta . beta, |beta|, beta), first on ties, its theta . beta, and the
+    first proper nonzero one with theta . beta = 0, or None. In a block the
+    lower part of beta is fixed and d, the dimension at the last vertex, grows
+    with the position, so the minimal key is the first candidate of the
+    smallest d when theta_last >= 0 and of the largest d otherwise, and the
+    first theta-zero one is the first candidate of the smallest d that gives
+    theta . beta = 0. Only the witnesses returned are built."""
     budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
-        return theta_m, None
+        return theta_m, 0, None, None, None
     subreps = enumerate_subreps(m, budget=budget)
     lattices, dim_low = subreps.lattices, m.dim[:-1]
     *theta_low, theta_last = theta
@@ -451,20 +415,18 @@ def _search(m: Representation, theta: Sequence[int], budget: int) -> tuple[int, 
                     if (zero := first(candidates, d)) is not None:
                         balanced = (chosen, zero)
                         break
-    return theta_m, _Scan(len(subreps), subreps.witness(*best), best_key[0],
-                          balanced and subreps.witness(*balanced))
+    return (theta_m, len(subreps), subreps.witness(*best), best_key[0],
+            balanced and subreps.witness(*balanced))
 
 
 def is_semistable(m: Representation, theta: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> SemistabilityVerdict:
-    theta_m, scan = _search(m, theta, budget)
-    if scan is None:
-        return SemistabilityVerdict(False, theta_m, None, None, 0,
-                                    reason="theta(M) != 0")
-    if scan.min_theta >= 0:
-        return SemistabilityVerdict(True, theta_m, None, scan.min_theta, scan.count)
-    return SemistabilityVerdict(False, theta_m, _checked(m, scan.best, scan.min_theta),
-                                scan.min_theta, scan.count)
+    theta_m, count, best, min_theta, _ = _search(m, theta, budget)
+    if theta_m:
+        return SemistabilityVerdict(False, theta_m, None, None, 0, reason="theta(M) != 0")
+    if min_theta >= 0:
+        return SemistabilityVerdict(True, theta_m, None, min_theta, count)
+    return SemistabilityVerdict(False, theta_m, _checked(m, best, min_theta), min_theta, count)
 
 
 def is_stable(m: Representation, theta: Sequence[int],
@@ -473,16 +435,16 @@ def is_stable(m: Representation, theta: Sequence[int],
     only, so, like `stable_nonempty`, this refuses the zero one."""
     if not any(m.dim):
         raise RepresentationError("is_stable needs a nonzero representation")
-    theta_m, scan = _search(m, theta, budget)
-    if scan is None:
+    theta_m, count, best, min_theta, balanced = _search(m, theta, budget)
+    if theta_m:
         return StabilityVerdict(False, False, theta_m, None, 0, reason="theta(M) != 0")
-    if scan.min_theta < 0:
-        return StabilityVerdict(False, False, theta_m, _checked(m, scan.best, scan.min_theta),
-                                scan.count, reason="destabilizing subrepresentation")
-    if scan.balanced is not None:
-        return StabilityVerdict(False, True, theta_m, _checked(m, scan.balanced, 0), scan.count,
+    if min_theta < 0:
+        return StabilityVerdict(False, False, theta_m, _checked(m, best, min_theta), count,
+                                reason="destabilizing subrepresentation")
+    if balanced is not None:
+        return StabilityVerdict(False, True, theta_m, _checked(m, balanced, 0), count,
                                 reason="proper subrepresentation with theta = 0")
-    return StabilityVerdict(True, True, theta_m, None, scan.count)
+    return StabilityVerdict(True, True, theta_m, None, count)
 
 
 @dataclass
@@ -546,7 +508,5 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
         why = "; ".join(msg for _, msg in skipped) or "no primes given"
         raise RepresentationError(f"no prime could be tested ({why})")
     if best is not None:
-        best.primes_tested = tested
-        best.skipped = skipped
         return best
     return RationalVerdict("semistable", "HEURISTIC", theta_m, tested, skipped)

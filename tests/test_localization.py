@@ -13,6 +13,8 @@ from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverE
                        representation, root_presentation, semi_invariant,
                        sigma_from_json, tau_morphism, word_typing,
                        zero_representation)
+from quivermod.fields import Field
+from quivermod.localization import sigma_family_for_weight
 from quivermod.rep import compose_group
 
 
@@ -148,6 +150,33 @@ def test_chi_theta_rejects_weight_length():
     for theta in [(-1,), (-1, 1, 0)]:
         with pytest.raises(QuiverError):
             chi_theta(g, theta)
+
+
+def test_chi_theta_multiplications_do_not_grow_with_the_weight(monkeypatch):
+    """Each power is one exponentiation: theta = (-1, 1) and (-1000, 1000)
+    make the same number of field multiplications."""
+    calls = []
+    mul = Field.mul
+    monkeypatch.setattr(Field, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+    for fld in (QQ, PrimeField(101)):
+        g = group_element(fld, [[[2, 1], [1, 1]], [[3, 1], [1, 2]]])
+        counts = []
+        for theta in ((-1, 1), (-1000, 1000)):
+            calls.clear()
+            chi_theta(g, theta)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+def test_chi_theta_large_weights():
+    """Against `pow`, with determinants 7 at vertex 1 and 5 at vertex 2."""
+    mats = [[[4, 1], [1, 2]], [[3, 1], [1, 2]]]
+    t = 10**6
+    assert chi_theta(group_element(PrimeField(101), mats), (-t, t)) == (
+        pow(7, -t, 101) * pow(5, t, 101) % 101)
+    t, g = 200, group_element(QQ, mats)
+    assert chi_theta(g, (-t, t)) == pow(Fraction(7), -t) * pow(Fraction(5), t)
+    assert chi_theta(g, (-t, t)) == chi_theta(g, (-1, 1)) ** t
 
 
 def test_chi_theta_and_act_run_no_elimination(monkeypatch, k3):
@@ -371,6 +400,39 @@ def random_sigma(q, rng, max_len):
             row.append(path_combination(j, i, terms))
         entries.append(tuple(row))
     return SigmaMorphism(q, domain, codomain, tuple(entries))
+
+
+def reference_make_sigma(q, theta, z, max_path_len, seed):
+    """`make_sigma` as it was first written: the paths of each entry from
+    their own `paths_between` call."""
+    domain, codomain = sigma_family_for_weight(theta, z)
+    rng = random.Random(seed)
+    entries = tuple(
+        tuple(path_combination(j, i, [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), path)
+                                      for path in paths_between(q, j, i, max_path_len)])
+              for j in codomain)
+        for i in domain)
+    return SigmaMorphism(q, domain, codomain, entries, name=f"sigma.z{z}.seed{seed}")
+
+
+def test_make_sigma_matches_per_entry_paths():
+    """K3, the path 1 -> 2 -> 3 with a shortcut and a 4-vertex quiver with
+    parallel paths: the same morphism as with one `paths_between` per entry."""
+    quivers = [
+        (quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]), (-1, 1)),
+        (quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)]), (-1, 0, 1)),
+        (quiver(4, [("a", 1, 2), ("b", 1, 3), ("c", 2, 4), ("d", 3, 4), ("e", 2, 4)]),
+         (-2, 1, -1, 2)),
+    ]
+    cases = 0
+    for q, theta in quivers:
+        for z in (1, 2, 3):
+            for seed in range(5):
+                for max_len in (None, 0, 1, 2):
+                    assert (make_sigma(q, theta, z, max_len, seed)
+                            == reference_make_sigma(q, theta, z, max_len, seed))
+                    cases += 1
+    assert cases == 180
 
 
 def random_point(q, fld, dim, rng):

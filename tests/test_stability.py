@@ -187,6 +187,17 @@ def test_rational_instability_heuristic(k3):
     assert not r.witness_lifted
 
 
+def test_rational_reports_every_prime_tested_after_a_heuristic_witness(k3):
+    """x = 3/7: F_3 gives a (1, 0) witness that does not lift, 7 divides a
+    denominator and F_5 finds the point semistable; the verdict keeps the F_3
+    witness and lists every prime tested or skipped after it."""
+    m = rep_k3(k3, QQ, ("3/7", 0, 0))
+    r = check_over_rationals(m, (-1, 1), [3, 7, 5])
+    assert (r.verdict, r.certainty, r.witness_beta) == ("unstable", "HEURISTIC", (1, 0))
+    assert r.primes_tested == [3, 5] and r.witness_prime == 3 and not r.witness_lifted
+    assert r.skipped == [(7, "prime 7 divides a denominator")]
+
+
 def test_verify_witness_over_rationals(a2):
     m = representation(a2, QQ, (2, 1), {"a": [["1/2", "-1"]]})
     kernel = SubrepWitness({1: np.array([[2, 1]]), 2: np.zeros((0, 1), dtype=np.int64)},
@@ -556,6 +567,9 @@ def test_enumerate_subreps_is_a_lazy_sequence(k3, built_witnesses):
     for i in (len(listed), -len(listed) - 1):
         with pytest.raises(IndexError):
             subreps[i]
+    assert list(reversed(subreps)) == listed[::-1]
+    assert [subreps.index(listed[k]) for k in (0, 1, len(listed) // 2, len(listed) - 1)] == [
+        0, 1, len(listed) // 2, len(listed) - 1]
 
 
 def test_theta_zero_witness_where_a_block_lacks_its_dimension(k3):
