@@ -4,8 +4,8 @@ matrix type of the package.
 A `Matrix` is immutable: its rows are tuples of field elements, `Fraction`s
 over Q and ints in 0..p-1 over F_p, and it records its `shape`, so a matrix
 without rows keeps its column count. Both field tags expose the same small
-API so the linear algebra in :mod:`quivermod.linalg` is written once; each
-declares its `zero` and `one` as class attributes.
+API, so `linalg`, `rep` and `localization` are written once for both; each
+tag declares its `zero`, its `one` and its characteristic `p` (0 for Q).
 
 `Field.coerce` is the one place where outside scalars become field elements
 (`quiver.int_vector` is the one place for outside integers): integers
@@ -15,12 +15,19 @@ methods of `Field` (`scalar_is_zero`, `scalar_inv`, `scalar_neg`, `mul`,
 `format_scalar`) are written once, on `coerce`. `array` takes nested lists,
 and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray), whose
 shape it keeps (also (0, n)), and coerces every entry.
+
+The exact kernels run on Python ints, and `ints` and `elements` are the only
+code that knows how field elements are encoded as ints: `ints(xs)` gives
+(d, ns) with xs = ns / d, and `elements(ns, d)` turns ints back into field
+elements. Over F_p the ints are residues and d is 1; over Q d is the lcm of
+the denominators and ns the numerators scaled to it.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 
 class FieldError(ValueError):
@@ -80,34 +87,42 @@ class Matrix:
         return [list(row) for row in self.rows]
 
 
-def _matrix(coerce, data) -> Matrix:
-    """`data`, nested lists or a 2-d object with `shape` and `tolist()`, as a
-    `Matrix` of coerced entries."""
-    cols = None
-    shape = getattr(data, "shape", None)
-    if shape is not None:
-        if len(shape) != 2:
-            raise FieldError(f"matrix data must be 2-dimensional, not of shape {shape}")
-        cols = shape[1]
-        data = data if isinstance(data, Matrix) else data.tolist()
-    try:
-        rows = tuple([tuple([coerce(x) for x in row]) for row in data])
-    except TypeError as exc:
-        raise FieldError(f"matrix data must be a list of rows, not {data!r}") from exc
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-        if any(len(row) != cols for row in rows):
-            raise FieldError("ragged matrix data")
-    return Matrix(rows, (len(rows), cols))
-
-
 class Field:
-    """What both field tags share, written on their `zero`, `one` and
-    `coerce`."""
+    """What both field tags share, written on their `zero`, `one`, `coerce`,
+    `ints` and `elements`."""
 
     def coerce(self, x):
         """`x` as an element of the field, or `FieldError`."""
         raise NotImplementedError
+
+    def ints(self, xs) -> tuple[int, list[int]]:
+        """(d, ns), Python ints with the field elements xs equal to ns / d
+        entrywise; ns may be xs itself."""
+        raise NotImplementedError
+
+    def elements(self, ns, d: int = 1) -> tuple:
+        """The field elements ns / d, for Python ints ns and d (d invertible)."""
+        raise NotImplementedError
+
+    def array(self, data) -> Matrix:
+        """`data`, nested lists or a 2-d object with `shape` and `tolist()`, as a
+        `Matrix` of coerced entries."""
+        cols = None
+        shape = getattr(data, "shape", None)
+        if shape is not None:
+            if len(shape) != 2:
+                raise FieldError(f"matrix data must be 2-dimensional, not of shape {shape}")
+            cols = shape[1]
+            data = data if isinstance(data, Matrix) else data.tolist()
+        try:
+            rows = tuple([tuple([self.coerce(x) for x in row]) for row in data])
+        except TypeError as exc:
+            raise FieldError(f"matrix data must be a list of rows, not {data!r}") from exc
+        if cols is None:
+            cols = len(rows[0]) if rows else 0
+            if any(len(row) != cols for row in rows):
+                raise FieldError("ragged matrix data")
+        return Matrix(rows, (len(rows), cols))
 
     def zeros(self, rows: int, cols: int) -> Matrix:
         return Matrix(((self.zero,) * cols,) * rows, (rows, cols))
@@ -141,14 +156,21 @@ class Rationals(Field):
     """Tag for exact rational arithmetic."""
 
     name = "Q"
+    p = 0
     zero = Fraction(0)
     one = Fraction(1)
+    array = Field.array   # each tag holds its own `array`, which bench/tracing.py wraps
 
     def coerce(self, x) -> Fraction:
         return _parse_rational(x)
 
-    def array(self, rows) -> Matrix:
-        return _matrix(self.coerce, rows)
+    def ints(self, xs) -> tuple[int, list[int]]:
+        d = lcm(*[x.denominator for x in xs])
+        return d, [x.numerator * (d // x.denominator) for x in xs]
+
+    def elements(self, ns, d: int = 1) -> tuple:
+        zero = self.zero
+        return tuple([Fraction(x, d) if x else zero for x in ns])
 
     def to_json(self):
         return "Q"
@@ -161,6 +183,7 @@ class PrimeField(Field):
     p: int
     zero = 0
     one = 1
+    array = Field.array
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p >= 2**31 or not _is_prime(self.p):
@@ -178,8 +201,15 @@ class PrimeField(Field):
             raise FieldError(f"denominator of {q} not invertible mod {self.p}")
         return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
-    def array(self, rows) -> Matrix:
-        return _matrix(self.coerce, rows)
+    def ints(self, xs) -> tuple[int, list[int]]:
+        return 1, xs
+
+    def elements(self, ns, d: int = 1) -> tuple:
+        p = self.p
+        if d == 1:
+            return tuple([x % p for x in ns])
+        inv = pow(d, -1, p)
+        return tuple([x * inv % p for x in ns])
 
     def to_json(self):
         return {"p": self.p}

@@ -1,68 +1,63 @@
 """Exact dense linear algebra over a field tag.
 
 All routines take the field as first argument and work on `Matrix` values
-produced by the field's constructors: rows of ints in 0..p-1 over F_p, rows of
-`Fraction`s over Q. Every result is a new `Matrix`; nothing is modified.
+produced by the field's constructors. Every result is a new `Matrix`;
+nothing is modified. The kernels run on Python ints, which cannot wrap: the
+field's `ints` turns rows of field elements into ints over a common scale and
+its `elements` turns ints back, so no routine here knows how Q or F_p is
+encoded.
 
 `rref`, `rank`, `nullspace`, `det` and `inv` derive from one Gauss-Jordan
-elimination, `_eliminate`, on Python ints, which cannot wrap. Its entry is a
-matrix as rows of field elements and a width: the routines here pass a
-matrix's rows, and `rep` passes the Hom/Ext^1 system it builds as rows;
-`_kernel` reads a kernel basis off it. Over F_p it works mod p, scaling each
-pivot row to a leading 1. Over Q it first scales each row by the lcm of its
-denominators and then runs fraction-free Gauss-Jordan (Bareiss 1968): each
-step divides exactly by the previous pivot, so every entry stays an integer
-minor of the scaled matrix, and the rref is the result divided by the last
-pivot. Elimination uses the first nonzero pivot in each column, so every
-result is deterministic. For an m x n matrix with m <= n, `_eliminate` also
-reports the determinant of the leading m x m block: that block is invertible
-exactly when the pivots are the columns 0..m-1, and then its determinant is
-read off the pivots. So `_det_inv` takes the determinant and the inverse of
-a square matrix A from one elimination of [A | I]; `inv`,
+elimination, `_eliminate`. Its entry is a matrix as rows of field elements
+and a width: the routines here pass a matrix's rows, and `rep` passes the
+Hom/Ext^1 system it builds as rows; `_kernel` reads a kernel basis off it.
+The field's characteristic chooses the elimination step: in characteristic
+p it works mod p, scaling each pivot row to a leading 1; in characteristic 0
+it runs fraction-free Gauss-Jordan (Bareiss 1968): each step divides exactly
+by the previous pivot, so every entry stays an integer minor of the scaled
+matrix, and the rref is the result divided by the last pivot. Elimination
+uses the first nonzero pivot in each column, so every result is
+deterministic. For an m x n matrix with m <= n, `_eliminate` also reports
+the determinant of the leading m x m block: that block is invertible exactly
+when the pivots are the columns 0..m-1, and then its determinant is read off
+the pivots. So `_det_inv` takes the determinant and the inverse of a square
+matrix A from one elimination of [A | I]; `inv`,
 `localization.check_localized_point` and `rep.GroupElement` use it.
-`_product_is_identity` decides whether a product is the identity with the
-arithmetic of `matmul`, without building the product.
 
-`matmul` forms each entry as one sum of Python-int products. Over F_p the
-sum is reduced mod p, so it is exact for every prime below 2^31. Over Q each
-row of the left factor and each column of the right one is first scaled to
-integers by the lcm of its denominators, and the sum becomes one `Fraction`
-over the product of the two scales, so an entry costs one normalisation
-instead of a `Fraction` multiply and add per term.
+`matmul` and `_product_is_identity` share `_product`: each factor is put on
+one scale once, and each entry of the product is one sum of Python-int
+products, turned into a field element once, so an entry over Q costs one
+normalisation instead of a `Fraction` multiply and add per term.
+`_product_is_identity` compares those elements with the identity's without
+building a `Matrix`.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 
-from .fields import Field, Matrix, PrimeField
+from .fields import Field, Matrix
 
 
 def matmul(field: Field, a: Matrix, b: Matrix) -> Matrix:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[1] == 0:
-        return field.zeros(a.shape[0], b.shape[1])
-    cols = list(zip(*b.rows))
-    if isinstance(field, PrimeField):
-        p = field.p
-        rows = [tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a.rows]
-    else:
-        zero = Fraction(0)
-        cols = [_scaled(col) for col in cols]
-        rows = []
-        for da, row in map(_scaled, a.rows):
-            rows.append(tuple([Fraction(s, da * db) if (s := sum(map(mul, row, col))) else zero
-                               for db, col in cols]))
-    return Matrix(tuple(rows), (a.shape[0], b.shape[1]))
+    m, n = a.shape[0], b.shape[1]
+    d, sums = _product(field, a, b)
+    flat = field.elements(sums, d)
+    return Matrix(tuple([flat[i * n:(i + 1) * n] for i in range(m)]), (m, n))
 
 
-def _scaled(xs) -> tuple[int, list[int]]:
-    """(d, ns) with xs = ns / d entrywise: d the lcm of the denominators of the
-    rationals xs, ns Python ints."""
-    d = lcm(*[x.denominator for x in xs])
-    return d, [x.numerator * (d // x.denominator) for x in xs]
+def _product(field: Field, a: Matrix, b: Matrix) -> tuple[int, list[int]]:
+    """(d, sums): the entries of a b, row by row, are sums / d. With a = A / e
+    and b = B / f (`field.ints`), d = e f and each sum is one integer dot
+    product of a row of A with a column of B."""
+    k, n = b.shape
+    e, xs = field.ints([x for row in a.rows for x in row])
+    f, ys = field.ints([x for row in b.rows for x in row])
+    rows = [xs[i * k:(i + 1) * k] for i in range(a.shape[0])]
+    cols = [ys[c::n] for c in range(n)]
+    return e * f, [sum(map(mul, row, col)) for row in rows for col in cols]
 
 
 def transpose(field: Field, a: Matrix) -> Matrix:
@@ -92,24 +87,19 @@ def block_diag(field: Field, blocks) -> Matrix:
 
 
 def _eliminate(field: Field, rows, n: int):
-    """Gauss-Jordan elimination of the m x n matrix given as m rows of n entries:
-    over F_p ints in 0..p-1, over Q `Fraction`s (or ints). `rows` is not modified.
+    """Gauss-Jordan elimination of the m x n matrix given as m rows of n field
+    elements. `rows` is not modified.
 
-    Returns (rows, d, pivots, det): the rref of the matrix is rows / d (d = 1
-    over F_p), pivots are its pivot columns, and det is the determinant of its
-    leading m x m block when m <= n (None when m > n).
+    Returns (rows, d, pivots, det): the rref of the matrix is rows / d, rows
+    and d Python ints, pivots are its pivot columns, and det is the determinant
+    of its leading m x m block when m <= n (None when m > n).
     """
     m = len(rows)
-    modular = isinstance(field, PrimeField)
-    if modular:
-        p = field.p
-        rows = list(rows)
-        scale = 1
-    else:
-        scaled = list(map(_scaled, rows))
-        scale = prod(s for s, _ in scaled)
-        rows = [row for _, row in scaled]
-    sign = prev = 1   # prev: over F_p the product of the pivots, over Q the last pivot
+    p = field.p
+    scaled = list(map(field.ints, rows))
+    scale = prod(d for d, _ in scaled)
+    rows = [ns for _, ns in scaled]
+    sign = prev = 1   # prev: over F_p the product of the pivots, else the last pivot
     pivots: list[int] = []
     for c in range(n):
         r = len(pivots)
@@ -125,7 +115,7 @@ def _eliminate(field: Field, rows, n: int):
             sign = -sign
         top = rows[r]
         piv = top[c]
-        if modular:
+        if p:
             prev = prev * piv % p
             if piv != 1:
                 inv_piv = pow(piv, -1, p)
@@ -145,20 +135,9 @@ def _eliminate(field: Field, rows, n: int):
         det = None
     elif m and not (len(pivots) == m and pivots[-1] == m - 1):
         det = field.zero   # the leading block is singular: its pivots are not 0..m-1
-    elif modular:
-        det = sign * prev % p
     else:
-        det = Fraction(sign * prev, scale)
-    return rows, 1 if modular else prev, pivots, det
-
-
-def _divided(field: Field, rows, d: int, cols: int) -> Matrix:
-    """The matrix rows / d, rows as `_eliminate` returns them, as a `Matrix`."""
-    if isinstance(field, PrimeField):
-        return Matrix(tuple(map(tuple, rows)), (len(rows), cols))
-    zero = Fraction(0)
-    return Matrix(tuple(tuple([Fraction(x, d) if x else zero for x in row]) for row in rows),
-                  (len(rows), cols))
+        det = field.elements((sign * prev,), scale)[0]
+    return rows, 1 if p else prev, pivots, det
 
 
 def _kernel(field: Field, rows, n: int) -> Matrix:
@@ -167,25 +146,21 @@ def _kernel(field: Field, rows, n: int) -> Matrix:
     column f of the rref R, with 1 at f and -R[i, f] at the i-th pivot."""
     red, d, pivots, _ = _eliminate(field, rows, n)
     pivot_cols = set(pivots)
-    free = [c for c in range(n) if c not in pivot_cols]
-    p = field.p if isinstance(field, PrimeField) else 0
-    zero, one = field.zero, field.one
     basis = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for i, c in enumerate(pivots):
-            x = red[i][f]
-            if x:
-                v[c] = -x % p if p else Fraction(-x, d)
-        basis.append(tuple(v))
+    for f in range(n):
+        if f not in pivot_cols:
+            v = [0] * n
+            v[f] = d
+            for i, c in enumerate(pivots):
+                v[c] = -red[i][f]
+            basis.append(field.elements(v, d))
     return Matrix(tuple(basis), (len(basis), n))
 
 
 def rref(field: Field, a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column list."""
     rows, d, pivots, _ = _eliminate(field, a.rows, a.shape[1])
-    return _divided(field, rows, d, a.shape[1]), pivots
+    return Matrix(tuple([field.elements(row, d) for row in rows]), a.shape), pivots
 
 
 def rank(field: Field, a: Matrix) -> int:
@@ -222,35 +197,20 @@ def _det_inv(field: Field, a: Matrix):
     rows, d, _, det = _eliminate(field, aug, 2 * n)
     if not det:
         return det, None
-    return det, _divided(field, [row[n:] for row in rows], d, n)
+    return det, Matrix(tuple([field.elements(row[n:], d) for row in rows]), (n, n))
 
 
 def _product_is_identity(field: Field, a: Matrix, b: Matrix) -> bool:
-    """Whether a b is the identity matrix, decided entry by entry with the
-    arithmetic of `matmul` and without building the product: each entry is one
-    integer dot product, compared over F_p with 0 or 1 mod p, and over Q with 0
-    or with the product of its row's and column's scales."""
+    """Whether a b is the identity matrix, decided with the arithmetic of
+    `matmul` and without building the product `Matrix`."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     n = a.shape[0]
     if b.shape[1] != n:
         return False
-    if a.shape[1] == 0:
-        return n == 0   # the product is the n x n zero matrix
-    cols = list(zip(*b.rows))
-    if isinstance(field, PrimeField):
-        p = field.p
-        for r, row in enumerate(a.rows):
-            sums = [sum(map(mul, row, col)) % p for col in cols]
-            if sums[r] != 1 or sums.count(0) != n - 1:
-                return False
-        return True
-    cols = [_scaled(col) for col in cols]
-    for r, (da, row) in enumerate(map(_scaled, a.rows)):
-        sums = [sum(map(mul, row, col)) for _, col in cols]
-        if sums[r] != da * cols[r][0] or sums.count(0) != n - 1:
-            return False
-    return True
+    d, sums = _product(field, a, b)
+    flat = field.elements(sums, d)
+    return flat[::n + 1] == (field.one,) * n and flat.count(field.zero) == n * n - n
 
 
 def is_zero(field: Field, a: Matrix) -> bool:

@@ -10,11 +10,13 @@ vertex, so morphisms over the original quiver lift verbatim.
 
 `evaluate_sigma` evaluates each distinct path of a morphism once per call and
 forms each entry of the block matrix as one integer dot product over the
-entry's terms. `check_localized_point` takes each sigma's determinant and
-inverse from one elimination (`linalg._det_inv`) and checks M N = I and
-N M = I entry by entry (`linalg._product_is_identity`), building neither
-product. `chi_theta` reads the determinants a `GroupElement` took when it was
-built, so the transformation law eliminates no group block.
+entry's terms, on the field's integer encoding (`Field.ints` and
+`Field.elements`), so it is written once for Q and F_p.
+`check_localized_point` takes each sigma's determinant and inverse from one
+elimination (`linalg._det_inv`) and checks M N = I and N M = I entry by
+entry (`linalg._product_is_identity`), building neither product `Matrix`.
+`chi_theta` reads the determinants a `GroupElement` took when it was built,
+so the transformation law eliminates no group block.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from . import linalg
-from .fields import Field, Matrix, PrimeField, _parse_rational
+from .fields import QQ, Field, Matrix
 from .quiver import (Path, Quiver, QuiverError, check_path, dim_vector, enumerate_paths,
                      int_vector, quiver)
 from .rep import GroupElement, Representation, RepresentationError, evaluate_path
@@ -58,7 +60,7 @@ class PathCombination:
 def path_combination(source: int, target: int, terms) -> PathCombination:
     """The combination of `terms`, (coefficient, path) pairs, zero terms dropped;
     a coefficient that is not a rational number raises `FieldError`."""
-    parsed = [(_parse_rational(c), p) for c, p in terms]
+    parsed = [(QQ.coerce(c), p) for c, p in terms]
     source, target = int_vector((source, target), what="path combination ends")
     return PathCombination(source, target, tuple((c, p) for c, p in parsed if c != 0))
 
@@ -144,7 +146,7 @@ def sigma_from_json(data: dict, q: Quiver) -> SigmaMorphism:
                     raise SigmaError(f"path {arrows!r} must list arrow ids")
                 # checked here too: path_combination drops zero terms
                 path = check_path(q, Path(src, tgt, tuple(arrows)), SigmaError)
-                combs.append((_parse_rational(t["coeff"]), path))
+                combs.append((QQ.coerce(t["coeff"]), path))
             out_row.append(path_combination(src, tgt, combs))
         entries.append(tuple(out_row))
     return SigmaMorphism(q, domain, codomain, tuple(entries),
@@ -199,19 +201,15 @@ def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
     """Block matrix with arrows replaced by the representation's matrices,
     assembled one block row at a time.
 
-    Each distinct path of sigma is evaluated once per call and kept as Python
-    ints, its entries listed row by row: over Q as N / e, e the lcm of the
-    path matrix's denominators, over F_p as residues. Each entry of a block
+    Each distinct path of sigma is evaluated once per call and kept as the
+    field's `ints` of its entries, listed row by row. Each entry of a block
     sum_t c_t P_t is then one integer dot product of the scaled coefficients
-    with the paths' entries at that place, over one common denominator D and
-    divided once. Over Q, D is the lcm over the terms of the coefficient's
-    denominator times e; over F_p the coefficients are residues, D is 1 and
-    each entry is reduced mod p.
+    with the paths' entries at that place, over one common scale D
+    (`_integer_terms`), made a field element once by the field's `elements`.
     """
     if sigma.quiver != m.quiver:
         raise RepresentationError("sigma and representation live over different quivers")
     fld = m.field
-    p = fld.p if isinstance(fld, PrimeField) else 0
     zero = fld.zero
     path_entries: dict = {}
     col_dims = [m.dim[j - 1] for j in sigma.codomain]
@@ -222,11 +220,8 @@ def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
             d, cs, entries = _integer_terms(fld, m, comb, path_entries)
             if not cs:
                 block = [zero] * (len(lines) * cd)
-            elif p:
-                block = [sum(map(mul, cs, xs)) % p for xs in zip(*entries)]
             else:
-                block = [Fraction(x, d) if (x := sum(map(mul, cs, xs))) else zero
-                         for xs in zip(*entries)]
+                block = fld.elements([sum(map(mul, cs, xs)) for xs in zip(*entries)], d)
             for r, line in enumerate(lines):
                 line.extend(block[r * cd:(r + 1) * cd])
         rows.extend(map(tuple, lines))
@@ -235,22 +230,22 @@ def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
 
 def _integer_terms(fld: Field, m: Representation, comb: PathCombination, path_entries: dict):
     """(D, cs, entries) with comb evaluated at m equal to sum_t cs[t] * P_t / D,
-    the entries of P_t listed row by row in entries[t], all Python ints
-    (residues over F_p, where D = 1). `path_entries` maps (source, arrows) to
-    (e, N), the entries of that path's matrix at m being N / e; a path missing
-    from it is evaluated and added."""
-    scaled = []
-    for c, path in comb.terms:
+    the entries of P_t listed row by row in entries[t], all Python ints.
+    `path_entries` maps (source, arrows) to `fld.ints` of that path's matrix
+    at m, its entries row by row; a path missing from it is evaluated and
+    added. With the coefficients c_t = n_t / d and P_t = N_t / e_t, D is d
+    times the lcm e of the e_t, and cs[t] = n_t e / e_t."""
+    scales, entries = [], []
+    for _, path in comb.terms:
         key = (path.source, path.arrows)
         if key not in path_entries:
-            flat = [x for row in evaluate_path(m, path).rows for x in row]
-            path_entries[key] = (1, flat) if isinstance(fld, PrimeField) else linalg._scaled(flat)
-        scaled.append((c, *path_entries[key]))
-    entries = [flat for _, _, flat in scaled]
-    if isinstance(fld, PrimeField):
-        return 1, [fld.coerce(c) for c, _, _ in scaled], entries
-    d = lcm(*[c.denominator * e for c, e, _ in scaled])
-    return d, [c.numerator * (d // (c.denominator * e)) for c, e, _ in scaled], entries
+            path_entries[key] = fld.ints([x for row in evaluate_path(m, path).rows for x in row])
+        e, flat = path_entries[key]
+        scales.append(e)
+        entries.append(flat)
+    d, ns = fld.ints([fld.coerce(c) for c, _ in comb.terms])
+    e = lcm(*scales)
+    return d * e, [n * (e // s) for n, s in zip(ns, scales)], entries
 
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
@@ -264,14 +259,15 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 def chi_theta(g: GroupElement, theta: Sequence[int]):
     """Character value prod det(g_i)^{theta_i}, from the determinants the
     element holds (`GroupElement.dets`), so nothing is eliminated. Each power
-    is one exponentiation, `pow(d, theta_i, p)` over F_p and `d ** theta_i`
-    over Q (a negative exponent inverts: every det is nonzero), so the cost
-    grows with log |theta_i|; a vertex with theta_i = 0 contributes 1."""
+    is one exponentiation, `pow(d, theta_i, p)` in characteristic p and
+    `pow(d, theta_i)` over Q (a negative exponent inverts: every det is
+    nonzero), so the cost grows with log |theta_i|; a vertex with theta_i = 0
+    contributes 1."""
     fld = g.field
     out = fld.one
     for d, t in zip(g.dets, int_vector(theta, len(g.mats))):
         if t:
-            out = fld.mul(out, pow(d, t, fld.p) if isinstance(fld, PrimeField) else d ** t)
+            out = fld.mul(out, pow(d, t, fld.p or None))
     return out
 
 

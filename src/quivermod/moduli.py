@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .fields import Rationals
 from .quiver import (DimVector, Quiver, QuiverError, dim_vector, euler_form, int_vector,
-                     theta_pairing, total_dim, validate_quiver)
+                     theta_pairing, total_dim)
 from .rep import Representation, ext_space, hom_space
 from .stability import DEFAULT_BUDGET, check_budget, is_stable
 
@@ -259,8 +259,10 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
 
 def local_model_dimension(data: LocalQuiverData) -> int:
     """Dimension of the local model: 1 - <e, e> on the local quiver, e the
-    multiplicity vector."""
+    multiplicity vector, that is 1 - sum e_i^2 + sum c_ij e_i e_j with c_ij
+    the arrow counts."""
     if data.num_classes == 0:
         raise ValueError("empty local quiver data")
     e = data.multiplicities
-    return 1 - euler_form(validate_quiver(data.to_json()), e, e)
+    return 1 - sum(x * x for x in e) + sum(
+        c * e[i] * e[j] for i, row in enumerate(data.arrow_counts) for j, c in enumerate(row))

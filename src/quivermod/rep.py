@@ -3,11 +3,13 @@ linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
 
 Every matrix handed to `representation` or `group_element`, as nested lists,
 a `Matrix` or, at this boundary only, an ndarray of any dtype, goes through the
-field's `array`, so it always holds elements of the field it claims. Matrices,
-group element blocks and Hom bases are immutable `Matrix` values, so a path of
-one arrow evaluates to the arrow's own matrix. A `GroupElement` eliminates each
-block once, when it is built, and keeps the block's determinant and inverse:
-`act` and `compose_group` use them and run no elimination of their own.
+field's `array`, so it always holds elements of the field it claims; their
+encoding as ints belongs to `fields`, and this module reads only `field.p`.
+Matrices, group element blocks and Hom bases are immutable `Matrix` values,
+so a path of one arrow evaluates to the arrow's own matrix. A `GroupElement`
+eliminates each block once, when it is built, and keeps the block's
+determinant and inverse: `act` and `compose_group` use them and run no
+elimination of their own.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
@@ -27,7 +29,7 @@ from dataclasses import InitVar, dataclass, field as _field
 from typing import Mapping, Sequence
 
 from . import linalg
-from .fields import Field, Matrix, PrimeField, field_from_json
+from .fields import Field, Matrix, field_from_json
 from .quiver import DimVector, Path, Quiver, check_path, dim_vector, validate_quiver
 
 
@@ -88,7 +90,7 @@ def zero_representation(quiver: Quiver, field: Field, dim: Sequence[int]) -> Rep
 
 def _random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> list[list[int]]:
     """Entries drawn row by row from rng: uniform over F_p, integers in [-5, 5] over Q."""
-    if isinstance(field, PrimeField):
+    if field.p:
         return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
     return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
 
@@ -230,12 +232,12 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[
     The unknown f_i is an n_i x m_i matrix, vectorized row-major at column
     offset off_i (vertices in order). Row (a, r, c) holds M_a[t][c] at column
     off_j + r*m_j + t and -N_a[r][s] at column off_i + s*m_i + c; on a loop the
-    two terms meet at t = c, s = r and are added. Entries are ints in 0..p-1
-    over F_p and `Fraction`s over Q, the entry format of `linalg._eliminate`.
+    two terms meet at t = c, s = r and are added. Entries are field elements,
+    the entry format of `linalg._eliminate`.
     Returns the rows, the (arrow_id, r, c) label of each row and the width.
     """
     fld = m.field
-    p = fld.p if isinstance(fld, PrimeField) else 0
+    p = fld.p
     zero = fld.zero
     off = [0]
     for mi, ni in zip(m.dim, n.dim):

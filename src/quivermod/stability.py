@@ -221,20 +221,26 @@ def _image(source: _Lattice, target: _Lattice, mats: list) -> Callable[[int], in
     rows): the image of prefix(U) extended by the images of U's last row, so
     each U costs at most one `extend` of len(mats) vectors, each computed only
     if `extend` draws it. Once the image of prefix(U) is the whole target
-    space, so is the image of U. Memoised by position."""
+    space, so is the image of U. Memoised by position and filled up from the
+    nearest memoised prefix, so the closure is freed with its search."""
     p, top = source.p, target.top
     memo = {0: 0}
 
     def image(pos: int) -> int:
-        if pos not in memo:
-            below = image(source.prefix[pos])
-            if below == top:
-                memo[pos] = top
-            else:
+        if pos in memo:
+            return memo[pos]
+        chain = []
+        while pos not in memo:
+            chain.append(pos)
+            pos = source.prefix[pos]
+        below = memo[pos]
+        for pos in reversed(chain):
+            if below != top:
                 u = source.subspaces[pos][0].rows[-1]
-                memo[pos] = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
-                                                  for mat in mats))
-        return memo[pos]
+                below = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
+                                              for mat in mats))
+            memo[pos] = below
+        return below
 
     return image
 

@@ -5,7 +5,7 @@ against the reduction of the Q ones."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quivermod import (QQ, FieldError, Path, PrimeField, SigmaMorphism, evaluate_sigma,
                        path_combination, paths_between, quiver, representation)
@@ -48,17 +48,32 @@ def matrix_pairs(draw):
     return (m, n, k), a, b
 
 
+# a b = I, the columns of b with different denominators; the examples below
+# also take b one entry off a^-1
+INVERSE_PAIR = ([[2, 1], [0, 3]], [[Fraction(1, 2), Fraction(-1, 6)], [0, Fraction(1, 3)]])
+
+
 @SETTINGS
 @given(matrix_pairs())
+@example(((2, 2, 2), *INVERSE_PAIR))
+@example(((2, 2, 2), INVERSE_PAIR[0], [[Fraction(1, 2), Fraction(-1, 6)], [0, Fraction(1, 2)]]))
+@example(((2, 2, 3), [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(5, 7)]],
+          [[Fraction(1, 3), Fraction(1, 5), 1], [Fraction(3, 4), 0, Fraction(-1, 7)]]))
 def test_matmul_matches_fraction_reference(case):
+    """matmul equals the naive `Fraction` product; for a square product,
+    _product_is_identity says whether that product is the identity."""
     (m, n, k), a, b = case
     a_mat = QQ.array(a) if m else QQ.zeros(0, n)
     b_mat = QQ.array(b) if n else QQ.zeros(0, k)
     assert a_mat.shape == (m, n) and b_mat.shape == (n, k)
     out = linalg.matmul(QQ, a_mat, b_mat)
     assert out.shape == (m, k)
-    assert out.tolist() == naive_matmul(a, b, k)
+    want = naive_matmul(a, b, k)
+    assert out.tolist() == want
     assert_fractions(out)
+    if m == k:
+        identity = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
+        assert linalg._product_is_identity(QQ, a_mat, b_mat) is (want == identity)
 
 
 def test_matmul_empty_inner_and_outer_shapes():

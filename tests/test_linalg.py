@@ -274,6 +274,41 @@ def entries(field):
     return st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 
 
+ENCODING_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(BIG)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(ENCODING_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f), st.lists(entries(f) | st.just(f.zero), max_size=8))))
+@example((QQ, []))
+@example((QQ, [Fraction(0)] * 3))
+@example((PrimeField(5), []))
+@example((PrimeField(BIG), [0, 0]))
+def test_elements_invert_ints(case):
+    """ints(xs) = (d, ns) gives back xs through elements(ns, d), empty and
+    all-zero vectors included, with elements of the field's own type."""
+    field, xs = case
+    d, ns = field.ints(xs)
+    assert d >= 1 and all(type(n) is int for n in ns)
+    out = field.elements(ns, d)
+    assert out == tuple(xs)
+    assert all(type(x) is type(field.zero) for x in out)
+
+
+@pytest.mark.parametrize("p", [2, 5, 101, BIG])
+def test_prime_field_elements_divide_by_the_scale(p):
+    """Over F_p, elements(ns, d) with p not dividing d is the residue of each
+    n / d, as `coerce` gives it."""
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        d = rng.randint(1, 10**12)
+        if d % p == 0:
+            continue
+        ns = [rng.randint(-10**15, 10**15) for _ in range(rng.randint(0, 4))]
+        assert f.elements(ns, d) == tuple(f.coerce(Fraction(n, d)) for n in ns)
+
+
 @st.composite
 def field_matrices(draw, square=False):
     """(field, matrix): dense, dense with zeroed rows, or a product of a thin

@@ -12,6 +12,7 @@ from quivermod import (GenericExtTable, NotStableError, PrimeField, QQ,
                        quiver, random_representation, representation,
                        semistable_nonempty, stable_nonempty)
 from quivermod.moduli import CyclicQuiverError, LocalQuiverData
+from quivermod.quiver import validate_quiver
 
 
 def rep_k3(k3, field, m):
@@ -390,6 +391,20 @@ def test_local_quiver_assert_stable_flag(k3):
         local_quiver([(m, 1)], (-1, 1))
     data = local_quiver([(m, 1)], (-1, 1), assert_stable=True)
     assert not data.verified
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda l: st.tuples(
+    st.lists(st.lists(st.integers(0, 3), min_size=l, max_size=l), min_size=l, max_size=l),
+    st.lists(st.integers(1, 5), min_size=l, max_size=l))))
+def test_local_model_dimension_is_one_minus_the_local_euler_form(case):
+    """The dimension read off the arrow counts equals 1 - <e, e> on the local
+    quiver that `to_json` describes, loops included."""
+    counts, mults = case
+    data = LocalQuiverData(tuple(map(tuple, counts)), tuple(mults),
+                           tuple((1,) for _ in mults), True)
+    e = data.multiplicities
+    assert local_model_dimension(data) == 1 - euler_form(validate_quiver(data.to_json()), e, e)
 
 
 def test_local_model_dimension_empty():

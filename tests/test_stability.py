@@ -1,3 +1,4 @@
+import gc
 import random
 from collections.abc import Sequence
 from functools import cache
@@ -550,6 +551,21 @@ def test_verdicts_build_at_most_two_witnesses(k3, built_witnesses):
             assert len(built_witnesses) <= 2, (decide.__name__, m.dim)
     assert not is_semistable(reps[1], (-1, 1)).semistable
     assert is_stable(reps[2], (-1, 1)).witness.theta_value == 0
+
+
+def test_search_leaves_no_garbage_cycle(k3):
+    """A search's state, image memos included, is freed by reference counting
+    when the search is dropped: nothing is left for the cyclic collector."""
+    m = random_representation(k3, PrimeField(3), (3, 3), random.Random(1))
+    gc.collect()
+    gc.disable()
+    try:
+        subs = enumerate_subreps(m)
+        assert len(subs) > 2
+        del subs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_subreps_is_a_lazy_sequence(k3, built_witnesses):
