@@ -108,10 +108,7 @@ def _dim(args, q):
 
 
 def _check_over_q(args, m):
-    """The rational branch of check-ss and check-st: check-st needs F_p, and
-    check-ss decides from the reductions of `m` modulo --primes."""
-    if args.command == "check-st":
-        raise RepresentationError("check-st needs a representation over F_p")
+    """The rational branch of check-ss: the reductions of `m` modulo --primes."""
     if not args.primes:
         raise RepresentationError("rational representation: supply --primes")
     rv = check_over_rationals(m, args.theta, args.primes, budget=args.budget)
@@ -143,7 +140,7 @@ def _check_ss(args, q):
 def _check_st(args, q):
     m = _load_rep(args.rep, q)
     if isinstance(m.field, Rationals):
-        return _check_over_q(args, m)
+        raise RepresentationError("check-st needs a representation over F_p")
     v = is_stable(m, args.theta, budget=args.budget)
     verdict = "stable" if v.stable else "not stable"
     return (0 if v.stable else 1, _verdict_json(v, verdict, semistable=v.semistable),

@@ -334,9 +334,19 @@ def word_typing(pres_typing: dict[str, tuple[int, int]],
     return (src, at)
 
 
-def _path_algebra_base(q: Quiver) -> tuple[list[str], list[Relation], dict[str, tuple[int, int]]]:
-    gens = [q.label(v) for v in q.vertices()]
-    typing = {q.label(v): (v, v) for v in q.vertices()}
+def _add_generator(typing: dict[str, tuple[int, int]], name: str, ends: tuple[int, int]):
+    """Append `name`, typed (source, target), to the ordered generator table.
+    A name used twice, or named like the constants 0 and 1 that a relation's
+    right-hand side may be, would make the presentation ambiguous."""
+    if name in typing or name in ("0", "1"):
+        raise SigmaError(f"generator name {name!r} is ambiguous in the presentation")
+    typing[name] = ends
+
+
+def _path_algebra_base(q: Quiver) -> tuple[list[Relation], dict[str, tuple[int, int]]]:
+    typing: dict[str, tuple[int, int]] = {}
+    for v in q.vertices():
+        _add_generator(typing, q.label(v), (v, v))
     rels: list[Relation] = []
     for v in q.vertices():
         lv = q.label(v)
@@ -346,11 +356,10 @@ def _path_algebra_base(q: Quiver) -> tuple[list[str], list[Relation], dict[str, 
                 rels.append(Relation((Term(Fraction(1), (lv, q.label(w))),), "0"))
     rels.append(Relation(tuple(Term(Fraction(1), (q.label(v),)) for v in q.vertices()), "1"))
     for a in q.arrows:
-        gens.append(a.id)
-        typing[a.id] = (a.src, a.tgt)
+        _add_generator(typing, a.id, (a.src, a.tgt))
         rels.append(Relation((Term(Fraction(1), (q.label(a.tgt), a.id)),), a.id))
         rels.append(Relation((Term(Fraction(1), (a.id, q.label(a.src))),), a.id))
-    return gens, rels, typing
+    return rels, typing
 
 
 def _comb_word(q: Quiver, path: Path) -> tuple[str, ...]:
@@ -361,8 +370,11 @@ def _comb_word(q: Quiver, path: Path) -> tuple[str, ...]:
 
 def localization_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism]) -> Presentation:
     """Path algebra presentation plus, per sigma, the y-variable matrix and the
-    entrywise relations M_sigma N_sigma = diag(v_i), N_sigma M_sigma = diag(v_j)."""
-    gens, rels, typing = _path_algebra_base(q)
+    entrywise relations M_sigma N_sigma = diag(v_i), N_sigma M_sigma = diag(v_j).
+    The generators are the keys of `typing`, in order; a name that two of them
+    would share (a vertex label, an arrow id or a y-variable), or an arrow
+    named 0 or 1, is a `SigmaError`."""
+    rels, typing = _path_algebra_base(q)
     for k, sigma in enumerate(sigmas):
         if sigma.quiver != q:
             raise SigmaError("sigma defined over a different quiver")
@@ -370,9 +382,7 @@ def localization_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism]) -> Pre
         y = [[f"y.s{k}.{qi + 1}.{pi + 1}" for pi in range(u)] for qi in range(v)]
         for qi in range(v):
             for pi in range(u):
-                name = y[qi][pi]
-                gens.append(name)
-                typing[name] = (sigma.domain[pi], sigma.codomain[qi])
+                _add_generator(typing, y[qi][pi], (sigma.domain[pi], sigma.codomain[qi]))
         # (M_sigma N_sigma)[p, r] = delta_pr v_{i_p}
         for p in range(u):
             for r in range(u):
@@ -391,7 +401,7 @@ def localization_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism]) -> Pre
                         terms.append(Term(coeff, (y[qi][p],) + _comb_word(q, path)))
                 rhs = q.label(sigma.codomain[qi]) if qi == s else "0"
                 rels.append(Relation(tuple(terms), rhs))
-    return Presentation(tuple(gens), tuple(rels), typing)
+    return Presentation(tuple(typing), tuple(rels), typing)
 
 
 @dataclass
@@ -456,11 +466,9 @@ def tau_morphism(q: Quiver, n: int) -> SigmaMorphism:
     """The k x n matrix of the fresh arrows, P_1 + ... + P_k -> n copies of P_0."""
     ext = extended_quiver(q, n)  # checks n
     v0 = q.vertex_count + 1
-    # extended_quiver appends the fresh arrows after q's, n per vertex in order
-    fresh = [a.id for a in ext.arrows[len(q.arrows):]]
     entries = tuple(
-        tuple(path_combination(v0, i, [(Fraction(1), Path(v0, i, (aid,)))])
-              for aid in fresh[(i - 1) * n:i * n])
+        tuple(path_combination(v0, i, [(Fraction(1), Path(v0, i, (a.id,)))])
+              for a in ext.arrows if a.src == v0 and a.tgt == i)
         for i in q.vertices())
     return SigmaMorphism(ext, tuple(q.vertices()), tuple([v0] * n), entries, name="tau")
 

@@ -16,10 +16,11 @@ beta' >= 0, so q rejects no subvector and cannot lift ext above 0. The fill
 names every vector of the box by its position in product order: the quotients
 of gamma - beta sit at position index(gamma) - index(beta), each subvector is
 tested by one loop that stops at the first negative pairing, and each quotient's
-form is the difference of two forms computed once per position.
-`quivermod ssne` on K3 at (30, 30) takes 0.9 s (2 vCPUs), and the table peaks
-at 6.2 MB. Inputs are validated, by `quiver.dim_vector`, at its public methods
-(`ext`, `generic_subdimvectors`).
+form is the difference of two forms computed once per position. Each list of
+generic subvectors runs in product order from 0 to the vector itself. Inputs
+are validated, by `quiver.dim_vector`, at its public methods (`ext`,
+`generic_subdimvectors`); its constructor is the one acyclicity check, and
+every function here takes its table first.
 """
 from __future__ import annotations
 
@@ -37,11 +38,6 @@ from .stability import DEFAULT_BUDGET, check_budget, is_stable
 
 class CyclicQuiverError(QuiverError):
     pass
-
-
-def _check_acyclic(q: Quiver):
-    if not q.acyclic:
-        raise CyclicQuiverError("moduli operations require an acyclic quiver")
 
 
 class GenericExtTable:
@@ -65,10 +61,12 @@ class GenericExtTable:
 
     Filling up to alpha costs about sum over gamma <= alpha of
     prod_i (gamma_i + 1) subvector tests, and no budget bounds it:
-    `quivermod ssne` on K3 at alpha = (30, 30) takes 0.9 s (2 vCPUs)."""
+    `quivermod ssne` on K3 at alpha = (30, 30) takes 0.9 s (2 vCPUs), and the
+    table peaks at 6.2 MB."""
 
     def __init__(self, quiver: Quiver):
-        _check_acyclic(quiver)
+        if not quiver.acyclic:
+            raise CyclicQuiverError("moduli operations require an acyclic quiver")
         self.quiver = quiver
         # rows of the linear form w(v): w_i = v_i - sum over arrows i -> j of v_j
         n = quiver.vertex_count
@@ -130,8 +128,9 @@ class GenericExtTable:
 
 
 def _table(q: Quiver, table: GenericExtTable | None) -> GenericExtTable:
-    """`table`, which must be built for q, or a new table for q."""
-    if table is None:
+    """`table`, which must be built for q, or a new table for q. A cyclic q
+    gets a new table, whose constructor refuses it, whatever `table` is."""
+    if table is None or not q.acyclic:
         return GenericExtTable(q)
     if table.quiver != q:
         raise QuiverError("the GenericExtTable was built for a different quiver")
@@ -151,31 +150,26 @@ def generic_subdimvectors(q: Quiver, alpha: Sequence[int],
 def semistable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
                         table: GenericExtTable | None = None) -> bool:
     """Does a theta-semistable representation of dimension alpha exist generically?"""
-    _check_acyclic(q)
+    table = _table(q, table)
     alpha = dim_vector(alpha, q.vertex_count)
     theta = int_vector(theta, q.vertex_count)
     if theta_pairing(theta, alpha) != 0:
         return False
-    return all(sum(map(mul, theta, beta)) >= 0
-               for beta in _table(q, table).generic_subdimvectors(alpha))
+    return all(sum(map(mul, theta, beta)) >= 0 for beta in table.generic_subdimvectors(alpha))
 
 
 def stable_nonempty(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
                     table: GenericExtTable | None = None) -> bool:
-    _check_acyclic(q)
+    """Does a theta-stable representation of dimension alpha exist generically?"""
+    table = _table(q, table)
     alpha = dim_vector(alpha, q.vertex_count)
     if total_dim(alpha) == 0:
         raise QuiverError("stable_nonempty needs a nonzero dimension vector")
     theta = int_vector(theta, q.vertex_count)
     if theta_pairing(theta, alpha) != 0:
         return False
-    zero = tuple(0 for _ in alpha)
-    for beta in _table(q, table).generic_subdimvectors(alpha):
-        if beta in (zero, alpha):
-            continue
-        if sum(map(mul, theta, beta)) <= 0:
-            return False
-    return True
+    return all(sum(map(mul, theta, beta)) > 0
+               for beta in table.generic_subdimvectors(alpha)[1:-1])
 
 
 def moduli_dimension(q: Quiver, alpha: Sequence[int], theta: Sequence[int],
@@ -233,16 +227,12 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
     mults = int_vector([e for _, e in stables], what="multiplicities")
     if any(e < 1 for e in mults):
         raise NotStableError("multiplicities must be >= 1")
-    verified = True
-    for r in reps:
-        if assert_stable:
-            verified = False
-            continue
+    verified = not assert_stable
+    for r in reps if verified else ():
         if isinstance(r.field, Rationals):
             raise NotStableError(
                 "rational summands cannot be oracle-verified; pass assert_stable=True")
-        v = is_stable(r, theta, budget=budget)
-        if not v.stable:
+        if not is_stable(r, theta, budget=budget).stable:
             raise NotStableError(f"summand of dimension {r.dim} is not theta-stable")
     l = len(reps)
     for i in range(l):

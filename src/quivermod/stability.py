@@ -22,17 +22,18 @@ memoised by position for one search. Work that cannot change a result is
 skipped: `extend` returns the top position (F_p^n itself) as soon as its rows
 span F_p^n, without reducing the remaining vectors, and once the image of
 prefix(U) is the top position so is the image of U, and the images of U's last
-row are not computed. Within a block the dimension at the last vertex grows
-with the position, so the verdicts read the count, the minimal witness and the
-first proper theta-zero one off the blocks, and build only the witnesses they
-return. Each search shares the lattice of F_p^n, and the superspaces of each
-subspace met, with later ones (at most 64 lattices are kept, none above 1024
-subspaces): repeated searches gain, one CLI call does not. Rational inputs are
-handled by multi-prime reduction; instability can be certified exactly by
-lifting a witness, semistability stays heuristic, and with no prime tested
-there is no verdict. `verify_witness` re-checks a witness over any field with
-`linalg.rank` and `linalg.matmul`, independently of the search; it also
-decides whether a lifted witness is exact over Q.
+row are not computed. Within a block the dimension at the last vertex, which
+the lattice keeps by position, grows with the position, so the verdicts read
+the count, the minimal witness and the first proper theta-zero one off the
+blocks, and build only the witnesses they return. Each search shares the
+lattice of F_p^n, and the superspaces of each subspace met, with later ones
+(at most 64 lattices are kept, none above 1024 subspaces): repeated searches
+gain, one CLI call does not. Rational inputs are handled by multi-prime
+reduction; instability can be certified exactly by lifting a witness,
+semistability stays heuristic, and with no prime tested there is no verdict.
+`verify_witness` re-checks a witness over any field with `linalg.rank` and
+`linalg.matmul`, independently of the search; it also decides whether a lifted
+witness is exact over Q.
 
 Subspace bases are `Matrix` values, keyed by their rows of ints in 0..p-1;
 images and joins run on such rows, exact at every prime below 2^31.
@@ -143,18 +144,19 @@ class _Lattice:
     """The subspaces of F_p^n in `_all_subspaces` order, named by their
     positions in it: the position of each rref basis, `prefix` (the position of
     each basis without its last row, an earlier one; -1 for the zero subspace),
-    `top` (the last position, F_p^n itself), `starts` (the subspaces of
-    dimension d are the positions starts[d] to starts[d + 1] - 1) and the
-    sorted superspace positions of each subspace met (`supers`). None
-    of it depends on a representation; `extend` joins vectors to a subspace."""
+    `top` (the last position, F_p^n itself), `dims` (the dimension at each
+    position), `starts` (the subspaces of dimension d are the positions
+    starts[d] to starts[d + 1] - 1) and the sorted superspace positions of each
+    subspace met (`supers`). None of it depends on a representation; `extend`
+    joins vectors to a subspace, `first` picks positions by dimension."""
 
     def __init__(self, p: int, n: int):
         self.p, self.n, self.subspaces = p, n, _all_subspaces(p, n)
         self.position = {b.rows: pos for pos, (b, _) in enumerate(self.subspaces)}
         self.prefix = [self.position[b.rows[:-1]] if b.rows else -1 for b, _ in self.subspaces]
         self.top = len(self.subspaces) - 1  # F_p^n itself
-        dims = [b.shape[0] for b, _ in self.subspaces]  # nondecreasing
-        self.starts = [bisect_left(dims, d) for d in range(n + 2)]
+        self.dims = [b.shape[0] for b, _ in self.subspaces]  # nondecreasing
+        self.starts = [bisect_left(self.dims, d) for d in range(n + 2)]
         self.supers: dict[int, tuple[int, ...]] = {}
 
     def extend(self, pos: int, vectors) -> int:
@@ -186,6 +188,13 @@ class _Lattice:
             if len(rows) == self.n:
                 return top
         return self.position[tuple(rows)]
+
+    def first(self, positions: Sequence[int], d: int) -> int | None:
+        """The first of the sorted `positions` with dimension d, or None."""
+        k = bisect_left(positions, self.starts[d])
+        if k < len(positions) and positions[k] < self.starts[d + 1]:
+            return positions[k]
+        return None
 
     def superspaces(self, pos: int, lattice: Callable[[int], _Lattice]) -> Sequence[int]:
         """Sorted positions of the subspaces containing subspace `pos`;
@@ -331,9 +340,9 @@ class _Subreps(Sequence):
     def witness(self, chosen: tuple[int, ...], pos: int) -> SubrepWitness:
         """The subrepresentation with the positions `chosen` at the lower
         vertices and `pos` at the last."""
-        bases = {v: lat.subspaces[q][0]
-                 for v, (lat, q) in enumerate(zip(self.lattices, (*chosen, pos)), 1)}
-        return SubrepWitness(bases, tuple(b.shape[0] for b in bases.values()))
+        at = list(zip(self.lattices, (*chosen, pos)))
+        return SubrepWitness({v: lat.subspaces[q][0] for v, (lat, q) in enumerate(at, 1)},
+                             tuple([lat.dims[q] for lat, q in at]))
 
 
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequence[SubrepWitness]:
@@ -375,10 +384,10 @@ def _search(m: Representation, theta: Sequence[int], budget: int):
     by (theta . beta, |beta|, beta), first on ties, its theta . beta, and the
     first proper nonzero one with theta . beta = 0, or None. In a block the
     lower part of beta is fixed and d, the dimension at the last vertex, grows
-    with the position, so the minimal key is the first candidate of the
-    smallest d when theta_last >= 0 and of the largest d otherwise, and the
-    first theta-zero one is the first candidate of the smallest d that gives
-    theta . beta = 0. Only the witnesses returned are built."""
+    with the position, so the minimal key takes d from the first candidate
+    when theta_last >= 0 and from the last one otherwise, at the first
+    candidate of that d, and the first theta-zero one is the first candidate of the smallest d
+    that gives theta . beta = 0. Only the witnesses returned are built."""
     budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
@@ -387,29 +396,15 @@ def _search(m: Representation, theta: Sequence[int], budget: int):
     subreps = enumerate_subreps(m, budget=budget)
     lattices, dim_low = subreps.lattices, m.dim[:-1]
     *theta_low, theta_last = theta
-    last = lattices[-1]
-    starts, subspaces, n = last.starts, last.subspaces, last.n
-
-    def first(candidates, d: int) -> int | None:
-        """The first candidate of dimension d, or None."""
-        k = bisect_left(candidates, starts[d])
-        if k < len(candidates) and candidates[k] < starts[d + 1]:
-            return candidates[k]
-        return None
-
+    last, n = lattices[-1], lattices[-1].n
     best = balanced = None
     for chosen, candidates in subreps.blocks:
-        low = tuple([lat.subspaces[pos][0].shape[0] for lat, pos in zip(lattices, chosen)])
+        low = tuple([lat.dims[pos] for lat, pos in zip(lattices, chosen)])
         value = sum(map(mul, theta_low, low))
-        if theta_last >= 0:
-            pos = candidates[0]
-            d = subspaces[pos][0].shape[0]
-        else:
-            d = subspaces[candidates[-1]][0].shape[0]
-            pos = first(candidates, d)
+        d = last.dims[candidates[0] if theta_last >= 0 else candidates[-1]]
         key = (value + theta_last * d, sum(low) + d, (*low, d))
         if best is None or key < best_key:
-            best, best_key = (chosen, pos), key
+            best, best_key = (chosen, last.first(candidates, d)), key
         if balanced is None:
             if theta_last:
                 d, r = divmod(-value, theta_last)
@@ -418,7 +413,7 @@ def _search(m: Representation, theta: Sequence[int], budget: int):
                 ds = () if value else range(n + 1)
             for d in ds:
                 if (d or any(low)) and (d != n or low != dim_low):
-                    if (zero := first(candidates, d)) is not None:
+                    if (zero := last.first(candidates, d)) is not None:
                         balanced = (chosen, zero)
                         break
     return (theta_m, len(subreps), subreps.witness(*best), best_key[0],

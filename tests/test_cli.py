@@ -225,6 +225,14 @@ def test_root(a2_file, capsys):
     assert "loops at v0:" in out and "v0" in out
 
 
+@pytest.mark.parametrize("command, arrow", [(["localize"], "v1"), (["root", "-n", "1"], "v0")])
+def test_repeated_generator_name_exit_code(tmp_path, capsys, command, arrow):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [{"id": arrow, "src": 1, "tgt": 2}]}))
+    assert main([command[0], "-q", str(path), *command[1:]]) == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
 def test_usage_errors(tmp_path, k3_file, capsys):
     assert main(["no-such-command"]) == 2
     assert main(["euler", "-q", str(tmp_path / "missing.json"),

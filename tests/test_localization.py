@@ -269,6 +269,24 @@ def test_presentation_well_typed(k3):
         assert typings == {pres.typing[rel.rhs]}
 
 
+def _y_named_arrow():
+    q = quiver(2, [("x", 1, 2), ("y.s0.1.1", 1, 2)])
+    return localization_presentation(q, [make_sigma(q, (-1, 1), 1, seed=0)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: localization_presentation(quiver(2, [("v1", 1, 2)]), []),  # arrow = vertex label
+    _y_named_arrow,  # arrow = sigma 0's first y-variable
+    lambda: root_presentation(quiver(2, [("v0", 1, 2)]), [], 1),  # arrow = the new vertex
+    lambda: localization_presentation(quiver(2, [("0", 1, 2)]), []),  # arrow = a constant
+], ids=["vertex-label", "y-variable", "root-vertex", "constant"])
+def test_presentation_refuses_an_ambiguous_generator(build):
+    """Each generator is typed once, and none is named like the right-hand
+    side constants 0 and 1: such a name makes the relations ambiguous."""
+    with pytest.raises(SigmaError, match="ambiguous"):
+        build()
+
+
 def test_check_localized_point(k3):
     s = coord_sigma(k3, "x")
     good = check_localized_point([s], rep_k3(k3, QQ, (1, 0, 0)))

@@ -45,6 +45,16 @@ def test_generic_ext_cyclic_rejected():
         GenericExtTable(loop)
 
 
+@pytest.mark.parametrize("call", [semistable_nonempty, stable_nonempty, moduli_dimension])
+def test_cyclic_quiver_rejected_before_the_theta_shortcut(k3, call):
+    """theta(alpha) != 0 would answer at once; a cyclic quiver is refused
+    first, with no table or with a table of another quiver."""
+    two_cycle = quiver(2, [("a", 1, 2), ("b", 2, 1)])
+    for table in (None, GenericExtTable(k3)):
+        with pytest.raises(CyclicQuiverError):
+            call(two_cycle, (1, 1), (1, 1), table=table)
+
+
 class ReferenceTable:
     """The Schofield recursion with ext memoized per pair only: generic
     subvectors are recomputed on every call and the Euler form comes from
@@ -126,6 +136,8 @@ def test_table_matches_reference_on_random_quivers(case):
     for gamma in box:
         expected = ref.generic_subdimvectors(gamma)
         assert small_first._subs[gamma] == large_first._subs[gamma] == expected, gamma
+        # product order: 0 first and gamma last, as `stable_nonempty` reads it
+        assert expected[0] == (0,) * len(gamma) and expected[-1] == gamma
     for alpha in box:
         for beta in box:
             expected = ref.ext(alpha, beta)

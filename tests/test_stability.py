@@ -419,6 +419,27 @@ def test_extend_matches_rref(case):
         assert lattice.prefix[pos] == -1
 
 
+@st.composite
+def position_subsets(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4))
+    positions = draw(st.sets(st.integers(0, subspace_count(p, n) - 1)))
+    return p, n, sorted(positions)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(position_subsets())
+def test_first_matches_a_scan(case):
+    """`first` gives the first of sorted positions whose basis has d rows."""
+    p, n, positions = case
+    lattice = lattice_of(p, n)
+    assert lattice.dims == [len(b.rows) for b, _ in lattice.subspaces]
+    for d in range(n + 1):
+        expected = next((pos for pos in positions
+                         if len(lattice.subspaces[pos][0].rows) == d), None)
+        assert lattice.first(positions, d) == expected
+
+
 def test_search_runs_no_elimination(cold_lattices, monkeypatch):
     """The search joins lattice positions and never calls an elimination."""
     cases = []
