@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         partial(_nonempty, "stable_nonempty", stable_nonempty), theta, alpha)
     add("dim", "moduli space dimension 1 - <alpha, alpha>", _dim, theta, alpha)
     add("check-ss", "exhaustive semistability check", _check_ss, rep, theta, budget, primes)
-    add("check-st", "exhaustive stability check", _check_st, rep, theta, budget, primes)
+    add("check-st", "exhaustive stability check", _check_st, rep, theta, budget)
     add("sigma-gen", "generate a random member of Sigma_z", _sigma_gen, theta,
         _arg("-z", type=int, default=1), _arg("--max-path-len", type=int, default=None),
         _arg("--seed", type=int, default=0),

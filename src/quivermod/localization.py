@@ -336,9 +336,11 @@ def word_typing(pres_typing: dict[str, tuple[int, int]],
 
 def _add_generator(typing: dict[str, tuple[int, int]], name: str, ends: tuple[int, int]):
     """Append `name`, typed (source, target), to the ordered generator table.
-    A name used twice, or named like the constants 0 and 1 that a relation's
-    right-hand side may be, would make the presentation ambiguous."""
-    if name in typing or name in ("0", "1"):
+    A name that is not a string, used twice, empty, "0" or "1" (the constants a
+    right-hand side may be), or holding whitespace or one of `*()=` (which
+    `to_text` writes between names) would make the presentation ambiguous."""
+    if (not isinstance(name, str) or name in typing or name in ("", "0", "1")
+            or any(c.isspace() or c in "*()=" for c in name)):
         raise SigmaError(f"generator name {name!r} is ambiguous in the presentation")
     typing[name] = ends
 

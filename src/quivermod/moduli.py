@@ -32,7 +32,7 @@ from typing import Sequence
 from .fields import Rationals
 from .quiver import (DimVector, Quiver, QuiverError, dim_vector, euler_form, int_vector,
                      theta_pairing, total_dim)
-from .rep import Representation, ext_space, hom_space
+from .rep import Representation, hom_space
 from .stability import DEFAULT_BUDGET, check_budget, is_stable
 
 
@@ -214,6 +214,8 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
                  *, assert_stable: bool = False,
                  budget: int = DEFAULT_BUDGET) -> LocalQuiverData:
     """Local quiver data at the semisimple point sum of M_i with multiplicity e_i.
+    The arrow counts dim Ext^1(M_i, M_j) are delta_ij - <dim M_i, dim M_j>: hom
+    is delta_ij here, and hom - ext is the Euler form on every quiver.
 
     Summands over F_p are verified theta-stable by the exhaustive oracle unless
     `assert_stable` is set (required for rational summands); the result is then
@@ -242,8 +244,9 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
                 raise NotStableError(
                     f"hom(M_{i + 1}, M_{j + 1}) = {h}: summands are not stable "
                     "and pairwise non-isomorphic")
-    counts = tuple(tuple(ext_space(reps[i], reps[j]).dim for j in range(l))
-                   for i in range(l))
+    q = reps[0].quiver
+    counts = tuple(tuple((1 if i == j else 0) - euler_form(q, reps[i].dim, reps[j].dim)
+                         for j in range(l)) for i in range(l))
     return LocalQuiverData(counts, mults, tuple(r.dim for r in reps), verified)
 
 

@@ -11,9 +11,9 @@ package's ints; `Field.coerce` in :mod:`quivermod.fields` is the one place for
 scalars. Entries go through `operator.index`, so a float or a numeric string
 raises instead of being truncated.
 
-`Quiver.acyclic` comes from `graphlib.TopologicalSorter`, each arrow making
-its source a predecessor of its target: a loop or an oriented cycle raises
-`CycleError`.
+A `Quiver` checks its own invariants however it is built, and works out
+`acyclic` by a `graphlib` sort in which each arrow makes its source a
+predecessor of its target; `quiver` only converts outside values.
 """
 from __future__ import annotations
 
@@ -68,7 +68,22 @@ class Quiver:
     vertex_count: int
     arrows: tuple[Arrow, ...]
     labels: tuple[str, ...]
-    acyclic: bool
+
+    def __post_init__(self):
+        n = self.vertex_count
+        if not isinstance(n, int) or n < 1:
+            raise QuiverError(f"vertex count must be a positive integer, got {n!r}")
+        if len(self.arrow_map) != len(self.arrows):
+            raise QuiverError("duplicate arrow ids")
+        for a in self.arrows:
+            if not all(isinstance(e, int) and 1 <= e <= n for e in (a.src, a.tgt)):
+                raise QuiverError(f"arrow {a.id!r}: vertex index out of range")
+        if not len(self.labels) == len(set(self.labels)) == n:
+            raise QuiverError("labels must be distinct, one per vertex")
+
+    @cached_property
+    def acyclic(self) -> bool:
+        return _is_acyclic(self.arrows)
 
     @cached_property
     def arrow_map(self) -> dict[str, Arrow]:
@@ -102,30 +117,14 @@ def _is_acyclic(arrows: Iterable[Arrow]) -> bool:
 def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
            labels: Sequence[str] | None = None) -> Quiver:
     (vertex_count,) = int_vector((vertex_count,), what="vertex count")
-    if vertex_count < 1:
-        raise QuiverError("vertex count must be positive")
-    arr = []
-    seen_ids = set()
-    for aid, src, tgt in arrows:
-        aid = str(aid)
-        if aid in seen_ids:
-            raise QuiverError(f"duplicate arrow id {aid!r}")
-        seen_ids.add(aid)
-        src, tgt = int_vector((src, tgt), what=f"arrow {aid!r} ends")
-        if not (1 <= src <= vertex_count and 1 <= tgt <= vertex_count):
-            raise QuiverError(f"arrow {aid!r}: vertex index out of range")
-        arr.append(Arrow(aid, src, tgt))
+    arr = tuple(Arrow(str(aid), *int_vector((src, tgt), what=f"arrow {aid!r} ends"))
+                for aid, src, tgt in arrows)
     if labels is None:
-        labels = tuple(f"v{i}" for i in range(1, vertex_count + 1))
-    else:
-        try:
-            labels = tuple(labels)
-            distinct = len(set(labels)) == vertex_count
-        except TypeError as exc:
-            raise QuiverError(f"malformed labels: {exc}") from exc
-        if len(labels) != vertex_count or not distinct:
-            raise QuiverError("labels must be distinct, one per vertex")
-    return Quiver(vertex_count, tuple(arr), labels, _is_acyclic(arr))
+        labels = (f"v{i}" for i in range(1, vertex_count + 1))
+    try:  # the labels are the one input a TypeError can come from
+        return Quiver(vertex_count, arr, tuple(labels))
+    except TypeError as exc:
+        raise QuiverError(f"malformed labels: {exc}") from exc
 
 
 def validate_quiver(raw) -> Quiver:

@@ -48,7 +48,7 @@ from itertools import accumulate, combinations, product
 from operator import index as index_of, mul
 
 from . import linalg
-from .fields import Matrix, PrimeField, Rationals
+from .fields import FieldError, Matrix, PrimeField, Rationals
 from .quiver import DimVector, QuiverError, int_vector, theta_pairing
 from .rep import Representation, RepresentationError, representation
 
@@ -461,13 +461,6 @@ class RationalVerdict:
     witness_lifted: bool = False
 
 
-def _reduce_mod(m: Representation, p: int) -> Representation:
-    fld = PrimeField(p)
-    if any(x.denominator % p == 0 for mat in m.matrices.values() for row in mat for x in row):
-        raise ZeroDivisionError(f"prime {p} divides a denominator")
-    return representation(m.quiver, fld, m.dim, m.matrices)
-
-
 def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequence[int],
                          budget: int = DEFAULT_BUDGET) -> RationalVerdict:
     """Reduce a rational representation mod each prime and run the oracle.
@@ -489,10 +482,11 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
     skipped: list[tuple[int, str]] = []
     best: RationalVerdict | None = None
     for p in primes:
+        fld = PrimeField(p)  # a non-prime raises here, not as a skipped prime
         try:
-            red = _reduce_mod(m, p)
-        except ZeroDivisionError as exc:
-            skipped.append((p, str(exc)))
+            red = representation(m.quiver, fld, m.dim, m.matrices)
+        except FieldError:  # a rational entry fails only where p divides its denominator
+            skipped.append((p, f"prime {p} divides a denominator"))
             continue
         tested.append(p)
         verdict = is_semistable(red, theta, budget=budget)

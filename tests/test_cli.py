@@ -225,7 +225,8 @@ def test_root(a2_file, capsys):
     assert "loops at v0:" in out and "v0" in out
 
 
-@pytest.mark.parametrize("command, arrow", [(["localize"], "v1"), (["root", "-n", "1"], "v0")])
+@pytest.mark.parametrize("command, arrow", [(["localize"], "v1"), (["root", "-n", "1"], "v0"),
+                                            (["localize"], "a*b"), (["root", "-n", "1"], "a b")])
 def test_repeated_generator_name_exit_code(tmp_path, capsys, command, arrow):
     path = tmp_path / "q.json"
     path.write_text(json.dumps({"vertices": 2, "arrows": [{"id": arrow, "src": 1, "tgt": 2}]}))
@@ -239,6 +240,17 @@ def test_usage_errors(tmp_path, k3_file, capsys):
                  "--alpha", "1,1", "--beta", "1,1"]) == 2
     assert main(["ssne", "-q", k3_file, "--alpha", "1,1,1",
                  "--theta", "-1,1"]) == 2
+    capsys.readouterr()
+    assert main(["ssne", "-q", k3_file, "--alpha", "1,1", "--theta", "1,x"]) == 2
+    assert "expected comma-separated integers: '1,x'" in capsys.readouterr().err
+
+
+def test_sigma_eval_takes_one_sigma(tmp_path, k3_file, capsys):
+    rep = write_rep(tmp_path, "m.json", "Q", ["1", "0", "0"])
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps(SIGMA))
+    assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", str(sig), "-s", str(sig)]) == 2
+    assert "exactly one -s file" in capsys.readouterr().err
 
 
 MALFORMED_REPS = {
@@ -251,6 +263,8 @@ MALFORMED_REPS = {
     "prime a float": {"field": {"p": 5.5}, "dim": [1, 1], "matrices": {}},
     "prime above 2^31": {"field": {"p": 2**61 - 1}, "dim": [1, 1], "matrices": {}},
     "dim a string": {"field": "Q", "dim": "11", "matrices": {}},
+    "top-level list": [{"field": "Q", "dim": [1, 1], "matrices": {}}],
+    "unknown arrow": {"field": "Q", "dim": [1, 1], "matrices": {"w": [[1]]}},
 }
 
 
@@ -300,6 +314,9 @@ MALFORMED_SIGMAS = {
     "integer term": {**SIGMA, "entries": [[[5]]]},
     "vertex 0": {**SIGMA, "domain": [0], "entries": [[[]]]},
     "vertex past the last": {**SIGMA, "domain": [3], "entries": [[[]]]},
+    "row missing": {**SIGMA, "entries": []},
+    "row too long": {**SIGMA, "entries": [[[], []]]},
+    "arrow id a number": {**SIGMA, "entries": [[[{"coeff": "1", "path": [1]}]]]},
 }
 
 

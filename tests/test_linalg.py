@@ -94,6 +94,12 @@ def test_det_and_inv(field):
     assert field.scalar_is_zero(linalg.det(field, singular))
     with pytest.raises(ZeroDivisionError):
         linalg.inv(field, singular)
+    wide = field.array([[1, 2, 3], [4, 5, 6]])
+    for call in (linalg.det, linalg.inv):
+        with pytest.raises(ValueError, match="non-square"):
+            call(field, wide)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matmul(field, wide, a)
 
 
 def test_det_rational_exact():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverError,
-                       SigmaError, SigmaMorphism, act, check_localized_point, chi_theta,
+                       RepresentationError, SigmaError, SigmaMorphism, act,
+                       check_localized_point, chi_theta,
                        evaluate_path, evaluate_sigma, extended_quiver, group_element,
                        is_semistable, linalg,
                        localization_presentation, make_sigma,
@@ -14,7 +15,7 @@ from quivermod import (QQ, FieldError, NonSquareError, Path, PrimeField, QuiverE
                        sigma_from_json, tau_morphism, word_typing,
                        zero_representation)
 from quivermod.fields import Field
-from quivermod.localization import sigma_family_for_weight
+from quivermod.localization import Presentation, Relation, Term, sigma_family_for_weight
 from quivermod.rep import compose_group
 
 
@@ -73,6 +74,29 @@ def test_make_sigma_bad_weight(k3):
         make_sigma(k3, (1, 1), 1)
     with pytest.raises(SigmaError):
         make_sigma(k3, (-1, 0), 1)
+    for z in (0, -1):
+        with pytest.raises(SigmaError, match="positive"):
+            make_sigma(k3, (-1, 1), z)
+
+
+def test_make_sigma_refuses_a_cyclic_quiver():
+    with pytest.raises(QuiverError, match="acyclic"):
+        make_sigma(quiver(2, [("a", 1, 2), ("b", 2, 1)]), (-1, 1), 1)
+
+
+E12 = path_combination(1, 2, [])
+
+
+@pytest.mark.parametrize("domain, codomain, entries", [
+    ((), (1,), ()),
+    ((2,), (), ((),)),
+    ((2,), (1,), ()),
+    ((2,), (1,), ((E12, E12),)),
+    ((1,), (1,), ((E12,),)),
+], ids=["empty-domain", "empty-codomain", "missing-row", "long-row", "entry-typed-wrong"])
+def test_sigma_morphism_refuses_malformed_blocks(k3, domain, codomain, entries):
+    with pytest.raises(SigmaError):
+        SigmaMorphism(k3, domain, codomain, entries)
 
 
 def test_make_sigma_rejects_weight_length(k3):
@@ -279,10 +303,21 @@ def _y_named_arrow():
     _y_named_arrow,  # arrow = sigma 0's first y-variable
     lambda: root_presentation(quiver(2, [("v0", 1, 2)]), [], 1),  # arrow = the new vertex
     lambda: localization_presentation(quiver(2, [("0", 1, 2)]), []),  # arrow = a constant
-], ids=["vertex-label", "y-variable", "root-vertex", "constant"])
+    # arrows a*b, a, b printed `v2*a*b = a*b`, the text of the word (a, b)
+    lambda: localization_presentation(quiver(2, [("a*b", 1, 2), ("a", 1, 2), ("b", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [("a b", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [("a\tb", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [("(2)", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [("a=b", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [("", 1, 2)]), []),
+    lambda: localization_presentation(quiver(2, [], ["v 1", "v2"]), []),  # a vertex label
+    lambda: localization_presentation(quiver(2, [], [1, 2]), []),  # used to raise TypeError
+], ids=["vertex-label", "y-variable", "root-vertex", "constant", "star", "space", "tab",
+        "parentheses", "equals", "empty", "label-with-space", "label-an-int"])
 def test_presentation_refuses_an_ambiguous_generator(build):
-    """Each generator is typed once, and none is named like the right-hand
-    side constants 0 and 1: such a name makes the relations ambiguous."""
+    """Each generator is typed once, is named neither like the right-hand
+    side constants 0 and 1 nor with the characters `to_text` writes between
+    names: such a name makes the relations ambiguous."""
     with pytest.raises(SigmaError, match="ambiguous"):
         build()
 
@@ -556,6 +591,14 @@ def test_check_localized_point_rational_entries(k3):
         assert fraction_product(inverse, mat) == want
 
 
+def test_extended_quiver_renames_a_colliding_arrow():
+    """A fresh arrow whose id the quiver already uses gets a leading "_"."""
+    q = quiver(2, [("x_1_1", 1, 2), ("_x_2_1", 2, 1)])
+    ext = extended_quiver(q, 1)
+    assert [a.id for a in ext.arrows] == ["x_1_1", "_x_2_1", "_x_1_1", "x_2_1"]
+    assert [(a.src, a.tgt) for a in ext.arrows[2:]] == [(3, 1), (3, 2)]
+
+
 def test_extended_quiver(a2):
     e2 = extended_quiver(a2, 2)
     assert (e2.vertex_count, len(e2.arrows)) == (3, 5)
@@ -650,3 +693,29 @@ def test_sigma_rejects_paths_outside_its_quiver(k2, arrows):
     comb = path_combination(1, 2, [(1, Path(1, 2, arrows))])
     with pytest.raises(SigmaError):
         SigmaMorphism(k2, (2,), (1,), ((comb,),))
+
+
+def test_evaluate_sigma_refuses_a_representation_of_another_quiver(k2, k3):
+    with pytest.raises(RepresentationError, match="different quivers"):
+        evaluate_sigma(coord_sigma(k3, "x"), zero_representation(k2, QQ, (1, 1)))
+
+
+def test_presentation_text_of_an_empty_sum():
+    pres = Presentation(("v1",), (Relation((), "0"), Relation((Term(Fraction(2), ("v1",)),), "v1")),
+                        {"v1": (1, 1)})
+    assert pres.to_text() == "generators: v1\n  0 = 0\n  (2)*v1 = v1"
+
+
+def test_word_typing_of_words_that_do_not_compose(a3):
+    typing = localization_presentation(a3, []).typing
+    assert word_typing(typing, ("b", "a")) == (1, 3)
+    for word in [(), ("bogus",), ("a", "b"), ("a", "a")]:
+        assert word_typing(typing, word) is None
+
+
+def test_trivial_path_entry_is_written_as_its_vertex(k3):
+    """An entry c*e_1 of a sigma from vertex 1 to itself is the word (v1, y)."""
+    e1 = path_combination(1, 1, [(3, Path(1, 1, ()))])
+    pres = localization_presentation(k3, [SigmaMorphism(k3, (1,), (1,), ((e1,),))])
+    words = [t.word for r in pres.relations for t in r.lhs]
+    assert ("v1", "y.s0.1.1") in words and ("y.s0.1.1", "v1") in words

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quivermod import (GenericExtTable, NotStableError, PrimeField, QQ,
-                       QuiverError, euler_form, ext_space, generic_ext,
+                       QuiverError, euler_form, ext_space, generic_ext, hom_space,
                        generic_subdimvectors, is_semistable, is_stable,
                        local_model_dimension, local_quiver, moduli_dimension,
                        quiver, random_representation, representation,
@@ -395,6 +395,38 @@ def test_local_quiver_rejects_non_stable(k3):
     m = rep_k3(k3, f5, (1, 0, 0))
     with pytest.raises(NotStableError):
         local_quiver([(m, 1), (m, 1)], (-1, 1))  # isomorphic summands
+    with pytest.raises(NotStableError, match="at least one"):
+        local_quiver([], (-1, 1))
+    with pytest.raises(NotStableError, match=">= 1"):
+        local_quiver([(m, 0)], (-1, 1))
+
+
+def _stable_summands(q, theta, dims, rng, count):
+    """Up to `count` random theta-stable representations over F_5, pairwise
+    non-isomorphic, of dimension vectors drawn from `dims`."""
+    f5, found = PrimeField(5), []
+    for _ in range(40 * count):
+        m = random_representation(q, f5, rng.choice(dims), rng)
+        if is_stable(m, theta).stable and all(hom_space(n, m).dim == 0 for n in found):
+            found.append(m)
+            if len(found) == count:
+                break
+    return found
+
+
+@pytest.mark.parametrize("arrows, theta, dims", [
+    ([("x", 1, 2), ("y", 1, 2), ("z", 1, 2)], (-1, 1), [(1, 1), (2, 2)]),
+    ([("l", 1, 1)], (0,), [(1,)]),
+], ids=["K3", "one-loop"])
+def test_local_quiver_counts_are_ext_dimensions(arrows, theta, dims):
+    """The arrow counts, read off the Euler form, are the dimensions of
+    Ext^1(M_i, M_j) that `ext_space` computes, loops included."""
+    q = quiver(len(theta), arrows)
+    for seed in range(6):
+        reps = _stable_summands(q, theta, dims, random.Random(seed), 3)
+        assert len(reps) >= 2
+        data = local_quiver([(m, 1) for m in reps], theta)
+        assert data.arrow_counts == tuple(tuple(ext_space(m, n).dim for n in reps) for m in reps)
 
 
 def test_local_quiver_assert_stable_flag(k3):

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivermod import (Path, QuiverError, compose, enumerate_dimvectors,
-                       enumerate_paths, euler_form, quiver, theta_pairing,
+from quivermod import (Arrow, Path, Quiver, QuiverError, compose, enumerate_dimvectors,
+                       enumerate_paths, euler_form, generic_ext, quiver, theta_pairing,
                        trivial_path, validate_quiver)
+from quivermod.moduli import CyclicQuiverError
 from quivermod.quiver import _is_acyclic, check_path
 
 
@@ -45,6 +46,65 @@ def test_validate_out_of_range():
 def test_validate_duplicate_id():
     with pytest.raises(QuiverError):
         quiver(2, [("a", 1, 2), ("a", 1, 2)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: quiver(0, []),
+    lambda: quiver(2, [], ["v1"]),
+    lambda: quiver(2, [], ["v1", "v1"]),
+    lambda: quiver(2, [], 5),
+    lambda: quiver(2, [], [[1], [2]]),
+    lambda: validate_quiver([{"vertices": 1}]),
+    lambda: validate_quiver({"arrows": []}),
+    lambda: validate_quiver({"vertices": 1, "arrows": [{"id": "a"}]}),
+], ids=["no-vertices", "too-few-labels", "repeated-label", "labels-not-a-list",
+        "unhashable-labels", "not-a-mapping", "no-vertex-count", "arrow-without-ends"])
+def test_malformed_quiver_input_is_refused(build):
+    with pytest.raises(QuiverError):
+        build()
+
+
+LOOP = (Arrow("l", 1, 1),)
+
+
+def test_quiver_built_directly_works_out_acyclic():
+    """`acyclic` used to be a constructor field: `Quiver(1, LOOP, ("v1",), True)`
+    was accepted, so generic_ext answered for the loop quiver and an
+    unbounded enumerate_paths ran out of memory."""
+    q = Quiver(1, LOOP, ("v1",))
+    assert not q.acyclic and Quiver(2, (Arrow("a", 1, 2),), ("v1", "v2")).acyclic
+    with pytest.raises(CyclicQuiverError):
+        generic_ext(q, (1,), (1,))
+    with pytest.raises(QuiverError):
+        enumerate_paths(q)
+    assert len(enumerate_paths(q, 2)) == 3
+    with pytest.raises(TypeError):
+        Quiver(1, LOOP, ("v1",), True)
+
+
+@pytest.mark.parametrize("args", [
+    (2, (Arrow("a", 1, 3),), ("v1", "v2")),
+    (2, (Arrow("a", 0, 1),), ("v1", "v2")),
+    (2, (Arrow("a", 1, 1.0),), ("v1", "v2")),
+    (2, (Arrow("a", 1, 2), Arrow("a", 2, 1)), ("v1", "v2")),
+    (2, (), ("v1",)),
+    (2, (), ("v1", "v2", "v3")),
+    (2, (), ("v1", "v1")),
+    (0, (), ()),
+    (-1, (), ()),
+    (2.0, (), ("v1", "v2")),
+], ids=["end-past-the-last", "end-zero", "end-a-float", "duplicate-id", "too-few-labels",
+        "too-many-labels", "repeated-label", "zero-vertices", "negative-vertices",
+        "float-vertex-count"])
+def test_quiver_built_directly_is_checked(args):
+    """The checks of `quiver` used to be skipped by a direct construction."""
+    with pytest.raises(QuiverError):
+        Quiver(*args)
+
+
+def test_validate_quiver_passes_a_quiver_through(k3):
+    assert validate_quiver(k3) is k3
+    assert quiver(2, [("a", 1, 2)]) == Quiver(2, (Arrow("a", 1, 2),), ("v1", "v2"))
 
 
 def test_paths_a2(a2):

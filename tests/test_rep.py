@@ -125,6 +125,15 @@ def test_act_matches_coerced_representation(field):
                    for r, s in zip(out.matrix(a.id), ref.matrix(a.id)) for x, y in zip(r, s))
 
 
+def test_act_checks_its_group_element(k3):
+    m = rep_k3(k3, QQ, (1, 0, 0))
+    with pytest.raises(RepresentationError, match="field mismatch"):
+        act(group_element(PrimeField(5), [[[1]], [[1]]]), m)
+    for blocks in ([[[1]]], [[[1]], [[1, 0], [0, 1]]], [[[1]], [[1]], [[1]]]):
+        with pytest.raises(RepresentationError, match="do not match"):
+            act(group_element(QQ, blocks), m)
+
+
 def test_singular_group_element_rejected():
     with pytest.raises(RepresentationError):
         group_element(QQ, [[[0]]])

@@ -224,6 +224,23 @@ def test_rational_prime_skipped(k3):
     assert r.primes_tested == [5] and r.verdict == "semistable"
 
 
+def test_rational_refuses_a_non_prime(k3):
+    """Each prime becomes its field before the reduction, whose `FieldError`
+    means a skipped prime: a non-prime raises instead of being skipped."""
+    for m in (rep_k3(k3, QQ, (1, 0, 0)), rep_k3(k3, QQ, ("1/4", 0, 0))):
+        for primes in ([4], [5, 6], [3, 1]):
+            with pytest.raises(FieldError, match="not a prime"):
+                check_over_rationals(m, (-1, 1), primes)
+
+
+def test_checks_refuse_the_wrong_field(k3):
+    """The exhaustive oracle runs over F_p and the reduction starts over Q."""
+    with pytest.raises(RepresentationError, match="over F_p"):
+        is_semistable(rep_k3(k3, QQ, (1, 0, 0)), (-1, 1))
+    with pytest.raises(RepresentationError, match="over Q"):
+        check_over_rationals(rep_k3(k3, PrimeField(5), (1, 0, 0)), (-1, 1), [5])
+
+
 def test_rational_without_a_tested_prime_has_no_verdict(k3):
     """With every prime skipped there is no verdict: the answer used to be
     "semistable (HEURISTIC)" for a representation that F_5 proves unstable."""
