@@ -16,11 +16,15 @@ methods of `Field` (`scalar_is_zero`, `scalar_inv`, `scalar_neg`, `mul`,
 and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray), whose
 shape it keeps (also (0, n)), and coerces every entry.
 
-The exact kernels run on Python ints, and `ints` and `elements` are the only
-code that knows how field elements are encoded as ints: `ints(xs)` gives
-(d, ns) with xs = ns / d, and `elements(ns, d)` turns ints back into field
-elements. Over F_p the ints are residues and d is 1; over Q d is the lcm of
-the denominators and ns the numerators scaled to it.
+The exact kernels run on Python ints, and `ints`, `encode` and `elements` are
+the only code that knows how field elements are encoded as ints: `ints(xs)`
+gives (d, ns) with xs = ns / d, `encode(ns, d)` brings any ints ns over a
+scale d into that encoding, and `elements(ns, d)` turns ints back into field
+elements. Over F_p the ints are residues and d is 1; over Q d is a common
+denominator (`ints` takes the lcm) and ns the numerators scaled to it, and
+`encode` keeps (d, ns) as they are. So `linalg` and `localization` pass
+encoded rows from one kernel to the next and build field elements only for
+what they return.
 """
 from __future__ import annotations
 
@@ -100,6 +104,11 @@ class Field:
         entrywise; ns may be xs itself."""
         raise NotImplementedError
 
+    def encode(self, ns, d: int) -> tuple[int, list[int]]:
+        """The elements ns / d, for Python ints ns and d > 0, in the encoding
+        `ints` gives; `FieldError` when one of them is not in the field."""
+        raise NotImplementedError
+
     def elements(self, ns, d: int = 1) -> tuple:
         """The field elements ns / d, for Python ints ns and d (d invertible)."""
         raise NotImplementedError
@@ -168,6 +177,9 @@ class Rationals(Field):
         d = lcm(*[x.denominator for x in xs])
         return d, [x.numerator * (d // x.denominator) for x in xs]
 
+    def encode(self, ns, d: int) -> tuple[int, list[int]]:
+        return d, ns
+
     def elements(self, ns, d: int = 1) -> tuple:
         zero = self.zero
         return tuple([Fraction(x, d) if x else zero for x in ns])
@@ -203,6 +215,11 @@ class PrimeField(Field):
 
     def ints(self, xs) -> tuple[int, list[int]]:
         return 1, xs
+
+    def encode(self, ns, d: int) -> tuple[int, list[int]]:
+        if d % self.p == 0:   # some ns / d may still be in F_p; coerce names the first that is not
+            return 1, [self.coerce(Fraction(x, d)) for x in ns]
+        return 1, self.elements(ns, d)
 
     def elements(self, ns, d: int = 1) -> tuple:
         p = self.p

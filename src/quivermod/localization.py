@@ -8,15 +8,20 @@ two diagonal matrix relations. The extended-quiver construction adjoins a
 fresh source vertex v0 (internal index k+1) with n arrows to every original
 vertex, so morphisms over the original quiver lift verbatim.
 
-`evaluate_sigma` evaluates each distinct path of a morphism once per call and
-forms each entry of the block matrix as one integer dot product over the
-entry's terms, on the field's integer encoding (`Field.ints` and
-`Field.elements`), so it is written once for Q and F_p.
-`check_localized_point` takes each sigma's determinant and inverse from one
-elimination (`linalg._det_inv`) and checks M N = I and N M = I entry by
-entry (`linalg._product_is_identity`), building neither product `Matrix`.
-`chi_theta` reads the determinants a `GroupElement` took when it was built,
-so the transformation law eliminates no group block.
+Sigma evaluation stays on the field's integer encoding from the path
+matrices to the verdict. `_sigma_rows` evaluates each distinct path of a
+morphism once per call and forms each entry of the block matrix as one
+integer dot product over the entry's terms, brought into the field's
+encoding once (`Field.encode`); it gives the matrix as encoded rows, each
+over its own scale, so it is written once for Q and F_p. `evaluate_sigma`
+turns those rows into a `Matrix`; `semi_invariant` hands them straight to
+the elimination (`linalg._eliminate`), and `check_localized_point` takes
+each sigma's determinant and inverse from one elimination
+(`linalg._det_inv`) and checks M N = I and N M = I on ints
+(`linalg._product_is_identity`). Field elements are built only for what the
+caller gets back: the determinants and the inverses. `chi_theta` reads the
+determinants a `GroupElement` took when it was built, so the transformation
+law eliminates no group block.
 """
 from __future__ import annotations
 
@@ -198,43 +203,53 @@ def numerical_condition(sigma: SigmaMorphism, alpha: Sequence[int]) -> bool:
 
 
 def evaluate_sigma(sigma: SigmaMorphism, m: Representation) -> Matrix:
-    """Block matrix with arrows replaced by the representation's matrices,
-    assembled one block row at a time.
+    """Block matrix with arrows replaced by the representation's matrices: the
+    rows `_sigma_rows` gives, as field elements."""
+    rows, width = _sigma_rows(sigma, m)
+    return linalg._matrix(m.field, rows, width)
+
+
+def _sigma_rows(sigma: SigmaMorphism, m: Representation) -> tuple[list, int]:
+    """(rows, width): sigma evaluated at m as encoded rows (d, ns), the entry
+    format of `linalg._eliminate`, assembled one block row at a time.
 
     Each distinct path of sigma is evaluated once per call and kept as the
-    field's `ints` of its entries, listed row by row. Each entry of a block
-    sum_t c_t P_t is then one integer dot product of the scaled coefficients
-    with the paths' entries at that place, over one common scale D
-    (`_integer_terms`), made a field element once by the field's `elements`.
+    field's `ints` of its entries, listed row by row. Each block is then one
+    integer dot product per entry (`_block`), over one scale for the block;
+    a block row is put on the lcm of its blocks' scales.
     """
     if sigma.quiver != m.quiver:
         raise RepresentationError("sigma and representation live over different quivers")
     fld = m.field
-    zero = fld.zero
     path_entries: dict = {}
     col_dims = [m.dim[j - 1] for j in sigma.codomain]
     rows = []
     for i, entry_row in zip(sigma.domain, sigma.entries):
-        lines = [[] for _ in range(m.dim[i - 1])]
-        for cd, comb in zip(col_dims, entry_row):
-            d, cs, entries = _integer_terms(fld, m, comb, path_entries)
-            if not cs:
-                block = [zero] * (len(lines) * cd)
-            else:
-                block = fld.elements([sum(map(mul, cs, xs)) for xs in zip(*entries)], d)
-            for r, line in enumerate(lines):
-                line.extend(block[r * cd:(r + 1) * cd])
-        rows.extend(map(tuple, lines))
-    return Matrix(tuple(rows), (len(rows), sum(col_dims)))
+        height = m.dim[i - 1]
+        blocks = [_block(fld, m, comb, height * cd, path_entries)
+                  for cd, comb in zip(col_dims, entry_row)]
+        scale = lcm(*[d for d, _ in blocks])
+        blocks = [xs if d == scale else [x * (scale // d) for x in xs] for d, xs in blocks]
+        for r in range(height):
+            line = []
+            for cd, xs in zip(col_dims, blocks):
+                line += xs[r * cd:(r + 1) * cd]
+            rows.append((scale, line))
+    return rows, sum(col_dims)
 
 
-def _integer_terms(fld: Field, m: Representation, comb: PathCombination, path_entries: dict):
-    """(D, cs, entries) with comb evaluated at m equal to sum_t cs[t] * P_t / D,
-    the entries of P_t listed row by row in entries[t], all Python ints.
-    `path_entries` maps (source, arrows) to `fld.ints` of that path's matrix
-    at m, its entries row by row; a path missing from it is evaluated and
-    added. With the coefficients c_t = n_t / d and P_t = N_t / e_t, D is d
-    times the lcm e of the e_t, and cs[t] = n_t e / e_t."""
+def _block(fld: Field, m: Representation, comb: PathCombination, size: int,
+           path_entries: dict) -> tuple[int, list[int]]:
+    """comb evaluated at m, its `size` entries row by row, in the field's
+    encoding (D, ns). `path_entries` maps (source, arrows) to `fld.ints` of
+    that path's matrix at m, its entries row by row; a path missing from it
+    is evaluated and added. With the coefficients c_t = n_t / d (`fld.ints`
+    of the coerced coefficients) and the paths P_t = N_t / e_t, each entry is
+    sum_t n_t (e / e_t) N_t over d e, e the lcm of the e_t. The coefficients
+    are coerced first, so one that is not in the field raises `FieldError`
+    however many entries the block has."""
+    if not comb.terms:
+        return 1, [0] * size
     scales, entries = [], []
     for _, path in comb.terms:
         key = (path.source, path.arrows)
@@ -245,7 +260,8 @@ def _integer_terms(fld: Field, m: Representation, comb: PathCombination, path_en
         entries.append(flat)
     d, ns = fld.ints([fld.coerce(c) for c, _ in comb.terms])
     e = lcm(*scales)
-    return d * e, [n * (e // s) for n, s in zip(ns, scales)], entries
+    cs = [n * (e // s) for n, s in zip(ns, scales)]
+    return fld.encode([sum(map(mul, cs, xs)) for xs in zip(*entries)], d * e)
 
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
@@ -253,7 +269,8 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
     if not numerical_condition(sigma, m.dim):
         raise NonSquareError(
             f"numerical condition fails at {m.dim}: evaluated matrix is not square")
-    return linalg.det(m.field, evaluate_sigma(sigma, m))
+    rows, width = _sigma_rows(sigma, m)
+    return linalg._eliminate(m.field, rows, width)[3]
 
 
 def chi_theta(g: GroupElement, theta: Sequence[int]):
@@ -420,7 +437,9 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
     """Is m a point of the localization? Exact inverses returned as witnesses,
     with both matrix-relation families re-verified by evaluation. Each sigma
     costs one elimination, which gives its determinant and its inverse; the
-    check stops at the first sigma whose determinant vanishes."""
+    check stops at the first sigma whose determinant vanishes. The relations
+    are checked on the encoded rows, so the only field elements built are the
+    determinants and the inverses returned."""
     fld = m.field
     dets = []
     evaluated = []
@@ -429,17 +448,19 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
         if not numerical_condition(sigma, m.dim):
             raise NonSquareError(
                 f"sigma #{idx}: numerical condition fails at {m.dim}")
-        mat = evaluate_sigma(sigma, m)
-        d, n_mat = linalg._det_inv(fld, mat)
+        rows, _ = _sigma_rows(sigma, m)
+        d, inverse = linalg._det_inv(fld, rows)
         dets.append(d)
-        if n_mat is None:
+        if inverse is None:
             return LocalizedPointVerdict(False, dets, None, failing_sigma=idx)
-        evaluated.append(mat)
-        inverses.append(n_mat)
-    ok = all(linalg._product_is_identity(fld, mat, n_mat)
-             and linalg._product_is_identity(fld, n_mat, mat)
-             for mat, n_mat in zip(evaluated, inverses))
-    return LocalizedPointVerdict(True, dets, inverses, relations_verified=ok)
+        evaluated.append(rows)
+        inverses.append(inverse)
+    ok = all(linalg._product_is_identity(fld, rows, inverse)
+             and linalg._product_is_identity(fld, inverse, rows)
+             for rows, inverse in zip(evaluated, inverses))
+    return LocalizedPointVerdict(True, dets, [linalg._matrix(fld, inverse, len(inverse))
+                                              for inverse in inverses],
+                                 relations_verified=ok)
 
 
 # --- extended quiver and the root construction ------------------------------

@@ -11,9 +11,10 @@ package's ints; `Field.coerce` in :mod:`quivermod.fields` is the one place for
 scalars. Entries go through `operator.index`, so a float or a numeric string
 raises instead of being truncated.
 
-A `Quiver` checks its own invariants however it is built, and works out
-`acyclic` by a `graphlib` sort in which each arrow makes its source a
-predecessor of its target; `quiver` only converts outside values.
+A `Quiver` checks its own invariants, the types of its parts included,
+however it is built, and works out `acyclic` by a `graphlib` sort in which
+each arrow makes its source a predecessor of its target; `quiver` only
+converts outside values.
 """
 from __future__ import annotations
 
@@ -71,13 +72,15 @@ class Quiver:
 
     def __post_init__(self):
         n = self.vertex_count
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise QuiverError(f"vertex count must be a positive integer, got {n!r}")
+        for a in self.arrows:
+            if not isinstance(a, Arrow) or not isinstance(a.id, str):
+                raise QuiverError(f"arrows must be Arrow values with a str id, got {a!r}")
+            if not all(_is_int(e) and 1 <= e <= n for e in (a.src, a.tgt)):
+                raise QuiverError(f"arrow {a.id!r}: vertex index out of range")
         if len(self.arrow_map) != len(self.arrows):
             raise QuiverError("duplicate arrow ids")
-        for a in self.arrows:
-            if not all(isinstance(e, int) and 1 <= e <= n for e in (a.src, a.tgt)):
-                raise QuiverError(f"arrow {a.id!r}: vertex index out of range")
         if not len(self.labels) == len(set(self.labels)) == n:
             raise QuiverError("labels must be distinct, one per vertex")
 
@@ -103,6 +106,11 @@ class Quiver:
         }
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int that is not a bool (`bool` is an `int` subclass)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_acyclic(arrows: Iterable[Arrow]) -> bool:
     sorter = TopologicalSorter()
     for a in arrows:
@@ -121,6 +129,8 @@ def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
                 for aid, src, tgt in arrows)
     if labels is None:
         labels = (f"v{i}" for i in range(1, vertex_count + 1))
+    elif isinstance(labels, (str, bytes)):  # would be read one character per label
+        raise QuiverError(f"labels: expected one label per vertex, got {labels!r}")
     try:  # the labels are the one input a TypeError can come from
         return Quiver(vertex_count, arr, tuple(labels))
     except TypeError as exc:
@@ -133,12 +143,15 @@ def validate_quiver(raw) -> Quiver:
         return raw
     if not isinstance(raw, dict):
         raise QuiverError("quiver description must be a mapping")
-    try:
-        k = raw["vertices"]
-        arrows = [(a["id"], a["src"], a["tgt"]) for a in raw.get("arrows", [])]
-    except (KeyError, TypeError) as exc:
-        raise QuiverError(f"malformed quiver description: {exc}") from exc
-    return quiver(k, arrows, raw.get("labels"))
+    if "vertices" not in raw:
+        raise QuiverError("malformed quiver description: no 'vertices'")
+    arrows = raw.get("arrows", [])
+    if not isinstance(arrows, (list, tuple)) or not all(
+            isinstance(a, dict) and {"id", "src", "tgt"} <= a.keys() for a in arrows):
+        raise QuiverError('malformed quiver description: "arrows" must be a list of '
+                          f'{{"id", "src", "tgt"}} objects, got {arrows!r}')
+    return quiver(raw["vertices"], [(a["id"], a["src"], a["tgt"]) for a in arrows],
+                  raw.get("labels"))
 
 
 @dataclass(frozen=True)

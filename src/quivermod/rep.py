@@ -9,7 +9,9 @@ Matrices, group element blocks and Hom bases are immutable `Matrix` values,
 so a path of one arrow evaluates to the arrow's own matrix. A `GroupElement`
 eliminates each block once, when it is built, and keeps the block's
 determinant and inverse: `act` and `compose_group` use them and run no
-elimination of their own.
+elimination of their own. `act` forms each g_j M_a g_i^-1 as one product of
+three factors on the field's integer encoding (`linalg._product`), turned
+into field elements once.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
@@ -18,9 +20,10 @@ hereditary, so this gives Ext^1 on every quiver, loops and oriented cycles
 included. `_hom_system` writes the system straight from the matrices' rows
 and columns as rows of field elements, one row per arrow a and entry (r, c),
 with the unknown f_i vectorized row-major in the block of columns of vertex i.
-Each `hom_space` or `ext_space` call then runs one elimination: of the rows
-for Hom, the kernel; of their transpose for Ext^1, whose cokernel
-representatives are the labels (a, r, c) of the rows that are not pivots there.
+Each `hom_space` or `ext_space` call then encodes the rows (`Field.ints`) and
+runs one elimination: of the rows for Hom, the kernel; of their transpose for
+Ext^1, whose cokernel representatives are the labels (a, r, c) of the rows
+that are not pivots there.
 """
 from __future__ import annotations
 
@@ -161,11 +164,11 @@ class GroupElement:
             for g in self.mats:
                 if not isinstance(g, Matrix) or g.shape[0] != g.shape[1]:
                     raise RepresentationError("group element blocks must be square matrices")
-                det, inverse = linalg._det_inv(self.field, g)
+                det, inverse = linalg._det_inv(self.field, linalg._encoded(self.field, g))
                 if inverse is None:
                     raise RepresentationError("group element block is singular")
                 dets.append(det)
-                inverses.append(inverse)
+                inverses.append(linalg._matrix(self.field, inverse, g.shape[0]))
         else:
             dets, inverses = _known
         object.__setattr__(self, "dets", tuple(dets))
@@ -185,12 +188,12 @@ def random_group_element(field: Field, dim: Sequence[int], rng: random.Random) -
     for d in dim_vector(dim, error=RepresentationError):
         while True:
             g = field.array(_random_matrix(field, rng, d, d))
-            det, inverse = linalg._det_inv(field, g)
+            det, inverse = linalg._det_inv(field, linalg._encoded(field, g))
             if inverse is not None:
                 break
         mats.append(g)
         dets.append(det)
-        inverses.append(inverse)
+        inverses.append(linalg._matrix(field, inverse, d))
     return GroupElement(field, tuple(mats), (dets, inverses))
 
 
@@ -210,18 +213,17 @@ def compose_group(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def act(g: GroupElement, m: Representation) -> Representation:
     """Base change: arrow a: i -> j maps to g_j M_a g_i^{-1}, with the inverse
-    the element already holds. The products are already in field form and of
-    shape (d_j, d_i), so they are not coerced again."""
+    the element already holds, as one product of three factors. The products
+    are already in field form and of shape (d_j, d_i), so they are not coerced
+    again."""
     if g.field != m.field:
         raise RepresentationError("field mismatch between group element and representation")
     if len(g.mats) != m.quiver.vertex_count or any(
             gm.shape[0] != d for gm, d in zip(g.mats, m.dim)):
         raise RepresentationError("group element shapes do not match the dimension vector")
-    mats = {}
-    for a in m.quiver.arrows:
-        mats[a.id] = linalg.matmul(
-            m.field, linalg.matmul(m.field, g.mats[a.tgt - 1], m.matrix(a.id)),
-            g.inverses[a.src - 1])
+    mats = {a.id: linalg._product(m.field, g.mats[a.tgt - 1], m.matrix(a.id),
+                                  g.inverses[a.src - 1])
+            for a in m.quiver.arrows}
     return Representation(m.quiver, m.field, m.dim, mats)
 
 
@@ -233,7 +235,7 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[
     offset off_i (vertices in order). Row (a, r, c) holds M_a[t][c] at column
     off_j + r*m_j + t and -N_a[r][s] at column off_i + s*m_i + c; on a loop the
     two terms meet at t = c, s = r and are added. Entries are field elements,
-    the entry format of `linalg._eliminate`.
+    which the callers encode (`Field.ints`) for `linalg._eliminate`.
     Returns the rows, the (arrow_id, r, c) label of each row and the width.
     """
     fld = m.field
@@ -282,7 +284,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Solve f_j M_a = N_a f_i for all arrows; intertwiner basis by vertex."""
     _check_pair(m, n)
     rows, _, width = _hom_system(m, n)
-    kernel = linalg._kernel(m.field, rows, width)
+    kernel = linalg._kernel(m.field, list(map(m.field.ints, rows)), width)
     basis = []
     for v in kernel:
         maps = {}
@@ -302,6 +304,7 @@ def ext_space(m: Representation, n: Representation) -> ExtSpace:
     labels of the rows that are not pivots of the transposed system's rref."""
     _check_pair(m, n)
     rows, labels, _ = _hom_system(m, n)
-    pivot_rows = set(linalg._eliminate(m.field, list(zip(*rows)), len(rows))[2])
+    pivot_rows = set(linalg._eliminate(m.field, list(map(m.field.ints, zip(*rows))),
+                                       len(rows))[2])
     coker = tuple(lab for t, lab in enumerate(labels) if t not in pivot_rows)
     return ExtSpace(len(coker), coker)

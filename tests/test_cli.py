@@ -284,6 +284,23 @@ def test_malformed_quiver_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_quiver_file_with_labels_as_a_string_exit_code(tmp_path, capsys):
+    """"ab" used to be read as the labels a and b."""
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps({**K3, "labels": "ab"}))
+    assert main(["euler", "-q", str(path), "--alpha", "1,1", "--beta", "1,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_quiver_file_with_list_arrows_names_the_expected_form(tmp_path, capsys):
+    """The message used to be "list indices must be integers or slices, not str"."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"vertices": 2, "arrows": [["x", 1, 2]]}))
+    assert main(["euler", "-q", str(path), "--alpha", "1,1", "--beta", "1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and '{"id", "src", "tgt"} objects' in err
+
+
 @pytest.mark.parametrize("change", [{"vertices": 2.0}, {"vertices": "2"},
                                     {"arrows": [{"id": "x", "src": 1.5, "tgt": 2}]},
                                     {"arrows": [{"id": "x", "src": 1, "tgt": "2"}]}],

@@ -61,7 +61,8 @@ INVERSE_PAIR = ([[2, 1], [0, 3]], [[Fraction(1, 2), Fraction(-1, 6)], [0, Fracti
           [[Fraction(1, 3), Fraction(1, 5), 1], [Fraction(3, 4), 0, Fraction(-1, 7)]]))
 def test_matmul_matches_fraction_reference(case):
     """matmul equals the naive `Fraction` product; for a square product,
-    _product_is_identity says whether that product is the identity."""
+    _product_is_identity on the encoded rows, each over the lcm of its own
+    denominators, says whether that product is the identity."""
     (m, n, k), a, b = case
     a_mat = QQ.array(a) if m else QQ.zeros(0, n)
     b_mat = QQ.array(b) if n else QQ.zeros(0, k)
@@ -73,7 +74,8 @@ def test_matmul_matches_fraction_reference(case):
     assert_fractions(out)
     if m == k:
         identity = [[Fraction(int(r == c)) for c in range(m)] for r in range(m)]
-        assert linalg._product_is_identity(QQ, a_mat, b_mat) is (want == identity)
+        assert linalg._product_is_identity(QQ, linalg._encoded(QQ, a_mat),
+                                           linalg._encoded(QQ, b_mat)) is (want == identity)
 
 
 def test_matmul_empty_inner_and_outer_shapes():

@@ -315,6 +315,29 @@ def test_prime_field_elements_divide_by_the_scale(p):
         assert f.elements(ns, d) == tuple(f.coerce(Fraction(n, d)) for n in ns)
 
 
+@pytest.mark.parametrize("field", ENCODING_FIELDS, ids=str)
+def test_encode_is_coerce_of_the_quotients(field):
+    """encode(ns, d) is the encoding (d', ns') of the field elements ns / d, as
+    coerce gives them; over F_p with p dividing d it still encodes quotients
+    that lie in F_p, and a quotient that does not raises coerce's FieldError."""
+    rng = random.Random(str(field))
+    for _ in range(200):
+        d = rng.choice([1, 2, 5, 6, 10, 25, rng.randint(1, 10**12)])
+        ns = [rng.randint(-10**6, 10**6) * rng.choice([1, d]) for _ in range(rng.randint(0, 4))]
+        want = [field.coerce(Fraction(n, d)) for n in ns] \
+            if all(Fraction(n, d).denominator % (field.p or 2**61 - 1) for n in ns) else None
+        if want is None:
+            with pytest.raises(FieldError, match="not invertible"):
+                field.encode(ns, d)
+            continue
+        e, out = field.encode(ns, d)
+        assert e >= 1 and all(type(n) is int for n in out)
+        assert list(field.elements(out, e)) == want
+    if field.p:
+        with pytest.raises(FieldError, match=f"denominator of 1/{field.p} not invertible"):
+            field.encode([field.p, 1], field.p)
+
+
 @st.composite
 def field_matrices(draw, square=False):
     """(field, matrix): dense, dense with zeroed rows, or a product of a thin
@@ -411,7 +434,7 @@ def test_det_and_inverse_from_one_elimination(case):
     matrices included; _det_inv's inverse is inv's."""
     field, a = case
     want = residue(field, cofactor_det(a.tolist()))
-    d, inverse = linalg._det_inv(field, a)
+    d, inverse = linalg._det_inv(field, linalg._encoded(field, a))
     assert d == want and linalg.det(field, a) == want
     assert type(d) is (int if isinstance(field, PrimeField) else Fraction)
     if not want:
@@ -419,8 +442,9 @@ def test_det_and_inverse_from_one_elimination(case):
         with pytest.raises(ZeroDivisionError):
             linalg.inv(field, a)
         return
-    assert inverse == linalg.inv(field, a)
     n = a.shape[0]
+    inverse = linalg._matrix(field, inverse, n)
+    assert inverse == linalg.inv(field, a)
     assert linalg.equal(field, linalg.matmul(field, a, inverse), field.identity(n))
 
 
@@ -430,7 +454,7 @@ def product_pairs(draw):
     a b off the identity in exactly one entry (b = a^-1 (I + delta E_ij))."""
     field, a = draw(field_matrices(square=True))
     n = a.shape[0]
-    inverse = linalg._det_inv(field, a)[1]
+    inverse = linalg.inv(field, a) if linalg.det(field, a) else None
     kind = draw(st.sampled_from(["random", "inverse", "near miss"]))
     if kind == "random" or inverse is None:
         entry = entries(field)
@@ -452,29 +476,38 @@ def product_pairs(draw):
 @example((PrimeField(3), PrimeField(3).zeros(0, 0), PrimeField(3).zeros(0, 0)))
 @example((QQ, QQ.identity(3), QQ.identity(3)))
 def test_product_is_identity_matches_the_built_product(case):
-    """_product_is_identity(a, b) is equal(matmul(a, b), I) in both orders."""
+    """_product_is_identity on the encoded rows of a and b is
+    equal(matmul(a, b), I) in both orders, also when each row is put on a
+    larger scale of its own (over Q the rows then carry different scales)."""
     field, a, b = case
     ident = field.identity(a.shape[0])
     for x, y in ((a, b), (b, a)):
         want = linalg.equal(field, linalg.matmul(field, x, y), ident)
-        assert linalg._product_is_identity(field, x, y) is want
+        ex, ey = linalg._encoded(field, x), linalg._encoded(field, y)
+        assert linalg._product_is_identity(field, ex, ey) is want
+        ex, ey = ([field.encode([n * k for n in ns], d * k) for k, (d, ns) in enumerate(rows, 2)]
+                  for rows in (ex, ey))
+        assert linalg._product_is_identity(field, ex, ey) is want
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 def test_product_is_identity_of_non_square_factors(field):
-    """A (2 x 3)(3 x 2) product can be the identity and the (3 x 2)(2 x 3) one
-    cannot; an empty inner dimension gives a zero product; mismatched inner
-    dimensions raise as matmul does."""
+    """On encoded rows: a (2 x 3)(3 x 2) product can be the identity and the
+    (3 x 2)(2 x 3) one cannot; an empty inner dimension gives a zero product;
+    mismatched inner dimensions raise as matmul does."""
+    def is_identity(x, y):
+        return linalg._product_is_identity(field, linalg._encoded(field, x),
+                                           linalg._encoded(field, y))
+
     a = field.array([[1, 0, 0], [0, 1, 0]])
     b = field.array([[1, 0], [0, 1], [5, 3]])
-    assert linalg._product_is_identity(field, a, b)
-    assert not linalg._product_is_identity(field, b, a)
-    assert not linalg._product_is_identity(field, a, field.identity(3))
-    assert not linalg._product_is_identity(field, field.zeros(2, 0), field.zeros(0, 2))
-    assert linalg._product_is_identity(field, field.zeros(0, 0), field.zeros(0, 0))
-    assert not linalg._product_is_identity(field, field.zeros(0, 0), field.zeros(0, 2))
+    assert is_identity(a, b)
+    assert not is_identity(b, a)
+    assert not is_identity(a, field.identity(3))
+    assert not is_identity(field.zeros(2, 0), field.zeros(0, 2))
+    assert is_identity(field.zeros(0, 0), field.zeros(0, 0))
     with pytest.raises(ValueError):
-        linalg._product_is_identity(field, a, a)
+        is_identity(a, a)
 
 
 @KERNEL
@@ -488,7 +521,7 @@ def test_eliminate_reports_leading_block_determinant(case):
     with m > n: None."""
     field, a = case
     m, n = a.shape
-    d = linalg._eliminate(field, a.rows, n)[3]
+    d = linalg._eliminate(field, linalg._encoded(field, a), n)[3]
     if m > n:
         assert d is None
     else:

@@ -356,12 +356,13 @@ def test_check_localized_point_stops_at_first_vanishing_determinant(k3):
 
 
 def test_check_localized_point_eliminates_once_per_sigma(k3, monkeypatch):
-    """One elimination per sigma gives its determinant and its inverse,
-    evaluate_sigma evaluates each distinct path once, and both relation
-    families, M N = I and N M = I, are checked for each sigma."""
+    """One elimination per sigma gives its determinant and its inverse, each
+    distinct path is evaluated once per sigma, and both relation families,
+    M N = I and N M = I, are checked for each sigma, on the encoded rows of
+    sigma(m) and of its inverse, without evaluate_sigma, det or matmul."""
     import quivermod.linalg as linalg
     import quivermod.localization as localization
-    eliminations, paths, products = [], [], []
+    eliminations, paths, products, public = [], [], [], []
     eliminate, evaluate = linalg._eliminate, localization.evaluate_path
     is_identity = linalg._product_is_identity
     monkeypatch.setattr(linalg, "_eliminate",
@@ -370,19 +371,52 @@ def test_check_localized_point_eliminates_once_per_sigma(k3, monkeypatch):
                         lambda m, path: paths.append(path) or evaluate(m, path))
     monkeypatch.setattr(linalg, "_product_is_identity",
                         lambda fld, a, b: products.append((a, b)) or is_identity(fld, a, b))
+
+    def decoded(fld, rows):
+        return linalg._matrix(fld, rows, len(rows))
+
     for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
         sigmas = [make_sigma(k3, (-1, 1), 2, seed=seed) for seed in (3, 4)]
         m = random_representation(k3, fld, (3, 3), random.Random(5))
         mats = [evaluate_sigma(s, m) for s in sigmas]
         del eliminations[:], paths[:], products[:]
-        v = check_localized_point(sigmas, m)
-        assert v.invertible and v.relations_verified
+        with monkeypatch.context() as patch:
+            for module, name in ((localization, "evaluate_sigma"), (linalg, "det"),
+                                 (linalg, "matmul")):
+                patch.setattr(module, name, lambda *args, name=name: public.append(name))
+            v = check_localized_point(sigmas, m)
+        assert v.invertible and v.relations_verified and public == []
         assert eliminations == [12, 12]  # [sigma(m) | I], 6 x 12, once per sigma
-        assert products == [pair for mat, inverse in zip(mats, v.inverses)
-                            for pair in ((mat, inverse), (inverse, mat))]
+        assert [(decoded(fld, a), decoded(fld, b)) for a, b in products] == [
+            pair for mat, inverse in zip(mats, v.inverses)
+            for pair in ((mat, inverse), (inverse, mat))]
         # 12 terms per sigma over the 3 distinct paths x, y, z
         assert sum(len(c.terms) for s in sigmas for row in s.entries for c in row) == 24
         assert sorted(p.arrows for p in paths) == [(a,) for a in "xxyyzz"]
+
+
+def test_semi_invariant_eliminates_the_evaluated_rows_once(k3, monkeypatch):
+    """semi_invariant evaluates each distinct path once and eliminates the
+    evaluated rows once, without evaluate_sigma or det."""
+    import quivermod.linalg as linalg
+    import quivermod.localization as localization
+    eliminations, paths, public = [], [], []
+    eliminate, evaluate = linalg._eliminate, localization.evaluate_path
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: eliminations.append(args[2]) or eliminate(*args))
+    monkeypatch.setattr(localization, "evaluate_path",
+                        lambda m, path: paths.append(path) or evaluate(m, path))
+    sigma = make_sigma(k3, (-1, 1), 2, seed=3)
+    for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
+        m = random_representation(k3, fld, (3, 3), random.Random(5))
+        want = linalg.det(fld, evaluate_sigma(sigma, m))
+        del eliminations[:], paths[:]
+        with monkeypatch.context() as patch:
+            for module, name in ((localization, "evaluate_sigma"), (linalg, "det")):
+                patch.setattr(module, name, lambda *args, name=name: public.append(name))
+            assert semi_invariant(sigma, m) == want
+        assert public == [] and eliminations == [6]
+        assert sorted(p.arrows for p in paths) == [("x",), ("y",), ("z",)]
 
 
 @pytest.mark.parametrize("place", [(0, 0), (0, 5), (5, 5)])
@@ -393,11 +427,11 @@ def test_check_localized_point_catches_a_wrong_inverse(k3, monkeypatch, place):
     det_inv = linalg._det_inv
     r, c = place
 
-    def perturbed(fld, a):
-        d, inverse = det_inv(fld, a)
-        rows = inverse.tolist()
-        rows[r][c] = fld.coerce(rows[r][c] + 1)
-        return d, fld.array(rows)
+    def perturbed(fld, rows):
+        d, inverse = det_inv(fld, rows)
+        entries = [list(fld.elements(ns, e)) for e, ns in inverse]
+        entries[r][c] = fld.coerce(entries[r][c] + 1)
+        return d, [fld.ints(row) for row in entries]
 
     sigma = make_sigma(k3, (-1, 1), 2, seed=3)
     for fld in (QQ, PrimeField(101), PrimeField(2**31 - 1)):
@@ -437,9 +471,10 @@ def reference_sigma(sigma, m):
     return rows
 
 
-def random_sigma(q, rng, max_len):
+def random_sigma(q, rng, max_len, dens=range(1, 10)):
     """A morphism with random vertex lists, each entry 0 to 4 terms drawn with
-    repetition from the paths between its vertices."""
+    repetition from the paths between its vertices, the coefficients'
+    denominators drawn from `dens`."""
     k = q.vertex_count
     domain = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3)))
     codomain = tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3)))
@@ -448,7 +483,7 @@ def random_sigma(q, rng, max_len):
         row = []
         for j in codomain:
             paths = paths_between(q, j, i, max_len)
-            terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.choice(paths))
+            terms = [(Fraction(rng.randint(-9, 9), rng.choice(dens)), rng.choice(paths))
                      for _ in range(rng.randint(0, 4) if paths else 0)]
             row.append(path_combination(j, i, terms))
         entries.append(tuple(row))
@@ -532,6 +567,67 @@ def test_evaluate_sigma_keeps_trivial_paths_at_two_vertices_apart(k3, fld):
     got = evaluate_sigma(sigma, m)
     assert got.shape == (5, 5) and got.tolist() == reference_sigma(sigma, m)
     assert got.tolist()[2][2:] == [fld.coerce("7/2"), 0, 0]
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(101), PrimeField(2**31 - 1)],
+                         ids=str)
+def test_integer_path_matches_fraction_reference(fld):
+    """semi_invariant, check_localized_point and act, which stay on the field's
+    integer encoding, against the `Fraction` (or mod-p) reference: d_sigma is
+    the det of `reference_sigma`, each inverse gives the identity through
+    matmul in both orders, and act is matmul(matmul(g_j, M_a), g_i^-1). Over
+    Q the matrices have denominators, so the rows of sigma(m) carry different
+    scales; the coefficients' denominators are odd and prime to 101."""
+    q3 = quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3), ("d", 1, 2)])
+    k3 = quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)])
+    rng = random.Random(f"integer path/{fld}")
+    squares = invertible = 0
+    for q in (q3, k3) * 60:
+        sigma = random_sigma(q, rng, max_len=2, dens=(1, 3, 7, 9))
+        dim = tuple(rng.randint(0, 3) for _ in range(q.vertex_count))
+        m = random_point(q, fld, dim, rng)
+        if not numerical_condition(sigma, dim):
+            continue
+        squares += 1
+        mat = fld.array(reference_sigma(sigma, m))
+        det = linalg.det(fld, mat)
+        assert semi_invariant(sigma, m) == det
+        v = check_localized_point([sigma], m)
+        assert v.determinants == [det] and v.invertible is bool(det)
+        if det:
+            invertible += 1
+            ident = fld.identity(mat.shape[0])
+            assert v.relations_verified
+            assert linalg.matmul(fld, mat, v.inverses[0]) == ident
+            assert linalg.matmul(fld, v.inverses[0], mat) == ident
+        g = random_group_element(fld, dim, rng)
+        moved = act(g, m)
+        for a in q.arrows:
+            assert moved.matrix(a.id) == linalg.matmul(
+                fld, linalg.matmul(fld, g.mats[a.tgt - 1], m.matrix(a.id)),
+                linalg.inv(fld, g.mats[a.src - 1]))
+    assert squares >= 20 and invertible >= 5
+
+
+@pytest.mark.parametrize("place", ["first", "second", "zero block"])
+def test_coefficient_not_in_f5_raises_field_error(k3, place):
+    """Over F_5 a coefficient 1/5 raises coerce's FieldError from
+    evaluate_sigma, semi_invariant and check_localized_point, also after a
+    good term, and also where the block has no entries or is zero."""
+    x, y = Path(1, 2, ("x",)), Path(1, 2, ("y",))
+    terms = {"first": [("1/5", x)], "second": [("1/3", y), ("1/5", x)],
+             "zero block": [("2/5", x)]}[place]
+    sigma = SigmaMorphism(k3, (2,), (1,), ((path_combination(1, 2, terms),),))
+    fld = PrimeField(5)
+    dim = (0, 0) if place == "zero block" else (2, 2)
+    m = random_representation(k3, fld, dim, random.Random(1))
+    bad = "2/5" if place == "zero block" else "1/5"
+    for call in (evaluate_sigma, semi_invariant, lambda s, m: check_localized_point([s], m)):
+        with pytest.raises(FieldError, match=f"^denominator of {bad} not invertible mod 5$"):
+            call(sigma, m)
+    zero = representation(k3, fld, (2, 2), {})
+    with pytest.raises(FieldError, match=f"^denominator of {bad} not invertible mod 5$"):
+        semi_invariant(sigma, zero)
 
 
 def test_inverse_relations_random(k3):

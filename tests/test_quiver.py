@@ -57,11 +57,24 @@ def test_validate_duplicate_id():
     lambda: validate_quiver([{"vertices": 1}]),
     lambda: validate_quiver({"arrows": []}),
     lambda: validate_quiver({"vertices": 1, "arrows": [{"id": "a"}]}),
+    lambda: validate_quiver({"vertices": 2, "labels": "ab"}),
+    lambda: validate_quiver({"vertices": 2, "labels": b"ab"}),
+    lambda: quiver(2, [], "ab"),
 ], ids=["no-vertices", "too-few-labels", "repeated-label", "labels-not-a-list",
-        "unhashable-labels", "not-a-mapping", "no-vertex-count", "arrow-without-ends"])
+        "unhashable-labels", "not-a-mapping", "no-vertex-count", "arrow-without-ends",
+        "labels-a-string", "labels-bytes", "labels-a-string-to-quiver"])
 def test_malformed_quiver_input_is_refused(build):
+    """A string of labels used to be read one character per label."""
     with pytest.raises(QuiverError):
         build()
+
+
+@pytest.mark.parametrize("arrows", [[["a", 1, 2]], [("a", 1, 2)], ["a"], "a", 5])
+def test_arrows_not_given_as_objects_name_the_expected_form(arrows):
+    """Arrows given as lists used to be refused with "list indices must be
+    integers or slices, not str"."""
+    with pytest.raises(QuiverError, match='"arrows" must be a list of {"id", "src", "tgt"}'):
+        validate_quiver({"vertices": 2, "arrows": arrows})
 
 
 LOOP = (Arrow("l", 1, 1),)
@@ -93,11 +106,18 @@ def test_quiver_built_directly_works_out_acyclic():
     (0, (), ()),
     (-1, (), ()),
     (2.0, (), ("v1", "v2")),
+    (True, (), ("v1",)),
+    (1, (("a", 1, 1),), ("v1",)),
+    (2, (Arrow("a", True, 2),), ("v1", "v2")),
+    (2, (Arrow(1, 1, 2),), ("v1", "v2")),
 ], ids=["end-past-the-last", "end-zero", "end-a-float", "duplicate-id", "too-few-labels",
         "too-many-labels", "repeated-label", "zero-vertices", "negative-vertices",
-        "float-vertex-count"])
+        "float-vertex-count", "bool-vertex-count", "arrow-a-tuple", "end-a-bool",
+        "id-not-a-str"])
 def test_quiver_built_directly_is_checked(args):
-    """The checks of `quiver` used to be skipped by a direct construction."""
+    """The checks of `quiver` used to be skipped by a direct construction; a
+    bool vertex count used to be accepted and an arrow given as a tuple
+    raised a bare AttributeError."""
     with pytest.raises(QuiverError):
         Quiver(*args)
 
