@@ -25,7 +25,7 @@ from functools import partial
 # lets values like "-1,1" follow --theta/--alpha without being read as options
 _NEGATIVE_LIST = re.compile(r"^-\d+(,-?\d+)*$")
 
-from . import __version__, linalg
+from . import __version__
 from .fields import Rationals
 from .moduli import (GenericExtTable, local_model_dimension,
                      local_quiver, moduli_dimension, semistable_nonempty,
@@ -33,7 +33,7 @@ from .moduli import (GenericExtTable, local_model_dimension,
 from .localization import (SigmaError, check_localized_point,
                            evaluate_sigma, extended_quiver,
                            localization_presentation, make_sigma,
-                           numerical_condition, root_presentation,
+                           root_presentation, semi_invariant,
                            sigma_from_json)
 from .quiver import (QuiverError, enumerate_dimvectors, enumerate_paths,
                      euler_form, validate_quiver)
@@ -163,10 +163,10 @@ def _sigma_eval(args, q):
     sigma = _load_sigmas(args, q)[0]
     mat = evaluate_sigma(sigma, m)
     rows = [[m.field.format_scalar(x) for x in row] for row in mat]
-    payload = {"matrix": rows, "square": numerical_condition(sigma, m.dim)}
+    payload = {"matrix": rows, "square": mat.shape[0] == mat.shape[1]}
     lines = ["[" + " ".join(r) + "]" for r in rows]
     if payload["square"]:
-        payload["det"] = m.field.format_scalar(linalg.det(m.field, mat))
+        payload["det"] = m.field.format_scalar(semi_invariant(sigma, m))
         lines.append(f"det = {payload['det']}")
     return 0, payload, lines
 

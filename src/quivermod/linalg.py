@@ -35,7 +35,8 @@ and `rep.GroupElement` use it, and `_matrix` turns encoded rows into a
 once, each entry of each partial product is one sum of Python-int products,
 and only the last product is turned into field elements, so an entry over Q
 costs one normalisation instead of a `Fraction` multiply and add per term.
-`matmul` is its two-factor case and `rep.act` its three-factor one.
+`matmul` is its two-factor case, `rep.act` its three-factor one, and
+`rep.evaluate_path` multiplies a path's arrow matrices as one chain.
 `_product_is_identity` decides whether the product of two encoded square
 matrices is the identity on ints, building no field element: over Q it
 checks A R = L d I for rows A_i / l_i and R / d, over F_p the same mod p.

@@ -9,19 +9,20 @@ fresh source vertex v0 (internal index k+1) with n arrows to every original
 vertex, so morphisms over the original quiver lift verbatim.
 
 Sigma evaluation stays on the field's integer encoding from the path
-matrices to the verdict. `_sigma_rows` evaluates each distinct path of a
-morphism once per call and forms each entry of the block matrix as one
-integer dot product over the entry's terms, brought into the field's
-encoding once (`Field.encode`); it gives the matrix as encoded rows, each
-over its own scale, so it is written once for Q and F_p. `evaluate_sigma`
-turns those rows into a `Matrix`; `semi_invariant` hands them straight to
-the elimination (`linalg._eliminate`), and `check_localized_point` takes
-each sigma's determinant and inverse from one elimination
-(`linalg._det_inv`) and checks M N = I and N M = I on ints
-(`linalg._product_is_identity`). Field elements are built only for what the
-caller gets back: the determinants and the inverses. `chi_theta` reads the
-determinants a `GroupElement` took when it was built, so the transformation
-law eliminates no group block.
+matrices to the verdict. `_sigma_rows` checks that sigma and the
+representation share a quiver, evaluates each distinct path of a morphism
+once per call and forms each entry of the block matrix as one integer dot
+product over the entry's terms, brought into the field's encoding once
+(`Field.encode`); it gives the matrix as encoded rows, each over its own
+scale, so it is written once for Q and F_p. `evaluate_sigma` turns those
+rows into a `Matrix`. `semi_invariant` and `check_localized_point` read
+squareness off the rows (as many rows as columns) and eliminate them:
+`semi_invariant` by `linalg._eliminate`, `check_localized_point` by
+`linalg._det_inv`, which gives each sigma's determinant and inverse, with
+M N = I and N M = I checked on ints (`linalg._product_is_identity`). Field
+elements are built only for what the caller gets back: the determinants and
+the inverses. `chi_theta` reads the determinants a `GroupElement` took when
+it was built, so the transformation law eliminates no group block.
 """
 from __future__ import annotations
 
@@ -266,10 +267,10 @@ def _block(fld: Field, m: Representation, comb: PathCombination, size: int,
 
 def semi_invariant(sigma: SigmaMorphism, m: Representation):
     """d_sigma(m) = det of the evaluated matrix; nonzero certifies semistability."""
-    if not numerical_condition(sigma, m.dim):
+    rows, width = _sigma_rows(sigma, m)
+    if len(rows) != width:
         raise NonSquareError(
             f"numerical condition fails at {m.dim}: evaluated matrix is not square")
-    rows, width = _sigma_rows(sigma, m)
     return linalg._eliminate(m.field, rows, width)[3]
 
 
@@ -441,14 +442,12 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
     are checked on the encoded rows, so the only field elements built are the
     determinants and the inverses returned."""
     fld = m.field
-    dets = []
-    evaluated = []
-    inverses = []
+    dets, evaluated, inverses = [], [], []
     for idx, sigma in enumerate(sigmas):
-        if not numerical_condition(sigma, m.dim):
+        rows, width = _sigma_rows(sigma, m)
+        if len(rows) != width:
             raise NonSquareError(
                 f"sigma #{idx}: numerical condition fails at {m.dim}")
-        rows, _ = _sigma_rows(sigma, m)
         d, inverse = linalg._det_inv(fld, rows)
         dets.append(d)
         if inverse is None:

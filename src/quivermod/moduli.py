@@ -1,6 +1,6 @@
 """Dimension-vector level algorithms: generic Ext via Schofield's generic
-subvectors, nonemptiness of the (semi)stable loci, moduli dimensions and the
-local-quiver data at semisimple points.
+subvectors, nonemptiness of the (semi)stable loci, moduli dimensions, and the
+local quiver at a semisimple point as a `Quiver` (`LocalQuiverData.quiver`).
 
 ext(alpha, beta) is the maximum of 0 and of -<alpha, q> over the generic
 quotients q = beta - beta' of beta, beta' a generic subvector; beta' <= beta
@@ -25,13 +25,14 @@ every function here takes its table first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import mul, sub
 from typing import Sequence
 
 from .fields import Rationals
 from .quiver import (DimVector, Quiver, QuiverError, dim_vector, euler_form, int_vector,
-                     theta_pairing, total_dim)
+                     quiver, theta_pairing, total_dim)
 from .rep import Representation, hom_space
 from .stability import DEFAULT_BUDGET, check_budget, is_stable
 
@@ -193,13 +194,17 @@ class LocalQuiverData:
     def num_classes(self) -> int:
         return len(self.multiplicities)
 
+    @cached_property
+    def quiver(self) -> Quiver:
+        """The local quiver: c_ij arrows c.i.j.t (t = 1..c_ij) from i to j."""
+        return quiver(self.num_classes, [(f"c.{i}.{j}.{t}", i, j)
+                                         for i, row in enumerate(self.arrow_counts, 1)
+                                         for j, c in enumerate(row, 1) for t in range(1, c + 1)])
+
     def to_json(self) -> dict:
         return {
             "vertices": self.num_classes,
-            "arrows": [{"id": f"c.{i + 1}.{j + 1}.{t + 1}", "src": i + 1, "tgt": j + 1}
-                       for i in range(self.num_classes)
-                       for j in range(self.num_classes)
-                       for t in range(self.arrow_counts[i][j])],
+            "arrows": self.quiver.to_json()["arrows"],
             "beta_y": list(self.multiplicities),
             "summand_dims": [list(a) for a in self.dim_vectors],
             "verified": self.verified,
@@ -251,11 +256,7 @@ def local_quiver(stables: Sequence[tuple[Representation, int]], theta: Sequence[
 
 
 def local_model_dimension(data: LocalQuiverData) -> int:
-    """Dimension of the local model: 1 - <e, e> on the local quiver, e the
-    multiplicity vector, that is 1 - sum e_i^2 + sum c_ij e_i e_j with c_ij
-    the arrow counts."""
+    """Dimension of the local model: 1 - <e, e> on `data.quiver`, e the multiplicities."""
     if data.num_classes == 0:
         raise ValueError("empty local quiver data")
-    e = data.multiplicities
-    return 1 - sum(x * x for x in e) + sum(
-        c * e[i] * e[j] for i, row in enumerate(data.arrow_counts) for j, c in enumerate(row))
+    return 1 - euler_form(data.quiver, data.multiplicities, data.multiplicities)

@@ -81,6 +81,8 @@ class Quiver:
                 raise QuiverError(f"arrow {a.id!r}: vertex index out of range")
         if len(self.arrow_map) != len(self.arrows):
             raise QuiverError("duplicate arrow ids")
+        if not all(isinstance(label, str) for label in self.labels):
+            raise QuiverError(f"labels must be strings, got {self.labels!r}")
         if not len(self.labels) == len(set(self.labels)) == n:
             raise QuiverError("labels must be distinct, one per vertex")
 
@@ -125,7 +127,7 @@ def _is_acyclic(arrows: Iterable[Arrow]) -> bool:
 def quiver(vertex_count: int, arrows: Iterable[tuple[str, int, int]],
            labels: Sequence[str] | None = None) -> Quiver:
     (vertex_count,) = int_vector((vertex_count,), what="vertex count")
-    arr = tuple(Arrow(str(aid), *int_vector((src, tgt), what=f"arrow {aid!r} ends"))
+    arr = tuple(Arrow(aid, *int_vector((src, tgt), what=f"arrow {aid!r} ends"))
                 for aid, src, tgt in arrows)
     if labels is None:
         labels = (f"v{i}" for i in range(1, vertex_count + 1))

@@ -9,9 +9,9 @@ Matrices, group element blocks and Hom bases are immutable `Matrix` values,
 so a path of one arrow evaluates to the arrow's own matrix. A `GroupElement`
 eliminates each block once, when it is built, and keeps the block's
 determinant and inverse: `act` and `compose_group` use them and run no
-elimination of their own. `act` forms each g_j M_a g_i^-1 as one product of
-three factors on the field's integer encoding (`linalg._product`), turned
-into field elements once.
+elimination of their own. A longer path's M(a_k) ... M(a_1) and each
+g_j M_a g_i^-1 of `act` are one product on the field's integer encoding
+(`linalg._product`), turned into field elements once.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
@@ -111,19 +111,21 @@ def representation_from_json(data: dict, quiver: Quiver | None = None) -> Repres
     when given, replaces the document's own."""
     if not isinstance(data, Mapping):
         raise RepresentationError("representation description must be a mapping")
+    for key in ("field", "dim") if quiver is not None else ("quiver", "field", "dim"):
+        if key not in data:
+            raise RepresentationError(f"malformed representation description: no {key!r}")
     q = quiver if quiver is not None else validate_quiver(data["quiver"])
     fld = field_from_json(data["field"])
     return representation(q, fld, data["dim"], data.get("matrices", {}))
 
 
 def evaluate_path(m: Representation, p: Path) -> Matrix:
-    """Matrix of the path: identity for e_i, else the ordered arrow product,
-    starting from the first arrow's own matrix."""
+    """Matrix of the path: identity for e_i, the arrow's own matrix for one
+    arrow, else M(a_k) ... M(a_1) as one `linalg._product` chain."""
     check_path(m.quiver, p, RepresentationError)
-    out = None
-    for aid in p.arrows:
-        out = m.matrix(aid) if out is None else linalg.matmul(m.field, m.matrix(aid), out)
-    return m.field.identity(m.dim[p.source - 1]) if out is None else out
+    if len(p.arrows) > 1:
+        return linalg._product(m.field, *[m.matrix(aid) for aid in reversed(p.arrows)])
+    return m.matrix(p.arrows[0]) if p.arrows else m.field.identity(m.dim[p.source - 1])
 
 
 def _check_pair(m: Representation, n: Representation):

@@ -77,6 +77,17 @@ def test_check_ss(tmp_path, k3_file, capsys):
     assert "witness beta=[1, 0]" in out
 
 
+@pytest.mark.parametrize("key", ["field", "dim"])
+def test_rep_file_without_a_key_names_it(tmp_path, k3_file, capsys, key):
+    """Such a file used to fail with a bare `KeyError`, printed as "error: 'field'"."""
+    path = Path(write_rep(tmp_path, "rep.json", {"p": 2}, [1, 0, 0]))
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    assert main(["check-ss", "-q", k3_file, "-r", str(path), "--theta", "-1,1"]) == 2
+    assert f"no '{key}'" in capsys.readouterr().err
+
+
 def test_failed_self_check_exit_code(tmp_path, k3_file, capsys, monkeypatch):
     import quivermod.stability
     monkeypatch.setattr(quivermod.stability, "verify_witness", lambda m, w: False)

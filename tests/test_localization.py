@@ -311,9 +311,8 @@ def _y_named_arrow():
     lambda: localization_presentation(quiver(2, [("a=b", 1, 2)]), []),
     lambda: localization_presentation(quiver(2, [("", 1, 2)]), []),
     lambda: localization_presentation(quiver(2, [], ["v 1", "v2"]), []),  # a vertex label
-    lambda: localization_presentation(quiver(2, [], [1, 2]), []),  # used to raise TypeError
 ], ids=["vertex-label", "y-variable", "root-vertex", "constant", "star", "space", "tab",
-        "parentheses", "equals", "empty", "label-with-space", "label-an-int"])
+        "parentheses", "equals", "empty", "label-with-space"])
 def test_presentation_refuses_an_ambiguous_generator(build):
     """Each generator is typed once, is named neither like the right-hand
     side constants 0 and 1 nor with the characters `to_text` writes between
@@ -794,6 +793,31 @@ def test_sigma_rejects_paths_outside_its_quiver(k2, arrows):
 def test_evaluate_sigma_refuses_a_representation_of_another_quiver(k2, k3):
     with pytest.raises(RepresentationError, match="different quivers"):
         evaluate_sigma(coord_sigma(k3, "x"), zero_representation(k2, QQ, (1, 1)))
+
+
+@pytest.mark.parametrize("call", [semi_invariant, lambda s, m: check_localized_point([s], m)],
+                         ids=["semi_invariant", "check_localized_point"])
+def test_sigma_of_another_quiver_is_refused_as_evaluate_sigma_refuses_it(k3, call):
+    """The squareness check used to run first and read a Q3 dimension vector
+    against K3: `QuiverError` "dimension vector: expected 2 entries, got 3"."""
+    q3 = quiver(3, [("a", 1, 2), ("b", 2, 3), ("c", 1, 3)])
+    s, m = coord_sigma(k3, "x"), zero_representation(q3, QQ, (1, 1, 1))
+    with pytest.raises(RepresentationError) as want:
+        evaluate_sigma(s, m)
+    with pytest.raises(RepresentationError) as got:
+        call(s, m)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call", [semi_invariant, lambda s, m: check_localized_point([s], m)],
+                         ids=["semi_invariant", "check_localized_point"])
+def test_non_square_sigma_with_a_coefficient_outside_the_field(k3, call):
+    """Squareness is read off the evaluated rows, so a coefficient that is not
+    in the field (1/5 over F_5) is reported before the shape."""
+    comb = path_combination(1, 2, [(Fraction(1, 5), Path(1, 2, ("x",)))])
+    s = SigmaMorphism(k3, (2,), (1,), ((comb,),))
+    with pytest.raises(FieldError):
+        call(s, zero_representation(k3, PrimeField(5), (2, 1)))
 
 
 def test_presentation_text_of_an_empty_sum():

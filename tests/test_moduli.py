@@ -420,13 +420,16 @@ def _stable_summands(q, theta, dims, rng, count):
 ], ids=["K3", "one-loop"])
 def test_local_quiver_counts_are_ext_dimensions(arrows, theta, dims):
     """The arrow counts, read off the Euler form, are the dimensions of
-    Ext^1(M_i, M_j) that `ext_space` computes, loops included."""
+    Ext^1(M_i, M_j) that `ext_space` computes, loops included, and `to_json`
+    writes the arrows of `data.quiver`."""
     q = quiver(len(theta), arrows)
     for seed in range(6):
         reps = _stable_summands(q, theta, dims, random.Random(seed), 3)
         assert len(reps) >= 2
         data = local_quiver([(m, 1) for m in reps], theta)
         assert data.arrow_counts == tuple(tuple(ext_space(m, n).dim for n in reps) for m in reps)
+        assert any(a.src == a.tgt for a in data.quiver.arrows)
+        assert validate_quiver(data.to_json()) == data.quiver
 
 
 def test_local_quiver_assert_stable_flag(k3):
@@ -442,13 +445,16 @@ def test_local_quiver_assert_stable_flag(k3):
     st.lists(st.lists(st.integers(0, 3), min_size=l, max_size=l), min_size=l, max_size=l),
     st.lists(st.integers(1, 5), min_size=l, max_size=l))))
 def test_local_model_dimension_is_one_minus_the_local_euler_form(case):
-    """The dimension read off the arrow counts equals 1 - <e, e> on the local
-    quiver that `to_json` describes, loops included."""
+    """The dimension, 1 - <e, e> on the local quiver, equals
+    1 - sum e_i^2 + sum c_ij e_i e_j read off the arrow counts c_ij, loops
+    included, and `to_json` describes that quiver."""
     counts, mults = case
     data = LocalQuiverData(tuple(map(tuple, counts)), tuple(mults),
                            tuple((1,) for _ in mults), True)
     e = data.multiplicities
-    assert local_model_dimension(data) == 1 - euler_form(validate_quiver(data.to_json()), e, e)
+    assert local_model_dimension(data) == 1 - sum(x * x for x in e) + sum(
+        c * e[i] * e[j] for i, row in enumerate(counts) for j, c in enumerate(row))
+    assert validate_quiver(data.to_json()) == data.quiver
 
 
 def test_local_model_dimension_empty():

@@ -60,11 +60,19 @@ def test_validate_duplicate_id():
     lambda: validate_quiver({"vertices": 2, "labels": "ab"}),
     lambda: validate_quiver({"vertices": 2, "labels": b"ab"}),
     lambda: quiver(2, [], "ab"),
+    lambda: quiver(2, [], [1, 2]),
+    lambda: validate_quiver({"vertices": 2, "labels": [1, None]}),
+    lambda: validate_quiver({"vertices": 2, "arrows": [{"id": None, "src": 1, "tgt": 2}]}),
+    lambda: validate_quiver({"vertices": 2, "arrows": [{"id": ["x"], "src": 1, "tgt": 2}]}),
+    lambda: validate_quiver({"vertices": 2, "arrows": [{"id": 1, "src": 1, "tgt": 2}]}),
 ], ids=["no-vertices", "too-few-labels", "repeated-label", "labels-not-a-list",
         "unhashable-labels", "not-a-mapping", "no-vertex-count", "arrow-without-ends",
-        "labels-a-string", "labels-bytes", "labels-a-string-to-quiver"])
+        "labels-a-string", "labels-bytes", "labels-a-string-to-quiver", "label-an-int",
+        "labels-not-strings", "id-none", "id-a-list", "id-an-int"])
 def test_malformed_quiver_input_is_refused(build):
-    """A string of labels used to be read one character per label."""
+    """A string of labels used to be read one character per label; labels
+    that are not strings used to be accepted, and arrow ids were turned into
+    strings, so `{"id": null}` named an arrow "None"."""
     with pytest.raises(QuiverError):
         build()
 

@@ -10,7 +10,8 @@ from quivermod import (QQ, FieldError, PrimeField, RepresentationError, act, dir
                        random_representation, representation,
                        representation_from_json, theta_pairing, trivial_path,
                        zero_representation)
-from quivermod.quiver import Path
+from quivermod import linalg
+from quivermod.quiver import Path, enumerate_paths
 from quivermod.fields import Matrix
 from quivermod.rep import GroupElement, compose_group
 
@@ -39,6 +40,24 @@ def test_evaluate_composite(a3):
     out = evaluate_path(m, Path(1, 3, ("a", "b")))
     assert out.shape == (1, 1)
     assert out.tolist() == [[2 * 1 + 3 * 4]]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_evaluate_long_paths_is_the_matmul_chain(field):
+    """Paths of length 3 and 4 through a loop and a 2-cycle evaluate to the
+    right-to-left `matmul` product of their arrows' matrices."""
+    q = quiver(2, [("l", 1, 1), ("a", 1, 2), ("b", 2, 1)])
+    rng, dim = random.Random(4), (2, 3)
+    m = representation(q, field, dim, {
+        a.id: [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim[a.src - 1])]
+               for _ in range(dim[a.tgt - 1])] for a in q.arrows})
+    paths = [p for p in enumerate_paths(q, 4) if p.length >= 3]
+    assert {p.length for p in paths} == {3, 4}
+    for p in paths:
+        expected = m.matrix(p.arrows[0])
+        for aid in p.arrows[1:]:
+            expected = linalg.matmul(field, m.matrix(aid), expected)
+        assert evaluate_path(m, p) == expected
 
 
 def test_evaluate_foreign_path(a2, k3):
@@ -329,6 +348,21 @@ def test_serialization_round_trip(k3):
     n = representation(k3, f3, (1, 1), {"x": [[2]], "y": [[0]], "z": [[1]]})
     back = representation_from_json(n.to_json())
     assert back.field == f3 and back.matrix("x").tolist() == [[2]]
+
+
+@pytest.mark.parametrize("key", ["quiver", "field", "dim"])
+def test_representation_from_json_names_a_missing_key(k3, key):
+    """A missing key used to escape as a bare `KeyError`; "quiver" may be
+    left out when the quiver is passed."""
+    doc = rep_k3(k3, QQ, (1, 0, 0)).to_json()
+    del doc[key]
+    with pytest.raises(RepresentationError, match=f"no '{key}'"):
+        representation_from_json(doc)
+    if key == "quiver":
+        assert representation_from_json(doc, k3).matrix("x").tolist() == [[1]]
+    else:
+        with pytest.raises(RepresentationError, match=f"no '{key}'"):
+            representation_from_json(doc, k3)
 
 
 def test_int64_arrays_over_rationals_are_coerced(a2):
