@@ -12,9 +12,11 @@ tag declares its `zero`, its `one` and its characteristic `p` (0 for Q).
 (anything with `__index__`), `Fraction`s and strings such as "-3/4" are
 accepted, anything else (floats included) raises `FieldError`. The scalar
 methods of `Field` (`scalar_is_zero`, `scalar_inv`, `scalar_neg`, `mul`,
-`format_scalar`) are written once, on `coerce`. `array` takes nested lists,
-and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray), whose
-shape it keeps (also (0, n)), and coerces every entry.
+`power`, `format_scalar`) are written once, on `coerce`. `array` takes nested
+lists, and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray),
+whose shape it keeps (also (0, n)), and coerces every entry. `random_matrix`
+draws ints row by row: uniform over F_p, in [-5, 5] over Q. So only `fields`,
+`linalg` and the F_p search in `stability` read the characteristic.
 
 The exact kernels run on Python ints, and `ints`, `encode` and `elements` are
 the only code that knows how field elements are encoded as ints: `ints(xs)`
@@ -156,6 +158,9 @@ class Field:
     def mul(self, x, y):
         return self.coerce(self.coerce(x) * self.coerce(y))
 
+    def power(self, x, t: int):
+        return self.coerce(pow(self.coerce(x), t, self.p or None))
+
     def format_scalar(self, x) -> str:
         return str(self.coerce(x))
 
@@ -183,6 +188,9 @@ class Rationals(Field):
     def elements(self, ns, d: int = 1) -> tuple:
         zero = self.zero
         return tuple([Fraction(x, d) if x else zero for x in ns])
+
+    def random_matrix(self, rng, rows: int, cols: int) -> list[list[int]]:
+        return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
 
     def to_json(self):
         return "Q"
@@ -227,6 +235,9 @@ class PrimeField(Field):
             return tuple([x % p for x in ns])
         inv = pow(d, -1, p)
         return tuple([x * inv % p for x in ns])
+
+    def random_matrix(self, rng, rows: int, cols: int) -> list[list[int]]:
+        return [[rng.randrange(self.p) for _ in range(cols)] for _ in range(rows)]
 
     def to_json(self):
         return {"p": self.p}

@@ -12,24 +12,24 @@ elements in between.
 
 `rref`, `rank`, `nullspace`, `det` and `inv` derive from one Gauss-Jordan
 elimination, `_eliminate`. Its entry is a matrix as encoded rows and a
-width: the routines here encode a matrix's rows first, `rep` encodes the
-Hom/Ext^1 system it builds, and `localization` passes an evaluated sigma;
-`_kernel` reads a kernel basis off it. The field's characteristic chooses
-the elimination step: in characteristic p it works mod p, scaling each
-pivot row to a leading 1; in characteristic 0 it runs fraction-free
-Gauss-Jordan (Bareiss 1968): each step divides exactly by the previous
-pivot, so every entry stays an integer minor of the scaled matrix, and the
-rref is the result divided by the last pivot. Scaling a row changes neither
-the rref nor the pivots, and the determinant is divided by the rows' scales
-once, at the end. Elimination uses the first nonzero pivot in each column,
-so every result is deterministic. For an m x n matrix with m <= n,
-`_eliminate` also reports the determinant of the leading m x m block: that
-block is invertible exactly when the pivots are the columns 0..m-1, and then
-its determinant is read off the pivots. So `_det_inv` takes the determinant
-and the inverse of a square matrix A from one elimination of [A | I], and
-gives the inverse as encoded rows; `inv`, `localization.check_localized_point`
-and `rep.GroupElement` use it, and `_matrix` turns encoded rows into a
-`Matrix`.
+width: the routines here encode a matrix's rows first, `rep` builds the
+Hom/Ext^1 system as integer rows (over F_p in (-p, p)), and `localization`
+passes an evaluated sigma; `_kernel` reads a kernel basis off it. The
+field's characteristic chooses the elimination step: in characteristic p it
+works mod p, scaling each pivot row to a leading 1; in characteristic 0 it
+runs fraction-free Gauss-Jordan (Bareiss 1968): each step divides exactly by
+the previous pivot, so every entry stays an integer minor of the scaled
+matrix, and the rref is the result divided by the last pivot. Scaling a row
+changes neither the rref nor the pivots, and the determinant is divided by
+the rows' scales once, at the end. Elimination uses the first nonzero pivot
+in each column, so every result is deterministic. For an m x n matrix with
+m <= n, `_eliminate` also reports the determinant of the leading m x m
+block: that block is invertible exactly when the pivots are the columns
+0..m-1, and then its determinant is read off the pivots. So `_det_inv`
+takes the determinant and the inverse of a square matrix A from one
+elimination of [A | I], and gives the inverse as encoded rows; `inv`,
+`localization.check_localized_point` and `rep.GroupElement` use it, and
+`_matrix` turns encoded rows into a `Matrix`.
 
 `_product` multiplies a chain of matrices: each factor is put on one scale
 once, each entry of each partial product is one sum of Python-int products,
@@ -105,8 +105,9 @@ def block_diag(field: Field, blocks) -> Matrix:
 
 def _eliminate(field: Field, rows, n: int):
     """Gauss-Jordan elimination of the m x n matrix given as m encoded rows
-    (d, ns) of n ints, the row being ns / d in the field's encoding. `rows`
-    is not modified.
+    (d, ns) of n ints, the row being ns / d in the field's encoding; over F_p
+    the ns may be any ints in (-p, p): such an int is zero in F_p only when it
+    is 0, and the loop reduces mod p what it computes. `rows` is not modified.
 
     Returns (rows, d, pivots, det): the rref of the matrix is rows / d, rows
     and d Python ints, pivots are its pivot columns, and det is the determinant

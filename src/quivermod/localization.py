@@ -277,15 +277,14 @@ def semi_invariant(sigma: SigmaMorphism, m: Representation):
 def chi_theta(g: GroupElement, theta: Sequence[int]):
     """Character value prod det(g_i)^{theta_i}, from the determinants the
     element holds (`GroupElement.dets`), so nothing is eliminated. Each power
-    is one exponentiation, `pow(d, theta_i, p)` in characteristic p and
-    `pow(d, theta_i)` over Q (a negative exponent inverts: every det is
-    nonzero), so the cost grows with log |theta_i|; a vertex with theta_i = 0
-    contributes 1."""
+    is one exponentiation (`Field.power`; a negative exponent inverts: every
+    det is nonzero), so the cost grows with log |theta_i|; a vertex with
+    theta_i = 0 contributes 1."""
     fld = g.field
     out = fld.one
     for d, t in zip(g.dets, int_vector(theta, len(g.mats))):
         if t:
-            out = fld.mul(out, pow(d, t, fld.p or None))
+            out = fld.mul(out, fld.power(d, t))
     return out
 
 

@@ -74,6 +74,8 @@ class Quiver:
         n = self.vertex_count
         if not _is_int(n) or n < 1:
             raise QuiverError(f"vertex count must be a positive integer, got {n!r}")
+        if not (isinstance(self.arrows, tuple) and isinstance(self.labels, tuple)):
+            raise QuiverError("arrows and labels must be tuples, so that a quiver is hashable")
         for a in self.arrows:
             if not isinstance(a, Arrow) or not isinstance(a.id, str):
                 raise QuiverError(f"arrows must be Arrow values with a str id, got {a!r}")

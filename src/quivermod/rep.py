@@ -3,8 +3,8 @@ linear algebra: path evaluation, direct sums, base change, Hom and Ext^1.
 
 Every matrix handed to `representation` or `group_element`, as nested lists,
 a `Matrix` or, at this boundary only, an ndarray of any dtype, goes through the
-field's `array`, so it always holds elements of the field it claims; their
-encoding as ints belongs to `fields`, and this module reads only `field.p`.
+field's `array`, so it always holds elements of the field it claims; this
+module never reads the characteristic (`fields` encodes, draws and powers).
 Matrices, group element blocks and Hom bases are immutable `Matrix` values,
 so a path of one arrow evaluates to the arrow's own matrix. A `GroupElement`
 eliminates each block once, when it is built, and keeps the block's
@@ -17,18 +17,18 @@ Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
 the sum over arrows a: i -> j of Hom(M_i, N_j); path algebras of quivers are
 hereditary, so this gives Ext^1 on every quiver, loops and oriented cycles
-included. `_hom_system` writes the system straight from the matrices' rows
-and columns as rows of field elements, one row per arrow a and entry (r, c),
-with the unknown f_i vectorized row-major in the block of columns of vertex i.
-Each `hom_space` or `ext_space` call then encodes the rows (`Field.ints`) and
-runs one elimination: of the rows for Hom, the kernel; of their transpose for
-Ext^1, whose cokernel representatives are the labels (a, r, c) of the rows
-that are not pivots there.
+included. `_hom_system` encodes each arrow's matrices once (`Field.ints`) and
+writes integer rows, one per arrow a and entry (r, c), with the unknown f_i
+vectorized row-major in the block of columns of vertex i. `hom_space` and
+`ext_space` pass them as they are to one elimination: of the rows for Hom,
+the kernel; of their transpose for Ext^1, whose cokernel representatives are
+the labels (a, r, c) of the rows that are not pivots there.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field as _field
+from dataclasses import KW_ONLY, InitVar, dataclass, field as _field
+from itertools import chain
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -91,17 +91,10 @@ def zero_representation(quiver: Quiver, field: Field, dim: Sequence[int]) -> Rep
     return representation(quiver, field, dim, {})
 
 
-def _random_matrix(field: Field, rng: random.Random, rows: int, cols: int) -> list[list[int]]:
-    """Entries drawn row by row from rng: uniform over F_p, integers in [-5, 5] over Q."""
-    if field.p:
-        return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
-    return [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-
-
 def random_representation(quiver: Quiver, field: Field, dim: Sequence[int],
                           rng: random.Random) -> Representation:
     dim = dim_vector(dim, quiver.vertex_count, error=RepresentationError)
-    mats = {a.id: _random_matrix(field, rng, dim[a.tgt - 1], dim[a.src - 1])
+    mats = {a.id: field.random_matrix(rng, dim[a.tgt - 1], dim[a.src - 1])
             for a in quiver.arrows}
     return representation(quiver, field, dim, mats)
 
@@ -151,12 +144,14 @@ class GroupElement:
     determinant `dets[i-1]` and its inverse `inverses[i-1]`; a block that is
     not a square `Matrix`, or is singular, raises `RepresentationError`.
     `act`, `compose_group` and `localization.chi_theta` read these fields and
-    eliminate nothing. `_known`, the (dets, inverses) of `mats`, is for this
-    module's own constructors, which already hold them."""
+    eliminate nothing. `_known`, the (dets, inverses) of `mats`, is trusted
+    unchecked; it is keyword-only, for this module's own constructors, which
+    already hold them."""
     field: Field
     mats: tuple[Matrix, ...]
     dets: tuple = _field(init=False)
     inverses: tuple[Matrix, ...] = _field(init=False)
+    _: KW_ONLY
     _known: InitVar[tuple | None] = None
 
     def __post_init__(self, _known):
@@ -184,19 +179,19 @@ def group_element(field: Field, mats: Sequence[object]) -> GroupElement:
 
 
 def random_group_element(field: Field, dim: Sequence[int], rng: random.Random) -> GroupElement:
-    """Blocks drawn with `_random_matrix`, each redrawn until it is invertible;
+    """Blocks drawn with `Field.random_matrix`, each redrawn until it is invertible;
     the elimination that tests a block also gives its determinant and inverse."""
     mats, dets, inverses = [], [], []
     for d in dim_vector(dim, error=RepresentationError):
         while True:
-            g = field.array(_random_matrix(field, rng, d, d))
+            g = field.array(field.random_matrix(rng, d, d))
             det, inverse = linalg._det_inv(field, linalg._encoded(field, g))
             if inverse is not None:
                 break
         mats.append(g)
         dets.append(det)
         inverses.append(linalg._matrix(field, inverse, d))
-    return GroupElement(field, tuple(mats), (dets, inverses))
+    return GroupElement(field, tuple(mats), _known=(dets, inverses))
 
 
 def compose_group(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -210,7 +205,7 @@ def compose_group(g: GroupElement, h: GroupElement) -> GroupElement:
     mats = tuple(linalg.matmul(fld, a, b) for a, b in zip(g.mats, h.mats))
     dets = [fld.mul(a, b) for a, b in zip(g.dets, h.dets)]
     inverses = [linalg.matmul(fld, b, a) for a, b in zip(g.inverses, h.inverses)]
-    return GroupElement(fld, mats, (dets, inverses))
+    return GroupElement(fld, mats, _known=(dets, inverses))
 
 
 def act(g: GroupElement, m: Representation) -> Representation:
@@ -229,45 +224,45 @@ def act(g: GroupElement, m: Representation) -> Representation:
     return Representation(m.quiver, m.field, m.dim, mats)
 
 
-def _hom_system(m: Representation, n: Representation) -> tuple[list[list], list[tuple[str, int, int]], int]:
+def _hom_system(m: Representation, n: Representation) -> tuple[list, list, list[int]]:
     """The equations f_j M_a - N_a f_i = 0, one row per arrow a: i -> j and
     entry (r, c) of the n_j x m_i matrix on the left, in arrow order.
 
     The unknown f_i is an n_i x m_i matrix, vectorized row-major at column
-    offset off_i (vertices in order). Row (a, r, c) holds M_a[t][c] at column
-    off_j + r*m_j + t and -N_a[r][s] at column off_i + s*m_i + c; on a loop the
-    two terms meet at t = c, s = r and are added. Entries are field elements,
-    which the callers encode (`Field.ints`) for `linalg._eliminate`.
-    Returns the rows, the (arrow_id, r, c) label of each row and the width.
+    offset off_i (vertices in order). With M_a = A / d and N_a = B / e, row
+    (a, r, c) is the encoded row over d e (`linalg._eliminate`'s entry) holding
+    e A[t][c] at column off_j + r*m_j + t and -d B[r][s] at off_i + s*m_i + c;
+    on a loop the two meet at t = c, s = r and are added (in (-p, p) over F_p).
+    Returns the rows, their (arrow_id, r, c) labels and off_1, ..., off_k, width.
     """
     fld = m.field
-    p = fld.p
-    zero = fld.zero
     off = [0]
     for mi, ni in zip(m.dim, n.dim):
         off.append(off[-1] + ni * mi)
     width = off[-1]
-    rows: list[list] = []
+    rows: list[tuple[int, list[int]]] = []
     labels: list[tuple[str, int, int]] = []
     for a in m.quiver.arrows:
         i, j = a.src - 1, a.tgt - 1
-        mi, mj = m.dim[i], m.dim[j]
+        mi, mj, ni = m.dim[i], m.dim[j], n.dim[i]
         oi, oj = off[i], off[j]
-        m_cols = linalg.transpose(fld, m.matrix(a.id)).rows    # m_cols[c][t] = M_a[t][c]
-        for r, n_row in enumerate(n.matrix(a.id).rows):
+        d, xs = fld.ints(list(chain.from_iterable(m.matrix(a.id).rows)))   # A, row-major
+        e, ys = fld.ints(list(chain.from_iterable(n.matrix(a.id).rows)))   # B, row-major
+        scale = d * e
+        for r in range(n.dim[j]):
             base = oj + r * mj
-            for c, m_col in enumerate(m_cols):
-                row = [zero] * width
-                for t, x in enumerate(m_col):
+            n_row = ys[r * ni:(r + 1) * ni]     # B[r][s]
+            for c in range(mi):
+                row = [0] * width
+                for t, x in enumerate(xs[c::mi]):   # A[t][c]
                     if x:
-                        row[base + t] = x
-                for s, x in enumerate(n_row):
-                    if x:
-                        k = oi + s * mi + c
-                        row[k] = (row[k] - x) % p if p else row[k] - x
-                rows.append(row)
+                        row[base + t] = e * x
+                for s, y in enumerate(n_row):
+                    if y:
+                        row[oi + s * mi + c] -= d * y
+                rows.append((scale, row))
                 labels.append((a.id, r, c))
-    return rows, labels, width
+    return rows, labels, off
 
 
 @dataclass(frozen=True)
@@ -285,28 +280,22 @@ class ExtSpace:
 def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Solve f_j M_a = N_a f_i for all arrows; intertwiner basis by vertex."""
     _check_pair(m, n)
-    rows, _, width = _hom_system(m, n)
-    kernel = linalg._kernel(m.field, list(map(m.field.ints, rows)), width)
-    basis = []
-    for v in kernel:
-        maps = {}
-        off = 0
-        for i in range(m.quiver.vertex_count):
-            ni, mi = n.dim[i], m.dim[i]
-            maps[i + 1] = Matrix(tuple(v[off + r * mi:off + (r + 1) * mi] for r in range(ni)),
-                                 (ni, mi))
-            off += ni * mi
-        basis.append(maps)
+    rows, _, off = _hom_system(m, n)
+    kernel = linalg._kernel(m.field, rows, off[-1])
+    basis = tuple({i + 1: Matrix(tuple(v[o + r * mi:o + (r + 1) * mi] for r in range(ni)), (ni, mi))
+                   for i, (o, ni, mi) in enumerate(zip(off, n.dim, m.dim))}
+                  for v in kernel)
     # dim counts kernel vectors; an arrowless system of width 0 still has hom 0
-    return HomSpace(kernel.shape[0], tuple(basis))
+    return HomSpace(kernel.shape[0], basis)
 
 
 def ext_space(m: Representation, n: Representation) -> ExtSpace:
     """Ext^1 as the cokernel of (f_i) |-> (N_a f_i - f_j M_a), on any quiver: the
-    labels of the rows that are not pivots of the transposed system's rref."""
+    labels of the rows that are not pivots of the transposed system's rref, read
+    off the numerators over scale 1: scaling a column moves no pivot."""
     _check_pair(m, n)
     rows, labels, _ = _hom_system(m, n)
-    pivot_rows = set(linalg._eliminate(m.field, list(map(m.field.ints, zip(*rows))),
-                                       len(rows))[2])
+    columns = [(1, col) for col in zip(*[ns for _, ns in rows])]
+    pivot_rows = set(linalg._eliminate(m.field, columns, len(rows))[2])
     coker = tuple(lab for t, lab in enumerate(labels) if t not in pivot_rows)
     return ExtSpace(len(coker), coker)

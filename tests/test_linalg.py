@@ -526,3 +526,49 @@ def test_eliminate_reports_leading_block_determinant(case):
         assert d is None
     else:
         assert d == residue(field, cofactor_det([row[:m] for row in a.tolist()]))
+
+
+@pytest.mark.parametrize("p", [2, 5, BIG])
+def test_eliminate_accepts_ints_between_minus_p_and_p(p):
+    """Over F_p `_eliminate` takes any ints in (-p, p), as the Hom/Ext^1 system
+    of `rep` holds them: the pivots, the rref (as field elements) and the
+    determinant are those of the residues."""
+    f = PrimeField(p)
+    rng = random.Random(p)
+    values = sorted({-(p - 1), -1, 0, 1, p - 1, rng.randrange(-(p - 1), p)})
+    for _ in range(300):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:   # a row dependent on another, over F_p
+            rows[rng.randrange(1, m)] = [-x for x in rows[0]]
+        got = linalg._eliminate(f, [(1, row) for row in rows], n)
+        want = linalg._eliminate(f, [(1, [x % p for x in row]) for row in rows], n)
+        assert got[2] == want[2] and got[3] == want[3]
+        assert [f.elements(r, got[1]) for r in got[0]] == [f.elements(r, want[1]) for r in want[0]]
+
+
+def test_random_matrix_draws():
+    """`Field.random_matrix` draws row by row from the generator it is given:
+    integers in [-5, 5] over Q, residues over F_p; these are the lists the
+    draws gave before they moved onto the field tags."""
+    rng = random.Random(28)
+    assert QQ.random_matrix(rng, 3, 4) == [[-4, -3, 3, 4], [-3, -2, -3, 5], [2, 1, -2, -2]]
+    assert PrimeField(7).random_matrix(rng, 2, 3) == [[1, 3, 1], [6, 1, 4]]
+    assert QQ.random_matrix(rng, 0, 2) == [] and PrimeField(7).random_matrix(rng, 2, 0) == [[], []]
+    rng = random.Random(28)
+    assert PrimeField(7).random_matrix(rng, 3, 3) == [[0, 5, 1], [4, 4, 5], [1, 1, 1]]
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, BIG])
+def test_power_is_one_exponentiation(p):
+    """`Field.power(x, t)` is pow(x, t, p) over F_p and `Fraction ** t` over Q,
+    negative t included."""
+    f = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(200):
+        x, t = rng.randrange(1, p), rng.randint(-40, 40)
+        assert f.power(x, t) == pow(x, t, p) == f.power(x + p * rng.randint(-3, 3), t)
+        assert f.power(0, abs(t)) == pow(0, abs(t), p)
+        q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        assert QQ.power(q, t) == q ** t and type(QQ.power(q, t)) is Fraction
+    assert QQ.power(0, 3) == 0 and QQ.power(5, 0) == 1 and f.power(3, 0) == 1

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quivermod import (Arrow, Path, Quiver, QuiverError, compose, enumerate_dimvectors,
-                       enumerate_paths, euler_form, generic_ext, quiver, theta_pairing,
-                       trivial_path, validate_quiver)
+from quivermod import (QQ, Arrow, Path, Quiver, QuiverError, compose, direct_sum,
+                       enumerate_dimvectors, enumerate_paths, euler_form, generic_ext, quiver,
+                       representation, theta_pairing, trivial_path, validate_quiver)
 from quivermod.moduli import CyclicQuiverError
 from quivermod.quiver import _is_acyclic, check_path
 
@@ -128,6 +128,21 @@ def test_quiver_built_directly_is_checked(args):
     raised a bare AttributeError."""
     with pytest.raises(QuiverError):
         Quiver(*args)
+
+
+def test_quiver_parts_must_be_tuples():
+    """A list of arrows or of labels used to be accepted: the frozen quiver was
+    unhashable and unequal to the same quiver built by `quiver`, so `direct_sum`
+    refused representations over the two as living over different quivers."""
+    for args in [(2, [Arrow("a", 1, 2)], ("v1", "v2")), (2, (Arrow("a", 1, 2),), ["v1", "v2"]),
+                 (1, [], ["v1"])]:
+        with pytest.raises(QuiverError, match="tuples"):
+            Quiver(*args)
+    q = Quiver(2, (Arrow("a", 1, 2),), ("v1", "v2"))
+    assert q == quiver(2, [("a", 1, 2)]) and hash(q) == hash(quiver(2, [("a", 1, 2)]))
+    m = representation(q, QQ, (1, 1), {"a": [[1]]})
+    n = representation(quiver(2, [("a", 1, 2)]), QQ, (1, 1), {"a": [[2]]})
+    assert direct_sum(m, n).matrix("a").rows == ((1, 0), (0, 2))
 
 
 def test_validate_quiver_passes_a_quiver_through(k3):

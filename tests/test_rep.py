@@ -174,6 +174,21 @@ def test_group_element_built_directly_is_validated():
     assert g.dets == (2, 1) and g.inverses == (Matrix(((3,),), (1, 1)), Matrix((), (0, 0)))
 
 
+def test_group_element_takes_known_blocks_by_keyword_only(a2):
+    """The trusted (dets, inverses) argument used to be positional: over F_5,
+    blocks [[2]] and [[3]] claimed to have determinants 1, 1 and identity
+    inverses were accepted unchecked, after which act mapped M_a = 1 to 3
+    instead of 4 and chi_theta(g, (-1, 1)) gave 1 instead of 4."""
+    from quivermod.localization import chi_theta
+    f5, one = PrimeField(5), Matrix(((1,),), (1, 1))
+    blocks = (Matrix(((2,),), (1, 1)), Matrix(((3,),), (1, 1)))
+    with pytest.raises(TypeError):
+        GroupElement(f5, blocks, ((1, 1), (one, one)))
+    g = GroupElement(f5, blocks)
+    assert act(g, representation(a2, f5, (1, 1), {"a": [[1]]})).matrix("a").rows == ((4,),)
+    assert chi_theta(g, (-1, 1)) == 4
+
+
 def test_compose_group_checks_its_factors():
     """Different vertex counts used to be truncated by zip, and blocks of
     different sizes raised a bare ValueError from matmul."""
@@ -569,3 +584,87 @@ def test_hom_ext_match_kron_reference(name, field):
                 assert got[v].tolist() == want[v].tolist()
                 assert_elements(field, got[v])
         assert ext.cokernel == coker and ext.dim == len(coker)
+
+
+def _fraction_reference(m, n):
+    """Hom basis and Ext^1 cokernel from the system written as rows of
+    `Fraction`s: the basis by `linalg.nullspace`; the cokernel labels are the
+    rows that `linalg.rank` finds dependent on the rows before them, the rows
+    that are not pivots of the transposed system."""
+    fld = m.field
+    off = [0]
+    for mi, ni in zip(m.dim, n.dim):
+        off.append(off[-1] + ni * mi)
+    rows, labels = [], []
+    for a in m.quiver.arrows:
+        i, j = a.src - 1, a.tgt - 1
+        ma, na = m.matrix(a.id).rows, n.matrix(a.id).rows
+        for r in range(n.dim[j]):
+            for c in range(m.dim[i]):
+                row = [Fraction(0)] * off[-1]
+                for t in range(m.dim[j]):
+                    row[off[j] + r * m.dim[j] + t] += Fraction(ma[t][c])
+                for s in range(n.dim[i]):
+                    row[off[i] + s * m.dim[i] + c] -= Fraction(na[r][s])
+                rows.append(tuple(fld.coerce(x) for x in row))
+                labels.append((a.id, r, c))
+
+    def matrix(rs):
+        return Matrix(tuple(rs), (len(rs), off[-1]))
+
+    basis = tuple({i + 1: Matrix(tuple(tuple(v[off[i] + r * m.dim[i]:off[i] + (r + 1) * m.dim[i]])
+                                       for r in range(n.dim[i])), (n.dim[i], m.dim[i]))
+                   for i in range(m.quiver.vertex_count)}
+                  for v in linalg.nullspace(fld, matrix(rows)))
+    coker = tuple(lab for t, lab in enumerate(labels)
+                  if linalg.rank(fld, matrix(rows[:t + 1])) == linalg.rank(fld, matrix(rows[:t])))
+    return basis, coker
+
+
+# a 2-cycle (a, b), a loop (l) and a vertex 3 that the dimension vectors below
+# often leave at 0
+SYSTEM_QUIVER = quiver(3, [("a", 1, 2), ("b", 2, 1), ("l", 2, 2), ("c", 1, 3)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(2**31 - 1)],
+                         ids=["Q", "F2", "F2^31-1"])
+def test_hom_ext_match_fraction_reference(field):
+    """The integer rows `_hom_system` writes, each arrow over its own scale,
+    give the Hom basis and Ext^1 cokernel of the system written in `Fraction`s;
+    over Q each arrow's entries have their own denominator."""
+    rng = random.Random(f"system/{field.name}")
+    dens = {"a": 2, "b": 3, "l": 7, "c": 5}
+
+    def rep(dim):
+        if field is QQ:
+            return representation(SYSTEM_QUIVER, field, dim, {
+                a.id: [[Fraction(rng.randint(-5, 5), dens[a.id]) for _ in range(dim[a.src - 1])]
+                       for _ in range(dim[a.tgt - 1])] for a in SYSTEM_QUIVER.arrows})
+        return random_representation(SYSTEM_QUIVER, field, dim, rng)
+
+    dims = [(2, 1, 0), (1, 2, 0), (0, 2, 1), (2, 2, 1), (1, 1, 0), (0, 0, 0), (3, 2, 0)]
+    pairs = [(rep(dm), rep(dn)) for dm in dims for dn in dims]
+    m = rep((2, 2, 0))
+    pairs.append((m, m))
+    for m, n in pairs:
+        basis, coker = _fraction_reference(m, n)
+        hom, ext = hom_space(m, n), ext_space(m, n)
+        assert hom.basis == basis and hom.dim == len(basis)
+        assert ext.cokernel == coker and ext.dim == len(coker)
+
+
+def test_hom_system_encodes_each_arrow_matrix_once(monkeypatch):
+    """`_hom_system` encodes each arrow's two matrices once (`Field.ints`), and
+    `hom_space` and `ext_space` pass its rows on without encoding them again."""
+    for field in (QQ, PrimeField(5)):
+        rng = random.Random(3)
+        m = random_representation(SYSTEM_QUIVER, field, (2, 2, 1), rng)
+        n = random_representation(SYSTEM_QUIVER, field, (1, 2, 1), rng)
+        calls = []
+        real = type(field).ints
+        monkeypatch.setattr(type(field), "ints", lambda self, xs: calls.append(1) or real(self, xs))
+        for space in (hom_space, ext_space):
+            calls.clear()
+            space(m, n)
+            assert len(calls) == 2 * len(SYSTEM_QUIVER.arrows)
+        monkeypatch.undo()
