@@ -159,7 +159,11 @@ class Field:
         return self.coerce(self.coerce(x) * self.coerce(y))
 
     def power(self, x, t: int):
-        return self.coerce(pow(self.coerce(x), t, self.p or None))
+        """x ** t; a negative power of 0 raises `ZeroDivisionError`, as `scalar_inv(0)`."""
+        x = self.coerce(x)
+        if t < 0 and x == 0:
+            raise ZeroDivisionError("negative power of zero")
+        return self.coerce(pow(x, t, self.p or None))
 
     def format_scalar(self, x) -> str:
         return str(self.coerce(x))

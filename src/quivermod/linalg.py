@@ -31,12 +31,10 @@ elimination of [A | I], and gives the inverse as encoded rows; `inv`,
 `localization.check_localized_point` and `rep.GroupElement` use it, and
 `_matrix` turns encoded rows into a `Matrix`.
 
-`_product` multiplies a chain of matrices: each factor is put on one scale
-once, each entry of each partial product is one sum of Python-int products,
-and only the last product is turned into field elements, so an entry over Q
-costs one normalisation instead of a `Fraction` multiply and add per term.
-`matmul` is its two-factor case, `rep.act` its three-factor one, and
-`rep.evaluate_path` multiplies a path's arrow matrices as one chain.
+`matmul(field, first, *rest)` multiplies a chain of matrices on ints and
+builds field elements only for the last product, so an entry over Q costs one
+normalisation instead of a `Fraction` multiply and add per term; `rep.act`
+and `rep.evaluate_path` call it with three factors and a path's matrices.
 `_product_is_identity` decides whether the product of two encoded square
 matrices is the identity on ints, building no field element: over Q it
 checks A R = L d I for rows A_i / l_i and R / d, over F_p the same mod p.
@@ -49,15 +47,11 @@ from operator import mul
 from .fields import Field, Matrix
 
 
-def matmul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    return _product(field, a, b)
-
-
-def _product(field: Field, first: Matrix, *rest: Matrix) -> Matrix:
-    """The product first rest[0] rest[1] ..., left to right. With each factor
-    an integer matrix over one scale (`field.ints`), every partial product is
-    an integer matrix whose scale is the product of the factors' scales; only
-    the last one is turned into field elements."""
+def matmul(field: Field, first: Matrix, *rest: Matrix) -> Matrix:
+    """The product first rest[0] rest[1] ..., left to right; `ValueError` when
+    the shapes do not chain. With each factor an integer matrix over one scale
+    (`field.ints`), every partial product is an integer matrix whose scale is
+    the product of the factors' scales; only the last one becomes field elements."""
     m, k = first.shape
     d, xs = field.ints([x for row in first.rows for x in row])
     for b in rest:

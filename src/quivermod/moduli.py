@@ -16,9 +16,10 @@ beta' >= 0, so q rejects no subvector and cannot lift ext above 0. The fill
 names every vector of the box by its position in product order: the quotients
 of gamma - beta sit at position index(gamma) - index(beta), each subvector is
 tested by one loop that stops at the first negative pairing, and each quotient's
-form is the difference of two forms computed once per position. Each list of
-generic subvectors runs in product order from 0 to the vector itself. Inputs
-are validated, by `quiver.dim_vector`, at its public methods (`ext`,
+form is the difference of two forms computed once per position, each read off
+`Quiver.euler_matrix`, the one Euler form, which `euler_form` reads too. Each
+list of generic subvectors runs in product order from 0 to the vector itself.
+Inputs are validated, by `quiver.dim_vector`, at its public methods (`ext`,
 `generic_subdimvectors`); its constructor is the one acyclicity check, and
 every function here takes its table first.
 """
@@ -44,8 +45,8 @@ class CyclicQuiverError(QuiverError):
 class GenericExtTable:
     """Generic Ext^1 dimensions for one acyclic quiver, from a table filled
     bottom-up: `_subs` maps a dimension vector to its generic subvectors,
-    `_duals` to one vector w per nonzero generic quotient q, where
-    w_i = q_i - sum over arrows i -> j of q_j, so that <beta, q> = beta . w.
+    `_duals` to one vector w = E q per nonzero generic quotient q, E the
+    quiver's `euler_matrix`, so that <beta, q> = beta . w.
     Only the w with a negative entry are kept: for beta >= 0 any other w has
     beta . w >= 0, so it never rejects a subvector nor lifts `ext` above 0.
 
@@ -69,12 +70,6 @@ class GenericExtTable:
         if not quiver.acyclic:
             raise CyclicQuiverError("moduli operations require an acyclic quiver")
         self.quiver = quiver
-        # rows of the linear form w(v): w_i = v_i - sum over arrows i -> j of v_j
-        n = quiver.vertex_count
-        form = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for a in quiver.arrows:
-            form[a.src - 1][a.tgt - 1] -= 1
-        self._form = tuple(map(tuple, form))
         self._subs: dict[DimVector, list[DimVector]] = {}
         self._duals: dict[DimVector, list[DimVector]] = {}
 
@@ -103,7 +98,7 @@ class GenericExtTable:
         subs_of, duals_of = self._subs, self._duals
         box = list(product(*(range(t + 1) for t in top)))
         flat = [duals_of.get(v) for v in box]
-        forms = [tuple(sum(map(mul, row, v)) for row in self._form) for v in box]
+        forms = [tuple(sum(map(mul, row, v)) for row in self.quiver.euler_matrix) for v in box]
         for gi, gamma in enumerate(box):
             if flat[gi] is not None:
                 continue

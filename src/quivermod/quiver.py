@@ -14,11 +14,13 @@ raises instead of being truncated.
 A `Quiver` checks its own invariants, the types of its parts included,
 however it is built, and works out `acyclic` by a `graphlib` sort in which
 each arrow makes its source a predecessor of its target; `quiver` only
-converts outside values.
+converts outside values. Its cached `euler_matrix` is the one Euler form,
+which `euler_form` and the Schofield table in `moduli` read.
 """
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -95,6 +97,13 @@ class Quiver:
     @cached_property
     def arrow_map(self) -> dict[str, Arrow]:
         return {a.id: a for a in self.arrows}
+
+    @cached_property
+    def euler_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """E with E_ij = delta_ij - #arrows i -> j, rows and columns 0-based, so
+        that <alpha, beta> = alpha . (E beta): the one source of the Euler form."""
+        counts, n = Counter((a.src - 1, a.tgt - 1) for a in self.arrows), self.vertex_count
+        return tuple(tuple((1 if i == j else 0) - counts[i, j] for j in range(n)) for i in range(n))
 
     def label(self, vertex: int) -> str:
         return self.labels[vertex - 1]
@@ -208,7 +217,6 @@ def enumerate_paths(q: Quiver, max_len: int | None = None) -> list[Path]:
         raise QuiverError("cyclic quiver: a length bound is required")
     if max_len is not None:
         (max_len,) = dim_vector((max_len,), what="path length bound")
-    by_target: dict[int, list[Path]] = {}
     frontier = [trivial_path(v) for v in q.vertices()]
     paths = list(frontier)
     length = 0
@@ -230,13 +238,10 @@ def paths_between(q: Quiver, source: int, target: int, max_len: int | None = Non
 
 
 def euler_form(q: Quiver, alpha: Sequence[int], beta: Sequence[int]) -> int:
-    """<alpha, beta> = sum a_i b_i - sum over arrows i->j of a_i b_j."""
+    """<alpha, beta> = alpha . (E beta), E the quiver's `euler_matrix`."""
     a = int_vector(alpha, q.vertex_count, "alpha")
     b = int_vector(beta, q.vertex_count, "beta")
-    total = sum(x * y for x, y in zip(a, b))
-    for arrow in q.arrows:
-        total -= a[arrow.src - 1] * b[arrow.tgt - 1]
-    return total
+    return sum(x * sum(map(operator.mul, row, b)) for x, row in zip(a, q.euler_matrix))
 
 
 def theta_pairing(theta: Sequence[int], alpha: Sequence[int]) -> int:

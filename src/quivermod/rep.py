@@ -10,8 +10,8 @@ so a path of one arrow evaluates to the arrow's own matrix. A `GroupElement`
 eliminates each block once, when it is built, and keeps the block's
 determinant and inverse: `act` and `compose_group` use them and run no
 elimination of their own. A longer path's M(a_k) ... M(a_1) and each
-g_j M_a g_i^-1 of `act` are one product on the field's integer encoding
-(`linalg._product`), turned into field elements once.
+g_j M_a g_i^-1 of `act` are one `linalg.matmul` chain, a product on the
+field's integer encoding, turned into field elements once.
 
 Hom and Ext^1 come from the two-term intertwiner complex
 (f_i) |-> (f_j M_a - N_a f_i), from the sum over vertices of Hom(M_i, N_i) to
@@ -114,10 +114,10 @@ def representation_from_json(data: dict, quiver: Quiver | None = None) -> Repres
 
 def evaluate_path(m: Representation, p: Path) -> Matrix:
     """Matrix of the path: identity for e_i, the arrow's own matrix for one
-    arrow, else M(a_k) ... M(a_1) as one `linalg._product` chain."""
+    arrow, else M(a_k) ... M(a_1) as one `linalg.matmul` chain."""
     check_path(m.quiver, p, RepresentationError)
     if len(p.arrows) > 1:
-        return linalg._product(m.field, *[m.matrix(aid) for aid in reversed(p.arrows)])
+        return linalg.matmul(m.field, *[m.matrix(aid) for aid in reversed(p.arrows)])
     return m.matrix(p.arrows[0]) if p.arrows else m.field.identity(m.dim[p.source - 1])
 
 
@@ -218,8 +218,8 @@ def act(g: GroupElement, m: Representation) -> Representation:
     if len(g.mats) != m.quiver.vertex_count or any(
             gm.shape[0] != d for gm, d in zip(g.mats, m.dim)):
         raise RepresentationError("group element shapes do not match the dimension vector")
-    mats = {a.id: linalg._product(m.field, g.mats[a.tgt - 1], m.matrix(a.id),
-                                  g.inverses[a.src - 1])
+    mats = {a.id: linalg.matmul(m.field, g.mats[a.tgt - 1], m.matrix(a.id),
+                                g.inverses[a.src - 1])
             for a in m.quiver.arrows}
     return Representation(m.quiver, m.field, m.dim, mats)
 

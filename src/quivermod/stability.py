@@ -25,12 +25,13 @@ prefix(U) is the top position so is the image of U, and the images of U's last
 row are not computed. Within a block the dimension at the last vertex, which
 the lattice keeps by position, grows with the position, so the verdicts read
 the count, the minimal witness and the first proper theta-zero one off the
-blocks, and build only the witnesses they return. Each search shares the
-lattice of F_p^n, and the superspaces of each subspace met, with later ones
-(at most 64 lattices are kept, none above 1024 subspaces): repeated searches
-gain, one CLI call does not. Rational inputs are handled by multi-prime
-reduction; instability can be certified exactly by lifting a witness,
-semistability stays heuristic, and with no prime tested there is no verdict.
+blocks, and build only the witnesses they return, each frozen with its
+theta . beta (`theta_value`). Each search shares the lattice of F_p^n, and
+the superspaces of each subspace met, with later ones (at most 64 lattices
+are kept, none above 1024 subspaces): repeated searches gain, one CLI call
+does not. Rational inputs are handled by multi-prime reduction; instability
+can be certified exactly by lifting a witness, semistability stays
+heuristic, and with no prime tested there is no verdict.
 `verify_witness` re-checks a witness over any field with `linalg.rank` and
 `linalg.matmul`, independently of the search; it also decides whether a lifted
 witness is exact over Q.
@@ -65,11 +66,11 @@ class BudgetExceededError(RuntimeError):
         self.required = required
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubrepWitness:
     bases: dict[int, Matrix]  # vertex -> rref basis rows over F_p
     beta: DimVector
-    theta_value: int | None = None
+    theta_value: int | None = None  # theta . beta in a verdict's witness
 
 
 @dataclass
@@ -337,12 +338,13 @@ class _Subreps(Sequence):
         chosen, candidates = self.blocks[b]
         return self.witness(chosen, candidates[k - self._ends[b] + len(candidates)])
 
-    def witness(self, chosen: tuple[int, ...], pos: int) -> SubrepWitness:
+    def witness(self, chosen: tuple[int, ...], pos: int,
+                theta_value: int | None = None) -> SubrepWitness:
         """The subrepresentation with the positions `chosen` at the lower
-        vertices and `pos` at the last."""
+        vertices and `pos` at the last, carrying `theta_value`."""
         at = list(zip(self.lattices, (*chosen, pos)))
         return SubrepWitness({v: lat.subspaces[q][0] for v, (lat, q) in enumerate(at, 1)},
-                             tuple([lat.dims[q] for lat, q in at]))
+                             tuple([lat.dims[q] for lat, q in at]), theta_value)
 
 
 def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequence[SubrepWitness]:
@@ -370,29 +372,28 @@ class WitnessCheckError(RuntimeError):
     """A witness failed its independent re-check: the oracle itself is at fault."""
 
 
-def _checked(m: Representation, w: SubrepWitness, theta_value: int) -> SubrepWitness:
-    w.theta_value = theta_value
+def _checked(m: Representation, w: SubrepWitness) -> SubrepWitness:
     if not verify_witness(m, w):
         raise WitnessCheckError(f"witness of dimension {w.beta} is not a subrepresentation")
     return w
 
 
 def _search(m: Representation, theta: Sequence[int], budget: int):
-    """(theta(M), count, best, min_theta, balanced); when theta(M) != 0 the
-    rest is (0, None, None, None). Otherwise one pass over the search's blocks
-    gives the number of subrepresentations (the budget used), the minimal one
-    by (theta . beta, |beta|, beta), first on ties, its theta . beta, and the
-    first proper nonzero one with theta . beta = 0, or None. In a block the
-    lower part of beta is fixed and d, the dimension at the last vertex, grows
-    with the position, so the minimal key takes d from the first candidate
-    when theta_last >= 0 and from the last one otherwise, at the first
-    candidate of that d, and the first theta-zero one is the first candidate of the smallest d
-    that gives theta . beta = 0. Only the witnesses returned are built."""
+    """(theta(M), count, best, balanced); when theta(M) != 0 the rest is
+    (0, None, None). Otherwise one pass over the search's blocks gives the
+    number of subrepresentations (the budget used), the minimal one by
+    (theta . beta, |beta|, beta), first on ties, and the first proper nonzero
+    one with theta . beta = 0, or None; only these are built, each with its
+    theta . beta. In a block the lower part of beta is fixed and d, the
+    dimension at the last vertex, grows with the position, so the minimal key
+    takes d from the first candidate when theta_last >= 0 and from the last
+    one otherwise, at the first candidate of that d, and the first theta-zero
+    one is the first candidate of the smallest d that gives theta . beta = 0."""
     budget = check_budget(budget)
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:
-        return theta_m, 0, None, None, None
+        return theta_m, 0, None, None
     subreps = enumerate_subreps(m, budget=budget)
     lattices, dim_low = subreps.lattices, m.dim[:-1]
     *theta_low, theta_last = theta
@@ -416,18 +417,18 @@ def _search(m: Representation, theta: Sequence[int], budget: int):
                     if (zero := last.first(candidates, d)) is not None:
                         balanced = (chosen, zero)
                         break
-    return (theta_m, len(subreps), subreps.witness(*best), best_key[0],
-            balanced and subreps.witness(*balanced))
+    return (theta_m, len(subreps), subreps.witness(*best, best_key[0]),
+            balanced and subreps.witness(*balanced, 0))
 
 
 def is_semistable(m: Representation, theta: Sequence[int],
                   budget: int = DEFAULT_BUDGET) -> SemistabilityVerdict:
-    theta_m, count, best, min_theta, _ = _search(m, theta, budget)
+    theta_m, count, best, _ = _search(m, theta, budget)
     if theta_m:
         return SemistabilityVerdict(False, theta_m, None, None, 0, reason="theta(M) != 0")
-    if min_theta >= 0:
-        return SemistabilityVerdict(True, theta_m, None, min_theta, count)
-    return SemistabilityVerdict(False, theta_m, _checked(m, best, min_theta), min_theta, count)
+    if best.theta_value >= 0:
+        return SemistabilityVerdict(True, theta_m, None, best.theta_value, count)
+    return SemistabilityVerdict(False, theta_m, _checked(m, best), best.theta_value, count)
 
 
 def is_stable(m: Representation, theta: Sequence[int],
@@ -436,14 +437,14 @@ def is_stable(m: Representation, theta: Sequence[int],
     only, so, like `stable_nonempty`, this refuses the zero one."""
     if not any(m.dim):
         raise RepresentationError("is_stable needs a nonzero representation")
-    theta_m, count, best, min_theta, balanced = _search(m, theta, budget)
+    theta_m, count, best, balanced = _search(m, theta, budget)
     if theta_m:
         return StabilityVerdict(False, False, theta_m, None, 0, reason="theta(M) != 0")
-    if min_theta < 0:
-        return StabilityVerdict(False, False, theta_m, _checked(m, best, min_theta), count,
+    if best.theta_value < 0:
+        return StabilityVerdict(False, False, theta_m, _checked(m, best), count,
                                 reason="destabilizing subrepresentation")
     if balanced is not None:
-        return StabilityVerdict(False, True, theta_m, _checked(m, balanced, 0), count,
+        return StabilityVerdict(False, True, theta_m, _checked(m, balanced), count,
                                 reason="proper subrepresentation with theta = 0")
     return StabilityVerdict(True, True, theta_m, None, count)
 

@@ -2,6 +2,7 @@
 `evaluate_sigma`) against naive `Fraction` references, F_p sigma
 evaluation against the reduction of the Q one, and the F_p scalar methods
 against the reduction of the Q ones."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,46 @@ def test_matmul_empty_inner_and_outer_shapes():
         out = linalg.matmul(QQ, QQ.zeros(m, n), QQ.zeros(n, k))
         assert out.shape == (m, k) and out.tolist() == [[Fraction(0)] * k] * m
         assert_fractions(out)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(BIG)])
+def test_matmul_chain_is_nested_pairwise_products(field):
+    """matmul of 3 and 4 factors equals the pairwise products nested either
+    way round and the naive `Fraction` chain read into the field (the
+    denominators 1..4 are units mod 5 and mod 2^31 - 1); zero sizes keep
+    their shapes anywhere in the chain."""
+    rng = random.Random(f"chain/{field.p}")
+    for count in [3, 4] * 40:
+        dims = [rng.randint(0, 3) for _ in range(count + 1)]
+        raw = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(c)]
+                for _ in range(r)] for r, c in zip(dims, dims[1:])]
+        mats = [field.array(a) if a else field.zeros(0, c) for a, c in zip(raw, dims[1:])]
+        want = raw[0]
+        for b, c in zip(raw[1:], dims[2:]):
+            want = naive_matmul(want, b, c)
+        out = linalg.matmul(field, *mats)
+        assert out.shape == (dims[0], dims[-1]) and out.tolist() == [
+            [field.coerce(x) for x in row] for row in want]
+        left = mats[0]
+        for b in mats[1:]:
+            left = linalg.matmul(field, left, b)
+        right = mats[-1]
+        for a in reversed(mats[:-1]):
+            right = linalg.matmul(field, a, right)
+        assert out == left == right
+    zeros = [field.zeros(2, 0), field.zeros(0, 3), field.identity(3), field.zeros(3, 1)]
+    assert linalg.matmul(field, *zeros) == field.zeros(2, 1)
+    zeros = [field.zeros(3, 2), field.zeros(2, 0), field.zeros(0, 4)]
+    assert linalg.matmul(field, *zeros) == field.zeros(3, 4)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+@pytest.mark.parametrize("count", [3, 4])
+def test_matmul_chain_refuses_a_mismatched_middle_factor(field, count):
+    mats = [field.identity(2)] * count
+    mats[count - 2] = field.zeros(3, 2)   # after one or two factors that chain
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linalg.matmul(field, *mats)
 
 
 @st.composite

@@ -572,3 +572,16 @@ def test_power_is_one_exponentiation(p):
         q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
         assert QQ.power(q, t) == q ** t and type(QQ.power(q, t)) is Fraction
     assert QQ.power(0, 3) == 0 and QQ.power(5, 0) == 1 and f.power(3, 0) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(BIG)])
+def test_negative_power_of_zero_raises_zero_division(field):
+    """Over every field a negative power of 0 raises `ZeroDivisionError`, as
+    `scalar_inv(0)` does, not a field-dependent exception."""
+    for zero in (0, "0", Fraction(0), 3 * field.p):
+        with pytest.raises(ZeroDivisionError):
+            field.scalar_inv(zero)
+        for t in (-1, -4):
+            with pytest.raises(ZeroDivisionError):
+                field.power(zero, t)
+        assert field.power(zero, 0) == 1 and field.power(zero, 2) == 0

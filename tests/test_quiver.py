@@ -1,3 +1,5 @@
+import operator
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -242,6 +244,27 @@ def test_theta_linear(t, a, b):
     asum = tuple(x + y for x, y in zip(a, b))
     assert theta_pairing(t, asum) == theta_pairing(t, a) + theta_pairing(t, b)
     assert theta_pairing(a, b) == theta_pairing(b, a)
+
+
+vec5 = st.lists(st.integers(-9, 9), min_size=5, max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_quivers, vec5, vec5)
+@example((1, [(1, 1), (1, 1)]), [2, 0, 0, 0, 0], [-3, 0, 0, 0, 0])  # two loops
+@example((3, [(1, 2), (2, 1), (2, 2), (1, 2)]), [1, -2, 3, 0, 0], [4, 5, -6, 0, 0])  # 2-cycle, loop
+def test_euler_matrix_counts_arrows(case, a, b):
+    """E_ij = delta_ij - #arrows i -> j, and <a, b> = a . (E b) equals the sum
+    formula sum a_i b_i - sum over arrows i -> j of a_i b_j."""
+    k, ends = case
+    q = quiver(k, [(f"a{t}", s, e) for t, (s, e) in enumerate(ends)])
+    want = tuple(tuple((1 if i == j else 0) - ends.count((i, j)) for j in q.vertices())
+                 for i in q.vertices())
+    assert q.euler_matrix == want and q.euler_matrix is q.euler_matrix
+    a, b = a[:k], b[:k]
+    e_b = [sum(map(operator.mul, row, b)) for row in want]
+    assert euler_form(q, a, b) == sum(map(operator.mul, a, e_b)) == (
+        sum(map(operator.mul, a, b)) - sum(a[s - 1] * b[e - 1] for s, e in ends))
 
 
 @given(small_vec, small_vec)

@@ -1,6 +1,7 @@
 import gc
 import random
 from collections.abc import Sequence
+from dataclasses import FrozenInstanceError
 from functools import cache
 from itertools import product
 from operator import mul
@@ -557,6 +558,29 @@ def test_verdicts_match_reference(case):
     v = is_stable(m, theta)
     assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
             v.reason) == want_st
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(verdict_cases())
+def test_verdict_witnesses_carry_their_theta_value(case):
+    """A verdict's witness is built with theta . beta, which is `min_theta` for a
+    destabilizing one and 0 for a proper theta-zero one, and cannot be changed
+    afterwards; the items of `enumerate_subreps` carry none."""
+    m, theta = case
+    v = is_semistable(m, theta)
+    witnesses = [(v.witness, v.min_theta)]
+    if any(m.dim):
+        s = is_stable(m, theta)
+        witnesses.append((s.witness, 0 if s.semistable else v.min_theta))
+    for w, want in witnesses:
+        if w is not None:
+            assert w.theta_value == sum(map(mul, theta, w.beta)) == want
+            with pytest.raises(FrozenInstanceError):
+                w.theta_value = 1
+            with pytest.raises(FrozenInstanceError):
+                w.beta = m.dim
+    if not v.theta_of_m:
+        assert enumerate_subreps(m)[0].theta_value is None
 
 
 @pytest.fixture
