@@ -10,25 +10,26 @@ Cross-checked against finite-field sampling.
 
 A `GenericExtTable` fills these lists bottom-up, every dimension vector below
 the one asked for in lexicographic order, so each list is computed once per
-table and nothing recurses. It keeps a quotient q only when the linear form
-<-, q> has a negative coefficient: otherwise <beta', q> >= 0 for every
-beta' >= 0, so q rejects no subvector and cannot lift ext above 0. The fill
-names every vector of the box by its position in product order: the quotients
-of gamma - beta sit at position index(gamma) - index(beta), each subvector is
-tested by one loop that stops at the first negative pairing, and each quotient's
-form is the difference of two forms computed once per position, each read off
-`Quiver.euler_matrix`, the one Euler form, which `euler_form` reads too. Each
-list of generic subvectors runs in product order from 0 to the vector itself.
-Inputs are validated, by `quiver.dim_vector`, at its public methods (`ext`,
-`generic_subdimvectors`); its constructor is the one acyclicity check, and
-every function here takes its table first.
+table and nothing recurses, and reads ext(alpha, beta) off the list of beta:
+max over its generic subvectors s of <alpha, s> - <alpha, beta>, where s = beta
+gives 0. The fill names every vector of the box by its position in product
+order, so the quotient gamma - beta sits at index(gamma) - index(beta), and
+keeps, per position d, the pairings <beta, box[d]> with every beta of the box
+as one packed int, read off `Quiver.euler_matrix`, the one Euler form, which
+`euler_form` reads too. The AND of the packed pairings of gamma's nonzero
+generic quotients holds, in the sign bit of field beta, whether beta passes
+every one of them, so each subvector test is one bit probe in a byte string.
+Each list of generic subvectors runs in product order from 0 to the vector
+itself. Inputs are validated, by `quiver.dim_vector`, at its public methods
+(`ext`, `generic_subdimvectors`); its constructor is the one acyclicity
+check, and every function here takes its table first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from operator import mul, sub
+from operator import mul
 from typing import Sequence
 
 from .fields import Rationals
@@ -44,40 +45,52 @@ class CyclicQuiverError(QuiverError):
 
 class GenericExtTable:
     """Generic Ext^1 dimensions for one acyclic quiver, from a table filled
-    bottom-up: `_subs` maps a dimension vector to its generic subvectors,
-    `_duals` to one vector w = E q per nonzero generic quotient q, E the
-    quiver's `euler_matrix`, so that <beta, q> = beta . w.
-    Only the w with a negative entry are kept: for beta >= 0 any other w has
-    beta . w >= 0, so it never rejects a subvector nor lifts `ext` above 0.
+    bottom-up: `_subs` maps a dimension vector to its generic subvectors, the
+    one thing a table keeps; `ext` reads Schofield's formula off them.
 
     `_fill(top)` walks the box under top as one list `box` in product order,
     in which the position of v is its flat index sum_k v_k r_k with
     r_k = prod_{l > k} (top_l + 1), so box[index(v)] == v. The index is
-    linear, so for beta <= gamma the duals of gamma - beta sit at
-    index(gamma) - index(beta) in a per-fill list seeded from earlier fills;
-    beta = 0 reads gamma's own entry, not yet filled, which counts as no duals
-    and so accepts it. The positions of the beta <= gamma are summed one
-    coordinate at a time, and `_subs[gamma]` holds the box's own tuples. The
-    form w(v) is linear too: it is computed once per position, and the dual of
-    gamma - s is w(gamma) - w(s).
+    linear, so for beta <= gamma the quotient gamma - beta sits at
+    index(gamma) - index(beta), and the positions of the beta <= gamma are
+    summed one coordinate at a time; `_subs[gamma]` holds the box's own tuples.
+
+    The pairings are packed: one int per position d holds, in a field of
+    8 * width bits at each position bi, <box[bi], box[d]> + 2^(8 width - 1),
+    width the fewest bytes that keep every pairing on the box a digit of its
+    field, so the field's top bit says <box[bi], box[d]> >= 0. The Euler form
+    is linear, so the int of box[d] is that of box[d] - e_k plus one packed
+    column per coordinate k, built from E, the `euler_matrix`. beta passes
+    gamma iff <beta, q> >= 0 for every nonzero generic quotient q = gamma - s,
+    so the AND of their ints holds every verdict for gamma at once; stored as
+    bytes, it is gamma's pass mask, and testing beta against gamma - beta is
+    the one bit probe masks[index(gamma - beta)][width * index(beta) + width - 1]
+    & 0x80. beta = 0 probes gamma's own mask, not yet made, whose stand-in
+    passes it. A probe of the mask at position d reads a field below n - d, n
+    the size of the box, so ints and masks keep only those fields.
 
     Filling up to alpha costs about sum over gamma <= alpha of
-    prod_i (gamma_i + 1) subvector tests, and no budget bounds it:
-    `quivermod ssne` on K3 at alpha = (30, 30) takes 0.9 s (2 vCPUs), and the
-    table peaks at 6.2 MB."""
+    prod_i (gamma_i + 1) bit probes, one AND per generic subvector and
+    position, each over at most n fields, and O(n^2 * width) bytes of ints
+    and masks while it runs; no budget bounds it. `quivermod ssne` on K3 at
+    alpha = (30, 30) takes 0.16 s and (60, 60) 1.0 s (2 vCPUs). The n^2
+    bytes weigh on thin boxes of many vertices: at alpha = (1, ..., 1) on the
+    14-vertex quiver with arrows i -> i + 1 and i -> i + 2 (n = 2^14) a fill
+    takes 3.2 s and grows the process by 273 MB."""
 
     def __init__(self, quiver: Quiver):
         if not quiver.acyclic:
             raise CyclicQuiverError("moduli operations require an acyclic quiver")
         self.quiver = quiver
         self._subs: dict[DimVector, list[DimVector]] = {}
-        self._duals: dict[DimVector, list[DimVector]] = {}
 
     def ext(self, alpha: Sequence[int], beta: Sequence[int]) -> int:
         alpha = dim_vector(alpha, self.quiver.vertex_count, "alpha")
         beta = dim_vector(beta, self.quiver.vertex_count, "beta")
         self._fill(beta)
-        return max(0, -min((sum(map(mul, alpha, w)) for w in self._duals[beta]), default=0))
+        # <alpha, v> = u . v with u = alpha E; s = beta gives 0, so this is >= 0
+        u = [sum(map(mul, alpha, col)) for col in zip(*self.quiver.euler_matrix)]
+        return max(sum(map(mul, u, s)) for s in self._subs[beta]) - sum(map(mul, u, beta))
 
     def generic_subdimvectors(self, alpha: Sequence[int]) -> list[DimVector]:
         """All beta <= alpha such that every general representation of
@@ -95,32 +108,45 @@ class GenericExtTable:
         radix = [1] * len(top)
         for k in range(len(top) - 1, 0, -1):
             radix[k - 1] = radix[k] * (top[k] + 1)
-        subs_of, duals_of = self._subs, self._duals
         box = list(product(*(range(t + 1) for t in top)))
-        flat = [duals_of.get(v) for v in box]
-        forms = [tuple(sum(map(mul, row, v)) for row in self.quiver.euler_matrix) for v in box]
+        n, euler = len(box), self.quiver.euler_matrix
+        # |<beta, v>| <= bound on the box, so <beta, v> + 2^(bits - 1) is a
+        # digit in [0, 2^bits) whose top bit says <beta, v> >= 0
+        bound = sum(a * abs(e) * b for a, row in zip(top, euler) for e, b in zip(row, top))
+        width = bound.bit_length() // 8 + 1
+        bits, msb = 8 * width, width - 1
+        # field bi of coords[i] holds box[bi][i], so that of columns[k] holds <box[bi], e_k>
+        coords = [int.from_bytes(b"".join(j.to_bytes(width, "little") * r for j in range(t + 1))
+                                 * (n // (r * (t + 1))), "little") for t, r in zip(top, radix)]
+        columns = [sum(map(mul, col, coords)) for col in zip(*euler)]
+        passing = bytes(msb) + b"\x80"  # one field with its sign bit set
+        bias = int.from_bytes(passing * n, "little")
+        # halfspace[d]: <box[bi], box[d]> + 2^(bits - 1) at the fields bi < n - d,
+        # the only ones a probe of masks[d] reads
+        halfspace, masks = [bias], [b""] * n
+        subs_of = self._subs
         for gi, gamma in enumerate(box):
-            if flat[gi] is not None:
-                continue
-            flat[gi] = ()  # beta = 0 reads gamma's own entry: no duals, accepted
-            offsets = [0]
-            for g, r in zip(gamma, radix):
-                offsets = [o + k for o in offsets for k in range(0, (g + 1) * r, r)]
-            accepted = []
-            for bi in offsets:
-                beta = box[bi]
-                for w in flat[gi - bi]:
-                    if sum(map(mul, beta, w)) < 0:
-                        break
-                else:
-                    accepted.append(bi)
-            wg, duals = forms[gi], []
-            for bi in accepted[:-1]:  # the last generic subvector is gamma itself
-                w = tuple(map(sub, wg, forms[bi]))
-                if min(w) < 0:  # beta . w >= 0 for every beta >= 0 otherwise
-                    duals.append(w)
-            subs_of[gamma] = [box[bi] for bi in accepted]
-            flat[gi] = duals_of[gamma] = duals
+            if gi:
+                k = len(top) - 1
+                while not gamma[k]:
+                    k -= 1
+                halfspace.append((halfspace[gi - radix[k]] + columns[k])
+                                 & ((1 << bits * (n - gi)) - 1))
+            subs = subs_of.get(gamma)
+            if subs is None:
+                offsets = [0]
+                for g, r in zip(gamma, radix):
+                    offsets = [o + k for o in offsets for k in range(0, (g + 1) * r, r)]
+                masks[gi] = passing  # beta = 0 reads gamma's own mask: accepted
+                accepted = [bi for bi in offsets if masks[gi - bi][width * bi + msb] & 0x80]
+                subs_of[gamma] = [box[bi] for bi in accepted]
+            else:
+                accepted = [sum(map(mul, s, radix)) for s in subs]
+            # beta passes gamma iff <beta, q> >= 0 for each nonzero generic quotient q
+            mask = bias >> bits * gi
+            for si in accepted[:-1]:  # the last generic subvector is gamma itself
+                mask &= halfspace[gi - si]
+            masks[gi] = mask.to_bytes(width * (n - gi), "little")
 
 
 def _table(q: Quiver, table: GenericExtTable | None) -> GenericExtTable:

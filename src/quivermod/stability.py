@@ -42,11 +42,12 @@ images and joins run on such rows, exact at every prime below 2^31.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache, partial
 from itertools import accumulate, combinations, product
 from operator import index as index_of, mul
+from types import MappingProxyType
 
 from . import linalg
 from .fields import FieldError, Matrix, PrimeField, Rationals
@@ -68,9 +69,13 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SubrepWitness:
-    bases: dict[int, Matrix]  # vertex -> rref basis rows over F_p
+    # vertex -> rref basis rows over F_p, a read-only copy of the mapping given
+    bases: Mapping[int, Matrix] = dc_field(hash=False)
     beta: DimVector
     theta_value: int | None = None  # theta . beta in a verdict's witness
+
+    def __post_init__(self):
+        object.__setattr__(self, "bases", MappingProxyType(dict(self.bases)))
 
 
 @dataclass

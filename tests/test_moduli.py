@@ -178,9 +178,11 @@ def test_relabelling_vertices_permutes_the_table(case, rng):
 
 
 def test_large_tables_pinned():
-    """sha256 of the whole `_subs` dict and of the sorted `_duals` lists at
-    boxes where dual lists reach ~90 entries, where a subvector test that
-    stops early or accepts late would show."""
+    """sha256 of the whole `_subs` dict and of the sorted dual lists at boxes
+    where dual lists reach ~90 entries, where a subvector test that stops
+    early or accepts late would show. The dual list of gamma holds w(gamma - s)
+    = E (gamma - s) for its generic subvectors s != gamma with a negative
+    entry, E the `euler_matrix`: the quotient forms that can reject a subvector."""
     cases = [
         (quiver(2, [("x", 1, 2), ("y", 1, 2), ("z", 1, 2)]), (20, 20),
          "6659430b7215e8421c58c947710c8e939dec0a6487536cc04de6944118548dc9",
@@ -192,26 +194,47 @@ def test_large_tables_pinned():
     for q, top, subs_digest, duals_digest in cases:
         t = GenericExtTable(q)
         t.generic_subdimvectors(top)
+
+        def w(v):
+            return tuple(sum(e * x for e, x in zip(row, v)) for row in q.euler_matrix)
+
+        dual_lists = {gamma: [d for d in (w(tuple(g - x for g, x in zip(gamma, s)))
+                                          for s in subs[:-1]) if min(d) < 0]
+                      for gamma, subs in t._subs.items()}
         subs = repr(sorted(t._subs.items()))
-        duals = repr(sorted((gamma, sorted(ws)) for gamma, ws in t._duals.items()))
+        duals = repr(sorted((gamma, sorted(ws)) for gamma, ws in dual_lists.items()))
         assert hashlib.sha256(subs.encode()).hexdigest() == subs_digest, top
         assert hashlib.sha256(duals.encode()).hexdigest() == duals_digest, top
+
+
+@pytest.mark.parametrize("arrows, top, digest", [
+    # <beta, v> spans -7500..1250: one byte per field is too narrow
+    ([(f"a{i}", 1, 2) for i in range(12)], (25, 25),
+     "b99b2062b8eb77c0a61918c58f390f4d962d3524807f78cf35cc244956585fd1"),
+    ([("a", 1, 2), ("b", 1, 2), ("c", 1, 2), ("d", 2, 3), ("e", 2, 3), ("f", 1, 3),
+      ("g", 4, 1), ("h", 4, 1), ("i", 4, 3)], (4, 4, 4, 4),
+     "2cd755ca41b67fc8c95112373441dd4a871f5b8bbb8d60d1abf3016c95e8c3fa"),
+], ids=["12-arrow-Kronecker", "four-vertex"])
+def test_field_width_pinned(arrows, top, digest):
+    """sha256 of the whole `_subs` dict where the pairings <beta, v> on the
+    box need more than one byte per packed field, or mix signs across four
+    coordinates: a field too narrow for them changes the subvectors."""
+    t = GenericExtTable(quiver(len(top), arrows))
+    t.generic_subdimvectors(top)
+    assert hashlib.sha256(repr(sorted(t._subs.items())).encode()).hexdigest() == digest
 
 
 def test_incremental_fill_keeps_earlier_lists(k3):
     t = GenericExtTable(k3)
     t.generic_subdimvectors((4, 4))
     first = dict(t._subs)
-    first_duals = dict(t._duals)
     t.generic_subdimvectors((9, 9))
     assert set(t._subs) == set(product(range(10), repeat=2))
     assert all(t._subs[gamma] is subs for gamma, subs in first.items())
-    assert all(t._duals[gamma] is duals for gamma, duals in first_duals.items())
-    subs, duals = dict(t._subs), dict(t._duals)
+    subs = dict(t._subs)
     t._fill((9, 9))
-    assert t._subs == subs and t._duals == duals
+    assert t._subs == subs
     assert all(t._subs[gamma] is s for gamma, s in subs.items())
-    assert all(t._duals[gamma] is w for gamma, w in duals.items())
 
 
 @pytest.mark.parametrize("arrows, top", [

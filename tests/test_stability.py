@@ -214,6 +214,31 @@ def test_verify_witness_over_rationals(a2):
     assert not verify_witness(m, wrong_length)
 
 
+def test_witness_bases_are_read_only(a2):
+    """A verdict's witness is frozen, its bases included: they cannot be
+    changed after `verify_witness` has checked them, nor through the mapping
+    the witness was built from."""
+    m = zero_representation(a2, PrimeField(2), (1, 1))
+    w = is_semistable(m, (1, -1)).witness
+    assert w.beta == (0, 1) and verify_witness(m, w)
+    with pytest.raises(TypeError):
+        w.bases[1] = w.bases[2]
+    with pytest.raises(AttributeError):
+        w.bases.clear()
+    given_bases = dict(w.bases)
+    copy = SubrepWitness(given_bases, w.beta, w.theta_value)
+    given_bases.clear()
+    assert dict(copy.bases) == dict(w.bases) and verify_witness(m, copy)
+
+
+def test_witness_hash_agrees_with_equality(a2):
+    m = zero_representation(a2, PrimeField(2), (1, 1))
+    w = is_semistable(m, (1, -1)).witness
+    same = SubrepWitness(dict(w.bases), w.beta, w.theta_value)
+    assert same == w and hash(same) == hash(w)
+    assert len({w, same}) == 1
+
+
 def test_rational_prime_skipped(k3):
     m = rep_k3(k3, QQ, ("1/3", 0, 0))
     with pytest.raises(RepresentationError, match="prime 3 divides a denominator"):
