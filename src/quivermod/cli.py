@@ -25,7 +25,7 @@ from functools import partial
 # lets values like "-1,1" follow --theta/--alpha without being read as options
 _NEGATIVE_LIST = re.compile(r"^-\d+(,-?\d+)*$")
 
-from . import __version__
+from . import __version__, linalg
 from .fields import Rationals
 from .moduli import (GenericExtTable, local_model_dimension,
                      local_quiver, moduli_dimension, semistable_nonempty,
@@ -33,8 +33,7 @@ from .moduli import (GenericExtTable, local_model_dimension,
 from .localization import (SigmaError, check_localized_point,
                            evaluate_sigma, extended_quiver,
                            localization_presentation, make_sigma,
-                           root_presentation, semi_invariant,
-                           sigma_from_json)
+                           root_presentation, sigma_from_json)
 from .quiver import (QuiverError, enumerate_dimvectors, enumerate_paths,
                      euler_form, validate_quiver)
 from .rep import RepresentationError, representation_from_json
@@ -166,7 +165,7 @@ def _sigma_eval(args, q):
     payload = {"matrix": rows, "square": mat.shape[0] == mat.shape[1]}
     lines = ["[" + " ".join(r) + "]" for r in rows]
     if payload["square"]:
-        payload["det"] = m.field.format_scalar(semi_invariant(sigma, m))
+        payload["det"] = m.field.format_scalar(linalg.det(m.field, mat))
         lines.append(f"det = {payload['det']}")
     return 0, payload, lines
 
@@ -277,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
              help="skip oracle verification (result flagged unverified)"))
     add("extend", "extended quiver with fresh source vertex v0", _extend, n)
     add("root", "root-construction presentation and v0 loop words", _root, sigma, n,
-        _arg("--loop-bound", type=int, default=2))
+        _arg("--loop-bound", type=int, default=3,
+             help="longest loop word at v0 (default 3, which generates the corner algebra)"))
     return parser
 
 

@@ -27,10 +27,11 @@ it was built, so the transformation law eliminates no group block.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -306,7 +307,11 @@ class Relation:
 class Presentation:
     generators: tuple[str, ...]
     relations: tuple[Relation, ...]
-    typing: dict[str, tuple[int, int]]  # generator -> (source, target) vertices
+    # generator -> (source, target) vertices, a read-only copy of the mapping given
+    typing: Mapping[str, tuple[int, int]] = dc_field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "typing", MappingProxyType(dict(self.typing)))
 
     def to_json(self) -> dict:
         return {
@@ -331,7 +336,7 @@ class Presentation:
         return "\n".join(lines)
 
 
-def word_typing(pres_typing: dict[str, tuple[int, int]],
+def word_typing(pres_typing: Mapping[str, tuple[int, int]],
                 word: tuple[str, ...]) -> tuple[int, int] | None:
     """(source, target) of a composable word (leftmost factor applied last),
     None if the word is empty, unknown or not composable."""
@@ -495,10 +500,17 @@ def tau_morphism(q: Quiver, n: int) -> SigmaMorphism:
 
 
 def root_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism], n: int,
-                      loop_len_bound: int = 2) -> tuple[Presentation, list[tuple[str, ...]]]:
+                      loop_len_bound: int = 3) -> tuple[Presentation, list[tuple[str, ...]]]:
     """Presentation of the localization of the extended quiver at the given
     morphisms, which must live over q, plus tau, together with the loop words
-    based at v0 that generate the corner algebra v0*B*v0."""
+    based at v0 of length at most `loop_len_bound`.
+
+    At the default bound 3 these words generate the corner algebra v0*B*v0.
+    tau's relations give sum_t x_{i,t} y_{t,j} = delta_ij e_i. Inserted
+    between any two factors of a loop at v0, they split it into loops
+    y*g*x of length <= 3, with g an arrow or a sigma's y-variable. A loop of
+    length 2 is some y*x, so bound 2 sees neither the arrows nor a
+    sigma's y-variables."""
     (loop_len_bound,) = int_vector((loop_len_bound,), what="loop_len_bound")
     if loop_len_bound < 0:
         raise QuiverError("loop_len_bound must be >= 0")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import KW_ONLY, InitVar, dataclass, field as _field
 from itertools import chain
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -45,7 +46,10 @@ class Representation:
     quiver: Quiver
     field: Field
     dim: DimVector
-    matrices: Mapping[str, Matrix]
+    matrices: Mapping[str, Matrix]  # arrow id -> matrix, a read-only copy of the mapping given
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrices", MappingProxyType(dict(self.matrices)))
 
     def matrix(self, arrow_id: str) -> Matrix:
         return self.matrices[arrow_id]
@@ -268,7 +272,11 @@ def _hom_system(m: Representation, n: Representation) -> tuple[list, list, list[
 @dataclass(frozen=True)
 class HomSpace:
     dim: int
-    basis: tuple[dict[int, Matrix], ...]  # vertex -> f_i
+    # vertex -> f_i, per basis element a read-only copy of the mapping given
+    basis: tuple[Mapping[int, Matrix], ...] = _field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(MappingProxyType(dict(b)) for b in self.basis))
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,21 @@ def test_sigma_pipeline(tmp_path, k3_file, capsys):
     assert "det = " in capsys.readouterr().out
 
 
+def test_sigma_eval_evaluates_sigma_once(tmp_path, k3_file, capsys, monkeypatch):
+    """The printed det is that of the printed matrix: sigma is evaluated once."""
+    import quivermod.localization as localization
+    calls = []
+    sigma_rows = localization._sigma_rows
+    monkeypatch.setattr(localization, "_sigma_rows",
+                        lambda *args: calls.append(args) or sigma_rows(*args))
+    sig = str(tmp_path / "sig.json")
+    assert main(["sigma-gen", "-q", k3_file, "--theta", "-1,1", "-z", "1", "-o", sig]) == 0
+    rep = write_rep(tmp_path, "m.json", "Q", ["1", "2", "3"])
+    assert main(["sigma-eval", "-q", k3_file, "-r", rep, "-s", sig]) == 0
+    assert "det = " in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_sigma_gen_deterministic(k3_file, capsys):
     argv = ["sigma-gen", "-q", k3_file, "--theta", "-1,1", "--seed", "5",
             "--format", "machine"]
@@ -234,6 +249,13 @@ def test_root(a2_file, capsys):
     assert main(["root", "-q", a2_file, "-n", "1", "--loop-bound", "2"]) == 0
     out = capsys.readouterr().out
     assert "loops at v0:" in out and "v0" in out
+
+
+def test_root_default_loop_bound(a2_file, capsys):
+    assert main(["root", "-q", a2_file, "-n", "1", "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["loop_bound"] == 3
+    assert ["y.s0.1.2", "a", "x_1_1"] in doc["loops"]
 
 
 @pytest.mark.parametrize("command, arrow", [(["localize"], "v1"), (["root", "-n", "1"], "v0"),

@@ -293,6 +293,16 @@ def test_presentation_well_typed(k3):
         assert typings == {pres.typing[rel.rhs]}
 
 
+def test_presentation_is_hashable_and_read_only(k2):
+    """`typing` is a read-only copy: it cannot gain a generator that
+    `generators` does not list, and the frozen presentation hashes."""
+    pres = localization_presentation(k2, [make_sigma(k2, (-1, 1), 1)])
+    assert hash(pres) == hash(localization_presentation(k2, [make_sigma(k2, (-1, 1), 1)]))
+    with pytest.raises(TypeError):
+        pres.typing["zz"] = (1, 2)
+    assert tuple(pres.typing) == pres.generators and len(pres.generators) == 5
+
+
 def _y_named_arrow():
     q = quiver(2, [("x", 1, 2), ("y.s0.1.1", 1, 2)])
     return localization_presentation(q, [make_sigma(q, (-1, 1), 1, seed=0)])
@@ -742,6 +752,15 @@ def test_root_presentation_bound_zero(a2):
 def test_root_presentation_a2_roundtrips(a2):
     _, loops = root_presentation(a2, [], 1, 2)
     assert len([w for w in loops if len(w) == 2]) == a2.vertex_count
+
+
+def test_root_presentation_default_bound_reaches_the_arrows(a2):
+    """The default loop words generate the corner algebra v0*B*v0, so they
+    must see the arrow a, through the loop v0 -> 1 -> 2 -> v0; words of
+    length 2 never leave v0's neighbours."""
+    _, loops = root_presentation(a2, [], 1)
+    assert ("y.s0.1.2", "a", "x_1_1") in loops
+    assert not any("a" in w for w in root_presentation(a2, [], 1, 2)[1])
 
 
 def test_root_presentation_with_sigma(k3):

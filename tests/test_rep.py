@@ -13,7 +13,7 @@ from quivermod import (QQ, FieldError, PrimeField, RepresentationError, act, dir
 from quivermod import linalg
 from quivermod.quiver import Path, enumerate_paths
 from quivermod.fields import Matrix
-from quivermod.rep import GroupElement, compose_group
+from quivermod.rep import GroupElement, Representation, compose_group
 
 
 def rep_k3(k3, field, m):
@@ -255,6 +255,31 @@ def test_hom_examples(a2):
     assert hom_space(zero_map, zero_map).dim == 2
     z = zero_representation(a2, QQ, (0, 0))
     assert hom_space(m, z).dim == 0
+
+
+def test_representation_matrices_are_read_only(k2):
+    """A frozen representation's matrices cannot be swapped after it was
+    built, nor through the mapping it was built from: a 1 x 3 matrix put in
+    used to reach `_hom_system` and fail there with an IndexError."""
+    f5 = PrimeField(5)
+    m = representation(k2, f5, (1, 1), {"x": [[1]], "y": [[2]]})
+    with pytest.raises(TypeError):
+        m.matrices["x"] = f5.array([[1, 2, 3]])
+    given = dict(m.matrices)
+    direct = Representation(k2, f5, (1, 1), given)
+    given["x"] = f5.array([[1, 2, 3]])
+    assert direct.matrices == m.matrices and direct.matrix("x").tolist() == [[1]]
+    assert ext_space(m, m).dim == 1 and hom_space(m, direct).dim == 1
+
+
+def test_hom_space_is_hashable_and_read_only(k2):
+    f5 = PrimeField(5)
+    m = representation(k2, f5, (1, 1), {"x": [[1]], "y": [[2]]})
+    hom = hom_space(m, m)
+    assert hash(hom) == hash(hom_space(m, m)) and hom == hom_space(m, m)
+    with pytest.raises(TypeError):
+        hom.basis[0][1] = f5.array([[0]])
+    assert [dict(b) for b in hom.basis] == [{1: f5.array([[1]]), 2: f5.array([[1]])}]
 
 
 def test_hom_basis_are_intertwiners(k3):
