@@ -312,6 +312,10 @@ class Presentation:
 
     def __post_init__(self):
         object.__setattr__(self, "typing", MappingProxyType(dict(self.typing)))
+        gens = self.generators
+        if len(gens) != len(self.typing) or set(gens) != self.typing.keys():
+            raise SigmaError(f"generators {gens!r} must name each typed generator once, "
+                             f"got types for {tuple(self.typing)!r}")
 
     def to_json(self) -> dict:
         return {

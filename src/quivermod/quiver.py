@@ -9,7 +9,7 @@ M(p*q) = M(p) M(q).
 counts, arrow ends, dimension vectors, weights, multiplicities) become the
 package's ints; `Field.coerce` in :mod:`quivermod.fields` is the one place for
 scalars. Entries go through `operator.index`, so a float or a numeric string
-raises instead of being truncated.
+raises instead of being truncated; a bool raises too.
 
 A `Quiver` checks its own invariants, the types of its parts included,
 however it is built, and works out `acyclic` by a `graphlib` sort in which
@@ -38,11 +38,12 @@ Weight = tuple[int, ...]
 def int_vector(v, length: int | None = None, what: str = "weight",
                error: type[ValueError] = QuiverError) -> tuple[int, ...]:
     """`v` as a tuple of Python ints, of `length` entries when given. Anything
-    that is not a sequence of integers (`__index__`) raises `error`."""
+    that is not a sequence of integers (`__index__`) raises `error`, and so
+    does a bool entry."""
     try:
         if isinstance(v, (str, bytes)):
             raise TypeError
-        out = tuple(map(operator.index, v))
+        out = tuple(map(_index, v))
     except TypeError:
         raise error(f"{what}: expected integers, got {v!r}") from None
     if length is not None and len(out) != length:
@@ -117,6 +118,13 @@ class Quiver:
             "labels": list(self.labels),
             "arrows": [{"id": a.id, "src": a.src, "tgt": a.tgt} for a in self.arrows],
         }
+
+
+def _index(x) -> int:
+    """`operator.index(x)`, refusing bools (`bool` is an `int` subclass)."""
+    if isinstance(x, bool):
+        raise TypeError
+    return operator.index(x)
 
 
 def _is_int(x) -> bool:

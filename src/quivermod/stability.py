@@ -18,15 +18,17 @@ The search runs no elimination. A subspace is named by its position in the
 position of its basis without the last row (`prefix`) and joins vectors to a
 subspace by position (`extend`). The image of U under the arrows between two
 vertices is the image of prefix(U) extended by the images of U's last row,
-memoised by position for one search. Work that cannot change a result is
-skipped: `extend` returns the top position (F_p^n itself) as soon as its rows
-span F_p^n, without reducing the remaining vectors, and once the image of
-prefix(U) is the top position so is the image of U, and the images of U's last
-row are not computed. Within a block the dimension at the last vertex, which
-the lattice keeps by position, grows with the position, so the verdicts read
-the count, the minimal witness and the first proper theta-zero one off the
-blocks, and build only the witnesses they return, each frozen with its
-theta . beta (`theta_value`). Each search shares the lattice of F_p^n, and
+memoised by position for one search; the images of a row are formed once per
+search too, however many subspaces end in it (over F_2^4, 67 subspaces end in
+15 rows). Work that cannot change a result is skipped: once a join holds
+n - 1 rows, `extend` returns the top position (F_p^n itself) for the first
+vector outside their span, without normalizing or inserting it or drawing the
+remaining vectors, and once the image of prefix(U) is the top position so is
+the image of U, and the images of U's last row are not needed. Within a block
+the dimension at the last vertex, which the lattice keeps by position, grows
+with the position, so the verdicts read the count, the minimal witness and
+the first proper theta-zero one off the blocks, and build only the witnesses
+they return, each frozen with its theta . beta (`theta_value`). Each search shares the lattice of F_p^n, and
 the superspaces of each subspace met, with later ones (at most 64 lattices
 are kept, none above 1024 subspaces): repeated searches gain, one CLI call
 does not. Rational inputs are handled by multi-prime reduction; instability
@@ -168,8 +170,8 @@ class _Lattice:
     def extend(self, pos: int, vectors) -> int:
         """Position of the span of subspace `pos` and `vectors`, rows of ints in
         0..p-1 (any iterable), each reduced into the rref basis as it grows.
-        Once the rows span F_p^n the top position is returned and the
-        remaining vectors are not drawn."""
+        A vector outside the span of n - 1 rows completes F_p^n: the top
+        position is returned at once, and the remaining vectors are not drawn."""
         p, top = self.p, self.top
         if pos == top:
             return top
@@ -184,6 +186,8 @@ class _Lattice:
                     break
             else:
                 continue  # w lies in the span already
+            if len(rows) == self.n - 1:
+                return top  # w completes a basis of F_p^n
             inv = pow(x, -1, p)
             w = tuple([y * inv % p for y in w])
             rows = [tuple([(x - f * y) % p for x, y in zip(r, w)]) if (f := r[lead]) else r
@@ -191,8 +195,6 @@ class _Lattice:
             k = bisect(pivots, lead)
             rows.insert(k, w)
             pivots.insert(k, lead)
-            if len(rows) == self.n:
-                return top
         return self.position[tuple(rows)]
 
     def first(self, positions: Sequence[int], d: int) -> int | None:
@@ -234,12 +236,14 @@ def _image(source: _Lattice, target: _Lattice, mats: list) -> Callable[[int], in
     """The map from the position of a subspace U of the `source` space to the
     position of the span of its images under the arrow matrices `mats` (their
     rows): the image of prefix(U) extended by the images of U's last row, so
-    each U costs at most one `extend` of len(mats) vectors, each computed only
-    if `extend` draws it. Once the image of prefix(U) is the whole target
-    space, so is the image of U. Memoised by position and filled up from the
-    nearest memoised prefix, so the closure is freed with its search."""
+    each U costs at most one `extend` of len(mats) vectors. The images of a
+    row are formed once (`_arrow_images`) and kept for every later U that
+    ends in it. Once the image of prefix(U) is the whole target space, so is
+    the image of U. Memoised by position and filled up from the nearest
+    memoised prefix; both memos live in the closure, freed with its search."""
     p, top = source.p, target.top
     memo = {0: 0}
+    images = cache(partial(_arrow_images, p, mats))  # last row u -> its images
 
     def image(pos: int) -> int:
         if pos in memo:
@@ -252,12 +256,16 @@ def _image(source: _Lattice, target: _Lattice, mats: list) -> Callable[[int], in
         for pos in reversed(chain):
             if below != top:
                 u = source.subspaces[pos][0].rows[-1]
-                below = target.extend(below, ([sum(map(mul, row, u)) % p for row in mat]
-                                              for mat in mats))
+                below = target.extend(below, images(u))
             memo[pos] = below
         return below
 
     return image
+
+
+def _arrow_images(p: int, mats: list, u: tuple[int, ...]) -> tuple[list[int], ...]:
+    """The images of the row u under the matrices `mats` (their rows) over F_p."""
+    return tuple([sum(map(mul, row, u)) % p for row in mat] for mat in mats)
 
 
 def check_budget(budget) -> int:
@@ -282,8 +290,9 @@ class _Subreps(Sequence):
     chosen below it. Results therefore come in the order of the product scan
     over `_all_subspaces` lists. The object keeps the lattices, the blocks and
     their ends: `len` builds no witness, and `witness` builds one for an item
-    read. The arrow images are memoised by position for this search only;
-    each lattice of F_p^k comes from `_lattice`, kept for later searches.
+    read. The arrow images are memoised by position, and those of each row,
+    for this search only; each lattice of F_p^k comes from `_lattice`, kept
+    for later searches.
     """
 
     def __init__(self, m: Representation):
@@ -474,11 +483,16 @@ def check_over_rationals(m: Representation, theta: Sequence[int], primes: Sequen
     A "semistable" answer is heuristic; "unstable" is a proof exactly when the
     witness subspaces lift to an exact subrepresentation over Q. When theta(M)
     = 0 and no prime can be tested (none given, or each divides a denominator),
-    there is no verdict: `RepresentationError` names the skipped primes.
+    there is no verdict: `RepresentationError` names the skipped primes. A
+    prime given twice raises `RepresentationError` before any search.
     """
     if not isinstance(m.field, Rationals):
         raise RepresentationError("check_over_rationals needs a representation over Q")
     budget = check_budget(budget)
+    primes = list(primes)
+    for k, p in enumerate(primes):
+        if p in primes[:k]:
+            raise RepresentationError(f"prime {p} is given more than once")
     theta = int_vector(theta, len(m.dim))
     theta_m = theta_pairing(theta, m.dim)
     if theta_m != 0:

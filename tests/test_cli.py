@@ -132,6 +132,21 @@ def test_check_ss_rational_without_a_tested_prime(tmp_path, k3_file, capsys):
     assert capsys.readouterr().out.startswith("unstable (PROOF)")
 
 
+def test_check_ss_refuses_a_repeated_prime(tmp_path, k3_file, capsys):
+    """--primes 5,5 used to run the F_5 search twice and list 5 twice."""
+    doc = {"field": "Q", "dim": [2, 2], "matrices": {"x": [[1, 0], [0, 1]], "y": [[0, 1], [1, 0]],
+                                                     "z": [[1, 1], [0, 1]]}}
+    path = tmp_path / "q22.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check-ss", "-q", k3_file, "-r", str(path), "--theta", "-1,1", "--primes"]
+    assert main(argv + ["5,5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: prime 5 is given more than once\n"
+    assert main(argv + ["5"]) == 0
+    assert capsys.readouterr().out.startswith("semistable (HEURISTIC)")
+
+
 def test_budget_exit_code(tmp_path, k3_file):
     doc = {"field": {"p": 3}, "dim": [2, 2],
            "matrices": {"x": [[0, 0], [0, 0]], "y": [[0, 0], [0, 0]],

@@ -25,10 +25,12 @@ M_Q = representation(K3, QQ, (1, 1), {"x": [[1]]})
 SIGMA = make_sigma(K3, (-1, 1), 1)
 G = group_element(QQ, [[[2]], [[3]]])
 
-# each float case truncates to a valid input, (-1, 1) or (1, 1)
-BAD_VECTORS = {"float": (-1.5, 1.5), "string": ("-1", "1"), "length": (-1, 1, 0)}
+# each float case truncates to a valid input, (-1, 1) or (1, 1), and each
+# bool case reads as one
+BAD_VECTORS = {"float": (-1.5, 1.5), "string": ("-1", "1"), "length": (-1, 1, 0),
+               "bool": (-1, True)}
 BAD_DIMVECS = {"float": (1.2, 1.7), "string": ("1", "1"), "length": (1, 1, 1),
-               "negative": (-1, 1)}
+               "negative": (-1, 1), "bool": (True, 1)}
 
 # integer vectors without a sign condition: weights and the Euler form's arguments
 VECTOR_USERS = {

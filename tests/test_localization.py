@@ -858,3 +858,17 @@ def test_trivial_path_entry_is_written_as_its_vertex(k3):
     pres = localization_presentation(k3, [SigmaMorphism(k3, (1,), (1,), ((e1,),))])
     words = [t.word for r in pres.relations for t in r.lhs]
     assert ("v1", "y.s0.1.1") in words and ("y.s0.1.1", "v1") in words
+
+
+@pytest.mark.parametrize("generators, typing", [
+    (("a",), {"b": (1, 1)}),
+    (("a", "a"), {"a": (1, 1)}),
+    (("a",), {"a": (1, 1), "b": (1, 2)}),
+    (("a", "b"), {"a": (1, 1)}),
+])
+def test_presentation_generators_must_list_the_typed_ones(generators, typing):
+    """`to_text` writes `generators` and `to_json` types the keys of `typing`:
+    a presentation whose two lists differ used to be accepted."""
+    with pytest.raises(SigmaError, match="generators"):
+        Presentation(generators, (), typing)
+    assert Presentation(("b", "a"), (), {"a": (1, 1), "b": (1, 2)}).generators == ("b", "a")

@@ -2,7 +2,7 @@ import gc
 import random
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 from operator import mul
 
@@ -84,7 +84,7 @@ def test_budget_exceeded(k3):
     assert exc.value.required > 3
 
 
-@pytest.mark.parametrize("budget", [-1, 0, 1.5, "3", None])
+@pytest.mark.parametrize("budget", [-1, 0, 1.5, "3", None, True])
 def test_budget_not_a_positive_integer_is_rejected(k3, budget):
     f3 = PrimeField(3)
     m = rep_k3(k3, f3, (1, 0, 0))
@@ -686,3 +686,42 @@ def test_theta_zero_witness_where_a_block_lacks_its_dimension(k3):
     assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
             v.reason) == want_st
     assert want_st[3][0] == (1, 1)
+
+
+def test_each_arrow_image_is_formed_once_per_search(k3, monkeypatch):
+    """On a hidden direct sum of four stable (1, 1) points over F_2, the 67
+    subspaces of F_2^4 end in only 15 distinct rows: the search forms each
+    row's images under the three arrows once, whatever it visits."""
+    f2 = PrimeField(2)
+    m = reduce(direct_sum, (rep_k3(k3, f2, pt) for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                                         (1, 1, 1))))
+    m = act(random_group_element(f2, m.dim, random.Random(1)), m)
+    want_ss, want_st = reference_verdicts(m, (-1, 1))
+    rows = []
+    arrow_images = stability._arrow_images
+
+    def counted(p, mats, u):
+        rows.append(u)
+        return arrow_images(p, mats, u)
+
+    monkeypatch.setattr(stability, "_arrow_images", counted)
+    v = is_stable(m, (-1, 1))
+    assert (v.stable, v.semistable, v.theta_of_m, witness_summary(v.witness), v.budget_used,
+            v.reason) == want_st
+    assert (v.stable, v.semistable) == (False, True)
+    assert len(rows) == len(set(rows))  # one group of arrows, 1 -> 2: one memo
+    assert 3 * len(rows) <= 15 * 3
+
+
+def test_repeated_prime_is_refused_before_any_search(k3, monkeypatch):
+    """A prime given twice used to run its search twice and be listed twice
+    in `primes_tested`."""
+    m = rep_k3(k3, QQ, (1, 0, 0))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(stability, "is_semistable", no_search)
+    for primes in ([5, 5], [3, 5, 7, 5]):
+        with pytest.raises(RepresentationError, match="prime 5 is given more than once"):
+            check_over_rationals(m, (-1, 1), primes)
