@@ -7,7 +7,7 @@ from .fields import FieldError, PrimeField, QQ, Rationals, field_from_json
 from .quiver import (Arrow, DimVector, Path, Quiver, QuiverError, Weight,
                      compose, enumerate_dimvectors, enumerate_paths, euler_form,
                      paths_between, quiver, theta_pairing, total_dim,
-                     trivial_path, validate_quiver)
+                     validate_quiver)
 from .rep import (GroupElement, Representation, RepresentationError, act,
                   direct_sum, evaluate_path, ext_space, group_element,
                   hom_space, random_group_element, random_representation,

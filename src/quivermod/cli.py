@@ -214,8 +214,9 @@ def _extend(args, q):
 
 def _root(args, q):
     pres, loops = root_presentation(q, _load_sigmas(args, q), args.n, args.loop_bound)
+    (v0,) = loops[0]  # the first loop word is the fresh vertex's label, "v0" unless taken
     return (0, {"presentation": pres.to_json(), "loops": [list(w) for w in loops]},
-            [pres.to_text(), "loops at v0:"] + [f"  {'*'.join(w)}" for w in loops])
+            [pres.to_text(), f"loops at {v0}:"] + [f"  {'*'.join(w)}" for w in loops])
 
 
 def _arg(*flags, **kwargs):

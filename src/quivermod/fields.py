@@ -9,14 +9,16 @@ tag declares its `zero`, its `one` and its characteristic `p` (0 for Q).
 
 `Field.coerce` is the one place where outside scalars become field elements
 (`quiver.int_vector` is the one place for outside integers): integers
-(anything with `__index__`), `Fraction`s and strings such as "-3/4" are
-accepted, anything else (floats included) raises `FieldError`. The scalar
-methods of `Field` (`scalar_is_zero`, `scalar_inv`, `scalar_neg`, `mul`,
-`power`, `format_scalar`) are written once, on `coerce`. `array` takes nested
-lists, and any 2-d object with `shape` and `tolist()` (a `Matrix`, an ndarray),
-whose shape it keeps (also (0, n)), and coerces every entry. `random_matrix`
-draws ints row by row: uniform over F_p, in [-5, 5] over Q. So only `fields`,
-`linalg` and the F_p search in `stability` read the characteristic.
+(anything with `__index__` but a bool), `Fraction`s and strings such as
+"-3/4" are accepted, anything else (floats and bools included) raises
+`FieldError`. The scalar methods of `Field` (`mul`, `power`,
+`format_scalar`) are written once, on `coerce`: a zero test is
+`coerce(x) == 0`, an inverse `power(x, -1)`, a negation `mul(x, -1)`.
+`array` takes nested lists, and any 2-d object with `shape` and `tolist()`
+(a `Matrix`, an ndarray), whose shape it keeps (also (0, n)), and coerces
+every entry. `random_matrix` draws ints row by row: uniform over F_p, in
+[-5, 5] over Q. So only `fields`, `linalg` and the F_p search in `stability`
+read the characteristic.
 
 The exact kernels run on Python ints, and `ints`, `encode` and `elements` are
 the only code that knows how field elements are encoded as ints: `ints(xs)`
@@ -73,6 +75,8 @@ def _parse_rational(x) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"cannot interpret {x!r} as a rational number: {exc}") from exc
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return Fraction(operator.index(x))
     except TypeError:
         raise FieldError(f"cannot interpret {x!r} as a rational number") from None
@@ -143,23 +147,11 @@ class Field:
         return Matrix(tuple((zero,) * i + (one,) + (zero,) * (n - 1 - i) for i in range(n)),
                       (n, n))
 
-    def scalar_is_zero(self, x) -> bool:
-        return self.coerce(x) == 0
-
-    def scalar_inv(self, x):
-        x = self.coerce(x)
-        if x == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.coerce(Fraction(1, x))
-
-    def scalar_neg(self, x):
-        return self.coerce(-self.coerce(x))
-
     def mul(self, x, y):
         return self.coerce(self.coerce(x) * self.coerce(y))
 
     def power(self, x, t: int):
-        """x ** t; a negative power of 0 raises `ZeroDivisionError`, as `scalar_inv(0)`."""
+        """x ** t; a negative power of 0 raises `ZeroDivisionError`."""
         x = self.coerce(x)
         if t < 0 and x == 0:
             raise ZeroDivisionError("negative power of zero")
@@ -211,14 +203,14 @@ class PrimeField(Field):
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p >= 2**31 or not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not a prime below 2^31")
+            raise FieldError(f"{self.p!r} is not a prime below 2^31")
 
     @property
     def name(self) -> str:
         return f"F{self.p}"
 
     def coerce(self, x) -> int:
-        if isinstance(x, int):
+        if type(x) is int:   # exact type: a bool goes on to be refused
             return x % self.p
         q = _parse_rational(x)
         if q.denominator % self.p == 0:
@@ -254,7 +246,5 @@ def field_from_json(spec) -> Field:
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"p"}:
-        p = spec["p"]
-        if isinstance(p, int) and not isinstance(p, bool):
-            return PrimeField(p)
+        return PrimeField(spec["p"])
     raise FieldError(f"unrecognized field spec {spec!r}")

@@ -4,9 +4,12 @@ A morphism between direct sums of vertex projectives is a matrix of formal
 path combinations; evaluating it at a representation gives a block matrix
 whose determinant d_sigma is a semi-invariant. Inverting a finite family of
 such morphisms is presented symbolically by adjoining y-variables with the
-two diagonal matrix relations. The extended-quiver construction adjoins a
-fresh source vertex v0 (internal index k+1) with n arrows to every original
-vertex, so morphisms over the original quiver lift verbatim.
+two diagonal matrix relations; a `Presentation` holds its relations and its
+typed generators, and reads `generators` off the typing, so the list it
+writes and the types it writes cannot disagree. The extended-quiver
+construction adjoins a fresh source vertex v0 (internal index k+1, labelled
+"v0" with leading underscores until the label is new) with n arrows to every
+original vertex, so morphisms over the original quiver lift verbatim.
 
 Sigma evaluation stays on the field's integer encoding from the path
 matrices to the verdict. `_sigma_rows` checks that sigma and the
@@ -87,6 +90,8 @@ class SigmaMorphism:
     name: str = "sigma"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SigmaError(f"sigma name must be a string, not {self.name!r}")
         if not self.domain or not self.codomain:
             raise SigmaError("domain and codomain must be nonempty")
         k = self.quiver.vertex_count
@@ -175,9 +180,11 @@ def sigma_family_for_weight(theta: Sequence[int], z: int) -> tuple[tuple[int, ..
 
 def make_sigma(q: Quiver, theta: Sequence[int], z: int,
                max_path_len: int | None = None, seed: int = 0) -> SigmaMorphism:
-    """Seeded random member of Sigma_z with bounded-length path entries."""
+    """Seeded random member of Sigma_z with bounded-length path entries; the
+    seed is an integer (`int_vector`), anything else raises `SigmaError`."""
     if not q.acyclic:
         raise QuiverError("make_sigma requires an acyclic quiver")
+    (seed,) = int_vector((seed,), what="seed", error=SigmaError)
     domain, codomain = sigma_family_for_weight(int_vector(theta, q.vertex_count), z)
     rng = random.Random(seed)
     paths_of = {}  # (source, target) -> its paths, in `enumerate_paths` order
@@ -305,17 +312,17 @@ class Relation:
 
 @dataclass(frozen=True)
 class Presentation:
-    generators: tuple[str, ...]
     relations: tuple[Relation, ...]
     # generator -> (source, target) vertices, a read-only copy of the mapping given
     typing: Mapping[str, tuple[int, int]] = dc_field(hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "typing", MappingProxyType(dict(self.typing)))
-        gens = self.generators
-        if len(gens) != len(self.typing) or set(gens) != self.typing.keys():
-            raise SigmaError(f"generators {gens!r} must name each typed generator once, "
-                             f"got types for {tuple(self.typing)!r}")
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        """The keys of `typing`, in its order."""
+        return tuple(self.typing)
 
     def to_json(self) -> dict:
         return {
@@ -429,7 +436,7 @@ def localization_presentation(q: Quiver, sigmas: Sequence[SigmaMorphism]) -> Pre
                         terms.append(Term(coeff, (y[qi][p],) + _comb_word(q, path)))
                 rhs = q.label(sigma.codomain[qi]) if qi == s else "0"
                 rels.append(Relation(tuple(terms), rhs))
-    return Presentation(tuple(typing), tuple(rels), typing)
+    return Presentation(tuple(rels), typing)
 
 
 @dataclass
@@ -473,8 +480,11 @@ def check_localized_point(sigmas: Sequence[SigmaMorphism],
 # --- extended quiver and the root construction ------------------------------
 
 def extended_quiver(q: Quiver, n: int) -> Quiver:
-    """Adjoin a fresh vertex v0 (index k+1, label "v0") with n arrows to each
-    original vertex; original indices and arrow ids are unchanged."""
+    """Adjoin a fresh vertex v0 (index k+1) with n arrows x_i_t to each
+    original vertex i; original indices, labels and arrow ids are unchanged.
+    A fresh arrow id or the fresh label ("v0") that is already taken gets
+    leading underscores until it is new: a quiver labelled v0, v1 gets the
+    label "_v0"."""
     (n,) = int_vector((n,), what="n")
     if n < 1:
         raise QuiverError("n must be >= 1")
@@ -488,8 +498,10 @@ def extended_quiver(q: Quiver, n: int) -> Quiver:
                 aid = "_" + aid
             existing.add(aid)
             arrows.append((aid, k + 1, i))
-    labels = tuple(q.labels) + ("v0",)
-    return quiver(k + 1, arrows, labels)
+    label = "v0"
+    while label in q.labels:
+        label = "_" + label
+    return quiver(k + 1, arrows, q.labels + (label,))
 
 
 def tau_morphism(q: Quiver, n: int) -> SigmaMorphism:

@@ -191,10 +191,6 @@ class Path:
         return "*".join(reversed(self.arrows))
 
 
-def trivial_path(vertex: int) -> Path:
-    return Path(vertex, vertex)
-
-
 def check_path(q: Quiver, p: Path, error: type[ValueError] = QuiverError) -> Path:
     """`p` when its arrows lead through `q` from `p.source` to `p.target`, two
     vertices of `q`; otherwise raises `error`."""
@@ -225,7 +221,7 @@ def enumerate_paths(q: Quiver, max_len: int | None = None) -> list[Path]:
         raise QuiverError("cyclic quiver: a length bound is required")
     if max_len is not None:
         (max_len,) = dim_vector((max_len,), what="path length bound")
-    frontier = [trivial_path(v) for v in q.vertices()]
+    frontier = [Path(v, v) for v in q.vertices()]
     paths = list(frontier)
     length = 0
     while frontier and (max_len is None or length < max_len):

@@ -4,14 +4,15 @@ Semistability of a concrete representation over F_p is decided by King's
 criterion over every subrepresentation. Subrepresentations are tuples of
 per-vertex subspaces (each given by its reduced row echelon basis) that are
 stable under every arrow. `enumerate_subreps` returns them as one object, a
-read-only sequence whose constructor runs a depth-first search over the
-vertices in numbering order. Each vertex's candidates are the superspaces of
-the span of the images of the lower vertices' subspaces, less those that fail
-an arrow into a lower vertex or a loop; inner vertices recurse over them, and
+lazy iterable whose constructor runs a depth-first search over the vertices
+in numbering order. Each vertex's candidates are the superspaces of the span
+of the images of the lower vertices' subspaces, less those that fail an
+arrow into a lower vertex or a loop; inner vertices recurse over them, and
 the last vertex keeps them as one block with the positions chosen below it.
-The sequence is in the order of the Cartesian product of the per-vertex
-subspace lists, so witnesses do not depend on the pruning; `len` sums the
-block sizes, and a `SubrepWitness` is built only for an item read.
+Iteration follows the order of the Cartesian product of the per-vertex
+subspace lists, so witnesses do not depend on the pruning; `len` is the sum
+of the block sizes, counted once, and a `SubrepWitness` is built only when
+iteration reaches it. There is no random access.
 
 The search runs no elimination. A subspace is named by its position in the
 `_all_subspaces` list of F_p^n; the lattice of F_p^n maps each position to the
@@ -44,11 +45,11 @@ images and joins run on such rows, exact at every prime below 2^31.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cache, lru_cache, partial
-from itertools import accumulate, combinations, product
-from operator import index as index_of, mul
+from itertools import combinations, product
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -276,8 +277,8 @@ def check_budget(budget) -> int:
     return budget
 
 
-class _Subreps(Sequence):
-    """The subrepresentations of m, read-only and in product order; the
+class _Subreps:
+    """The subrepresentations of m, iterated in product order; the
     constructor runs the search, a depth-first one over the vertices, vertex 1
     first.
 
@@ -289,10 +290,10 @@ class _Subreps(Sequence):
     candidates; the last vertex's are kept as one block with the positions
     chosen below it. Results therefore come in the order of the product scan
     over `_all_subspaces` lists. The object keeps the lattices, the blocks and
-    their ends: `len` builds no witness, and `witness` builds one for an item
-    read. The arrow images are memoised by position, and those of each row,
-    for this search only; each lattice of F_p^k comes from `_lattice`, kept
-    for later searches.
+    their total size: `len` builds no witness, and iteration builds each one
+    (`witness`) when it is reached. The arrow images are memoised by
+    position, and those of each row, for this search only; each lattice of
+    F_p^k comes from `_lattice`, kept for later searches.
     """
 
     def __init__(self, m: Representation):
@@ -335,22 +336,15 @@ class _Subreps(Sequence):
         visit(0, [])
         del visit  # the closure refers to itself: free the search state now, not at a collection
         self.blocks = blocks
-        self._ends = list(accumulate(len(candidates) for _, candidates in blocks))
+        self._count = sum(len(candidates) for _, candidates in blocks)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._count
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[k] for k in range(*index.indices(len(self)))]
-        k = index_of(index)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("subrepresentation index out of range")
-        b = bisect(self._ends, k)
-        chosen, candidates = self.blocks[b]
-        return self.witness(chosen, candidates[k - self._ends[b] + len(candidates)])
+    def __iter__(self) -> Iterator[SubrepWitness]:
+        for chosen, candidates in self.blocks:
+            for pos in candidates:
+                yield self.witness(chosen, pos)
 
     def witness(self, chosen: tuple[int, ...], pos: int,
                 theta_value: int | None = None) -> SubrepWitness:
@@ -361,10 +355,10 @@ class _Subreps(Sequence):
                              tuple([lat.dims[q] for lat, q in at]), theta_value)
 
 
-def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> Sequence[SubrepWitness]:
+def enumerate_subreps(m: Representation, budget: int = DEFAULT_BUDGET) -> _Subreps:
     """All subrepresentations of m, as per-vertex rref subspace tuples, in a
-    read-only sequence in product order; each `SubrepWitness` is built when
-    it is read, and `len` builds none.
+    lazy iterable in product order; each `SubrepWitness` is built when the
+    iteration reaches it, and `len` builds none.
 
     The budget bounds the number of subspace tuples, the product over vertices
     of `subspace_count(p, d_i)`, whatever the search then visits. It must be an

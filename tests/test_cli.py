@@ -266,6 +266,21 @@ def test_root(a2_file, capsys):
     assert "loops at v0:" in out and "v0" in out
 
 
+def test_extend_and_root_on_a_quiver_labelled_v0(tmp_path, capsys):
+    """The fresh vertex's label is "v0" with leading underscores until it is new;
+    it used to be "v0" always, which a quiver labelled v0, v1 already has."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({**A2, "labels": ["v0", "v1"]}))
+    assert main(["extend", "-q", str(path), "-n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"] == ["v0", "v1", "_v0"]
+    assert main(["root", "-q", str(path), "-n", "1"]) == 0
+    assert "loops at _v0:\n  _v0\n" in capsys.readouterr().out
+    assert main(["root", "-q", str(path), "-n", "1", "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["presentation"]["generators"][:3] == ["v0", "v1", "_v0"]
+    assert ["_v0"] in doc["loops"] and ["v0"] not in doc["loops"]
+
+
 def test_root_default_loop_bound(a2_file, capsys):
     assert main(["root", "-q", a2_file, "-n", "1", "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -313,6 +328,9 @@ MALFORMED_REPS = {
     "dim a string": {"field": "Q", "dim": "11", "matrices": {}},
     "top-level list": [{"field": "Q", "dim": [1, 1], "matrices": {}}],
     "unknown arrow": {"field": "Q", "dim": [1, 1], "matrices": {"w": [[1]]}},
+    "matrix entry a bool": {"field": {"p": 3}, "dim": [1, 1], "matrices": {"x": [[True]]}},
+    "rational entry a bool": {"field": "Q", "dim": [1, 1], "matrices": {"x": [[False]]}},
+    "prime a bool": {"field": {"p": True}, "dim": [1, 1], "matrices": {}},
 }
 
 
@@ -382,6 +400,9 @@ MALFORMED_SIGMAS = {
     "row missing": {**SIGMA, "entries": []},
     "row too long": {**SIGMA, "entries": [[[], []]]},
     "arrow id a number": {**SIGMA, "entries": [[[{"coeff": "1", "path": [1]}]]]},
+    "coeff a bool": {**SIGMA, "entries": [[[{"coeff": True, "path": ["x"]}]]]},
+    "name a number": {**SIGMA, "name": 5},
+    "name a list": {**SIGMA, "name": ["s"]},
 }
 
 

@@ -80,6 +80,9 @@ SCALAR_USERS = {
                                   (1.5, "1")),
     "path_combination.ends": (lambda v: path_combination(v, 2, []), QuiverError, (1.5, "1")),
     "make_sigma.z": (lambda v: make_sigma(K3, (-1, 1), v), SigmaError, (1.5, "1")),
+    # a bool seed used to name the sigma "sigma.z1.seedTrue", a list to raise TypeError
+    "make_sigma.seed": (lambda v: make_sigma(K3, (-1, 1), 1, seed=v), SigmaError,
+                        (True, [1], 1.5, "1")),
     "extended_quiver.n": (lambda v: extended_quiver(K3, v), QuiverError, (1.5, "1")),
     "tau_morphism.n": (lambda v: tau_morphism(K3, v), QuiverError, (1.5, "1")),
     "root_presentation.n": (lambda v: root_presentation(K3, [], v), QuiverError, (1.5, "1")),
@@ -113,5 +116,6 @@ def test_integer_like_values_are_accepted():
     assert moduli_dimension(K3, [1, 1], t) == moduli_dimension(K3, (1, 1), (-1, 1)) == 2
     assert is_stable(M, t).stable
     assert chi_theta(G, t) == Fraction(3, 2)
+    assert make_sigma(K3, t, 1, seed=np.int64(3)) == make_sigma(K3, (-1, 1), 1, seed=3)
     q = validate_quiver({"vertices": np.int64(2), "arrows": [{"id": "a", "src": 1, "tgt": 2}]})
     assert q == quiver(2, [("a", 1, 2)]) and type(q.arrows[0].src) is int

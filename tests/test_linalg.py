@@ -87,11 +87,11 @@ def test_rref_rank_nullspace(field):
 def test_det_and_inv(field):
     a = field.array([[1, 2], [3, 5]])
     d = linalg.det(field, a)
-    assert not field.scalar_is_zero(d)
+    assert field.coerce(d) != 0
     inv_a = linalg.inv(field, a)
     assert linalg.equal(field, linalg.matmul(field, a, inv_a), field.identity(2))
     singular = field.array([[1, 2], [2, 4]])
-    assert field.scalar_is_zero(linalg.det(field, singular))
+    assert field.coerce(linalg.det(field, singular)) == 0
     with pytest.raises(ZeroDivisionError):
         linalg.inv(field, singular)
     wide = field.array([[1, 2, 3], [4, 5, 6]])
@@ -203,14 +203,14 @@ def ref_rref(field, a):
             break
         pr = None
         for i in range(r, m):
-            if not field.scalar_is_zero(r_mat[i, c]):
+            if field.coerce(r_mat[i, c]) != 0:
                 pr = i
                 break
         if pr is None:
             continue
         if pr != r:
             r_mat[[r, pr]] = r_mat[[pr, r]]
-        r_mat[r] = normalize(field, r_mat[r] * field.scalar_inv(r_mat[r, c]))
+        r_mat[r] = normalize(field, r_mat[r] * field.power(r_mat[r, c], -1))
         col = r_mat[:, c].copy()
         col[r] = field.zero
         r_mat = normalize(field, r_mat - np.outer(col, r_mat[r]))
@@ -228,7 +228,7 @@ def ref_det(field, a):
     for k in range(n):
         pr = None
         for i in range(k, n):
-            if not field.scalar_is_zero(w[i, k]):
+            if field.coerce(w[i, k]) != 0:
                 pr = i
                 break
         if pr is None:
@@ -236,9 +236,9 @@ def ref_det(field, a):
         if pr != k:
             w[[k, pr]] = w[[pr, k]]
             sign = -sign
-        inv_piv = field.scalar_inv(w[k, k])
+        inv_piv = field.power(w[k, k], -1)
         for i in range(k + 1, n):
-            if field.scalar_is_zero(w[i, k]):
+            if field.coerce(w[i, k]) == 0:
                 continue
             factor = normalize(field, np.array([[w[i, k] * inv_piv]]))[0, 0]
             w[i] = normalize(field, w[i] - factor * w[k])
@@ -246,7 +246,7 @@ def ref_det(field, a):
     for k in range(n):
         prod = normalize(field, np.array([[prod * w[k, k]]]))[0, 0]
     if sign < 0:
-        prod = field.scalar_neg(prod)
+        prod = field.mul(prod, -1)
     return prod
 
 
@@ -576,11 +576,9 @@ def test_power_is_one_exponentiation(p):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(BIG)])
 def test_negative_power_of_zero_raises_zero_division(field):
-    """Over every field a negative power of 0 raises `ZeroDivisionError`, as
-    `scalar_inv(0)` does, not a field-dependent exception."""
+    """Over every field a negative power of 0 raises `ZeroDivisionError`, not a
+    field-dependent exception."""
     for zero in (0, "0", Fraction(0), 3 * field.p):
-        with pytest.raises(ZeroDivisionError):
-            field.scalar_inv(zero)
         for t in (-1, -4):
             with pytest.raises(ZeroDivisionError):
                 field.power(zero, t)

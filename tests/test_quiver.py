@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quivermod import (QQ, Arrow, Path, Quiver, QuiverError, compose, direct_sum,
                        enumerate_dimvectors, enumerate_paths, euler_form, generic_ext, quiver,
-                       representation, theta_pairing, trivial_path, validate_quiver)
+                       representation, theta_pairing, validate_quiver)
 from quivermod.moduli import CyclicQuiverError
 from quivermod.quiver import _is_acyclic, check_path
 
@@ -179,7 +179,7 @@ def test_paths_deterministic(a3):
 
 def test_check_path(a3):
     good = Path(1, 3, ("a", "b"))
-    assert check_path(a3, good) is good and check_path(a3, trivial_path(3))
+    assert check_path(a3, good) is good and check_path(a3, Path(3, 3))
     for bad in [Path(1, 3, ("b", "a")), Path(1, 2, ("c",)), Path(1, 3, ("a",)),
                 Path(1, 2, ()), Path(0, 0, ()), Path(4, 4, ())]:
         with pytest.raises(QuiverError):

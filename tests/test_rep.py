@@ -8,7 +8,7 @@ from quivermod import (QQ, FieldError, PrimeField, RepresentationError, act, dir
                        euler_form, evaluate_path, ext_space, group_element,
                        hom_space, quiver, random_group_element,
                        random_representation, representation,
-                       representation_from_json, theta_pairing, trivial_path,
+                       representation_from_json, theta_pairing,
                        zero_representation)
 from quivermod import linalg
 from quivermod.quiver import Path, enumerate_paths
@@ -23,7 +23,7 @@ def rep_k3(k3, field, m):
 
 def test_evaluate_trivial_path(k3):
     m = zero_representation(k3, QQ, (2, 1))
-    out = evaluate_path(m, trivial_path(1))
+    out = evaluate_path(m, Path(1, 1))
     assert out.shape == (2, 2)
     assert out.tolist() == [[1, 0], [0, 1]]
 
@@ -446,11 +446,12 @@ def test_field_array_shapes():
         assert field.array(np.zeros((2, 0), dtype=object)).shape == (2, 0)
         assert field.array([[], []]).shape == (2, 0)
         assert field.array([]).shape == (0, 0)
-        for bad in ([[1], [1, 2]], np.array([1, 2]), 3, [3], [["1/0"]], [[0.5]]):
+        for bad in ([[1], [1, 2]], np.array([1, 2]), 3, [3], [["1/0"]], [[0.5]], [[True]]):
             with pytest.raises(FieldError):
                 field.array(bad)
-        # entries of every integer type, fractions and strings become field elements
-        data = [[np.int64(-7), 2**40, True], [Fraction(1, 2), "-3/4", 0]]
+        # entries of every integer type but bool, fractions and strings become
+        # field elements
+        data = [[np.int64(-7), 2**40, np.uint8(3)], [Fraction(1, 2), "-3/4", 0]]
         for a in (field.array(data), field.array(np.array(data, dtype=object)),
                   field.zeros(2, 3), field.zeros(0, 2), field.zeros(2, 0), field.identity(3)):
             assert_elements(field, a)
@@ -494,7 +495,7 @@ def test_operations_keep_element_types(field, k3):
         assert_elements(field, linalg.matmul(field, gi, gi))
     sigma = make_sigma(k3, (-1, 1), 2, seed=1)
     assert_elements(field, evaluate_sigma(sigma, m))
-    for path in (Path(1, 2, ("x",)), trivial_path(1)):
+    for path in (Path(1, 2, ("x",)), Path(1, 1)):
         assert_elements(field, evaluate_path(m, path))
     point = check_localized_point([sigma], m)
     for inverse in point.inverses or []:

@@ -1,6 +1,5 @@
 import gc
 import random
-from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from functools import cache, reduce
 from itertools import product
@@ -605,7 +604,7 @@ def test_verdict_witnesses_carry_their_theta_value(case):
             with pytest.raises(FrozenInstanceError):
                 w.beta = m.dim
     if not v.theta_of_m:
-        assert enumerate_subreps(m)[0].theta_value is None
+        assert next(iter(enumerate_subreps(m))).theta_value is None
 
 
 @pytest.fixture
@@ -655,24 +654,19 @@ def test_search_leaves_no_garbage_cycle(k3):
         gc.enable()
 
 
-def test_enumerate_subreps_is_a_lazy_sequence(k3, built_witnesses):
+def test_enumerate_subreps_is_a_lazy_iterable(k3, built_witnesses):
+    """`len` counts the search's results without building a witness; iterating
+    builds each one as it is reached, in the order of the product scan."""
     m = random_representation(k3, PrimeField(3), (2, 2), random.Random(3))
     subreps = enumerate_subreps(m)
-    assert isinstance(subreps, Sequence)
     assert len(subreps) > 4 and not built_witnesses  # counting builds no witness
+    first = next(iter(subreps))
+    assert len(built_witnesses) == 1
     listed = list(subreps)
-    assert len(built_witnesses) == len(listed) == len(subreps)
-    assert list(subreps) == listed  # iterating again gives the same witnesses
-    assert [(w.beta, tuple(w.bases[v].rows for v in (1, 2))) for w in listed] == searched(m)
-    assert subreps[0] == listed[0] and subreps[-1] == listed[-1]
-    assert subreps[1:4] == listed[1:4] and subreps[::-3] == listed[::-3]
-    assert [subreps[i] for i in range(-len(listed), len(listed))] == listed + listed
-    for i in (len(listed), -len(listed) - 1):
-        with pytest.raises(IndexError):
-            subreps[i]
-    assert list(reversed(subreps)) == listed[::-1]
-    assert [subreps.index(listed[k]) for k in (0, 1, len(listed) // 2, len(listed) - 1)] == [
-        0, 1, len(listed) // 2, len(listed) - 1]
+    assert len(built_witnesses) == 1 + len(listed) == 1 + len(subreps)
+    assert listed[0] == first and list(subreps) == listed  # iterating again gives the same
+    assert [(w.beta, tuple(w.bases[v].rows for v in (1, 2))) for w in listed] == (
+        reference_subreps(m))
 
 
 def test_theta_zero_witness_where_a_block_lacks_its_dimension(k3):
